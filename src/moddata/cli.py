@@ -459,10 +459,21 @@ def _cmd_extensions(args, out) -> int:
     return 0 if check.passed else 1
 
 
+def _level(args, d: ModularDatum) -> int:
+    """The --level flag, or the normalized exponent when it is absent.
+    The datum's derived quantities are computed either way, so a datum
+    they reject fails before any search."""
+    n_o = datum_mod.basic_stats(d).N_o
+    if args.level is None:
+        return n_o
+    if args.level < 1:
+        raise SchemaError("--level", f"must be positive, got {args.level}")
+    return args.level
+
+
 def _cmd_congruence(args, out) -> int:
     d = load_datum(args.datum)
-    stats = datum_mod.basic_stats(d)
-    level = args.level if args.level is not None else stats.N_o
+    level = _level(args, d)
     projective = extension.factor_check(
         d.s_matrix,
         linalg.diag_matrix(d.t_diag),
@@ -494,8 +505,7 @@ def _cmd_congruence(args, out) -> int:
 
 def _cmd_lift_search(args, out) -> int:
     d = load_datum(args.datum)
-    stats = datum_mod.basic_stats(d)
-    level = args.level if args.level is not None else stats.N_o
+    level = _level(args, d)
     survivors = extension.lift_search(d, level, args.max_group_order)
     payload = {
         "level": level,
@@ -589,7 +599,7 @@ def _int_env(name: str, fallback: int) -> int:
     try:
         return int(raw)
     except ValueError:
-        return fallback
+        raise SchemaError(f"${name}", f"must be an integer, got {raw!r}") from None
 
 
 def _add_common(parser, with_datum=True):
@@ -713,7 +723,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None, out=None) -> int:
     out = out if out is not None else sys.stdout
-    parser = build_parser()
+    try:
+        parser = build_parser()
+    except SchemaError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

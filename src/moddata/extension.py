@@ -128,14 +128,24 @@ def extension_family(d: ModularDatum):
     return out
 
 
+def _homogeneous_t_diag(e: ExtendedDatum, t_o: CycloNum):
+    """The diagonal of T' = T/(t_o ell)."""
+    scale = (t_o * e.charge).inverse()
+    return tuple(t * scale for t in e.datum.t_diag)
+
+
+def _dehn_order_divides(t_diag, level: int) -> bool:
+    """Whether the diagonal matrix with these entries has T^level = I, a
+    necessary condition for factoring at the level since t^M = I mod M."""
+    return all(t ** level == 1 for t in t_diag)
+
+
 def homogeneous_matrices(e: ExtendedDatum):
     """S' = S/D and T' = T/(t_o ell), verified to satisfy the defining
     relations of the modular group: S'^4 = E and (T'S')^3 = S'^2."""
     d = e.datum
-    stats = basic_stats(d)
     s_prime = linalg.mat_scale(d.s_matrix, e.rank.inverse())
-    scale = (stats.t_o * e.charge).inverse()
-    t_prime_diag = tuple(t * scale for t in d.t_diag)
+    t_prime_diag = _homogeneous_t_diag(e, basic_stats(d).t_o)
     t_prime = linalg.diag_matrix(t_prime_diag)
     s2 = linalg.mat_mul(s_prime, s_prime)
     s4 = linalg.mat_mul(s2, s2)
@@ -205,18 +215,6 @@ def additive_charge(e: ExtendedDatum) -> int:
 
 # -- the modular group and its reductions -----------------------------------
 
-_S_WORD = ((0, -1), (1, 0))
-_T_WORD = ((1, 1), (0, 1))
-
-
-def _mat2_mul(a, b, modulus):
-    return (
-        (a[0][0] * b[0][0] + a[0][1] * b[1][0]) % modulus,
-        (a[0][0] * b[0][1] + a[0][1] * b[1][1]) % modulus,
-        (a[1][0] * b[0][0] + a[1][1] * b[1][0]) % modulus,
-        (a[1][0] * b[0][1] + a[1][1] * b[1][1]) % modulus,
-    )
-
 
 def _flat_mul(a, b, modulus):
     return (
@@ -229,55 +227,7 @@ def _flat_mul(a, b, modulus):
 
 def d_matrix(q: int, r: int):
     """The word s t^r s^-1 t^q s t^r in the generators of the modular
-    group, in closed form [[q, qr-1], [1-qr, r(2-qr)]].
-
-    The closed form is checked against the literal generator product,
-    and the transpose/inversion relations of these words against the
-    s-generator are verified as integer matrix identities.
-    """
-    closed = ((q, q * r - 1), (1 - q * r, r * (2 - q * r)))
-
-    def mul(a, b):
-        return (
-            (
-                a[0][0] * b[0][0] + a[0][1] * b[1][0],
-                a[0][0] * b[0][1] + a[0][1] * b[1][1],
-            ),
-            (
-                a[1][0] * b[0][0] + a[1][1] * b[1][0],
-                a[1][0] * b[0][1] + a[1][1] * b[1][1],
-            ),
-        )
-
-    s = _S_WORD
-    s_inv = ((0, 1), (-1, 0))
-    t_r = ((1, r), (0, 1))
-    t_q = ((1, q), (0, 1))
-    word = mul(mul(mul(mul(mul(s, t_r), s_inv), t_q), s), t_r)
-    if word != closed:
-        raise AssertionError("closed form disagrees with the generator word")
-
-    def transpose(a):
-        return ((a[0][0], a[1][0]), (a[0][1], a[1][1]))
-
-    def inverse(a):
-        # determinant one
-        return ((a[1][1], -a[0][1]), (-a[1][0], a[0][0]))
-
-    g = closed
-    if mul(s, inverse(g)) != mul(transpose(g), s):
-        raise AssertionError("s g^-1 = g^T s failed")
-    minus = ((-q, q * r - 1), (1 - q * r, -r * (2 - q * r)))
-    if d_matrix_raw(-q, -r) != minus:
-        raise AssertionError("negated parameters disagree")
-    if mul(s, inverse(g)) != mul(minus, inverse(s)) or mul(
-        s, inverse(g)
-    ) != mul(transpose(g), s):
-        raise AssertionError("word inversion relations failed")
-    return closed
-
-
-def d_matrix_raw(q: int, r: int):
+    group, in closed form [[q, qr-1], [1-qr, r(2-qr)]]."""
     return ((q, q * r - 1), (1 - q * r, r * (2 - q * r)))
 
 
@@ -288,49 +238,9 @@ def sl2_order(modulus: int) -> int:
     return order
 
 
-@dataclass(frozen=True)
-class SL2Mod:
-    """The special linear group of 2x2 matrices modulo M, enumerated by a
-    breadth-first closure from the identity under the two generators and
-    their inverses.  Elements are flat (a, b, c, d) tuples."""
-
-    modulus: int
-    elements: tuple
-    generators: dict
-
-    @property
-    def order(self) -> int:
-        return len(self.elements)
-
-
-@lru_cache(maxsize=None)
-def _sl2_elements(modulus: int):
-    identity = (1 % modulus, 0, 0, 1 % modulus)
-    gens = {
-        "s": tuple(x % modulus for x in (0, -1, 1, 0)),
-        "t": tuple(x % modulus for x in (1, 1, 0, 1)),
-        "S": tuple(x % modulus for x in (0, 1, -1, 0)),
-        "T": tuple(x % modulus for x in (1, -1, 0, 1)),
-    }
-    seen = {identity}
-    order = [identity]
-    queue = deque([identity])
-    gen_list = [gens[k] for k in ("s", "t", "S", "T")]
-    while queue:
-        g = queue.popleft()
-        for x in gen_list:
-            h = _flat_mul(g, x, modulus)
-            if h not in seen:
-                seen.add(h)
-                order.append(h)
-                queue.append(h)
-    return tuple(order), gens
-
-
-def sl2_enumerate(modulus: int, max_group_order: int = DEFAULT_MAX_GROUP_ORDER) -> SL2Mod:
-    """Enumerate the reduced modular group, guarded by the exact order
-    formula so oversized requests fail before any work is done."""
-    modulus = int(modulus)
+def _check_group_order(modulus: int, max_group_order: int) -> int:
+    """The exact order of the reduced modular group, raising TooLarge
+    before any work is done when it exceeds the bound."""
     if modulus < 1:
         raise ValueError(f"modulus must be positive, got {modulus}")
     predicted = sl2_order(modulus)
@@ -338,12 +248,34 @@ def sl2_enumerate(modulus: int, max_group_order: int = DEFAULT_MAX_GROUP_ORDER) 
         raise TooLarge(
             f"group order {predicted} exceeds bound {max_group_order}"
         )
-    elements, gens = _sl2_elements(modulus)
+    return predicted
+
+
+@dataclass(frozen=True)
+class SL2Mod:
+    """The special linear group of 2x2 matrices modulo M, enumerated by a
+    breadth-first closure from the identity under the generators s and t.
+    Elements are flat (a, b, c, d) tuples."""
+
+    modulus: int
+    elements: tuple
+
+    @property
+    def order(self) -> int:
+        return len(self.elements)
+
+
+def sl2_enumerate(modulus: int, max_group_order: int = DEFAULT_MAX_GROUP_ORDER) -> SL2Mod:
+    """Enumerate the reduced modular group, guarded by the exact order
+    formula so oversized requests fail before any work is done."""
+    modulus = int(modulus)
+    predicted = _check_group_order(modulus, max_group_order)
+    elements = _cayley_data(modulus)[0]
     if len(elements) != predicted:
         raise AssertionError(
             f"enumerated {len(elements)} elements, formula says {predicted}"
         )
-    return SL2Mod(modulus=modulus, elements=elements, generators=gens)
+    return SL2Mod(modulus=modulus, elements=elements)
 
 
 @lru_cache(maxsize=None)
@@ -449,10 +381,8 @@ def factor_check(
     projective = mode == "projective"
     linalg.mat_inverse(s_mat)
     linalg.mat_inverse(t_mat)
-    group = sl2_enumerate(modulus, max_group_order)
+    sl2_enumerate(modulus, max_group_order)
     elements, edges, parents = _cayley_data(modulus)
-    if len(elements) != group.order:
-        raise AssertionError("two-generator closure missed group elements")
     m = len(s_mat)
     conductor = lcm(
         linalg.common_conductor(s_mat), linalg.common_conductor(t_mat)
@@ -550,7 +480,10 @@ def congruence_classify(
 ) -> CongruenceClassification:
     """Projective factoring of the raw matrices and linear factoring of
     the homogeneous ones at the normalized exponent, plus the minimal
-    linear level among the candidates."""
+    linear level among the candidates.  A candidate level L with
+    T'^L != I cannot be a level, because t^L = I modulo L, so it is
+    listed as checked without a search; its group order is still held
+    to the bound, as the search would have held it."""
     d = e.datum
     stats = basic_stats(d)
     projective = factor_check(
@@ -569,10 +502,14 @@ def congruence_classify(
         if level_candidates is not None
         else default_level_candidates(d)
     )
+    t_diag = _homogeneous_t_diag(e, stats.t_o)
     minimal = None
     checked = []
     for level in candidates:
         checked.append(level)
+        if not _dehn_order_divides(t_diag, level):
+            _check_group_order(level, max_group_order)
+            continue
         outcome = factor_check(
             s_prime, t_prime, level, "linear", max_group_order
         )
@@ -594,15 +531,45 @@ def lift_search(
     modulus: int,
     max_group_order: int = DEFAULT_MAX_GROUP_ORDER,
 ):
-    """Filter the twelve-member extension family down to those whose
-    homogeneous matrices factor linearly at the given level.  The search
-    is exhaustive, so an empty result proves no extension lifts there."""
-    survivors = []
-    for e in extension_family(d):
-        s_prime, t_prime = homogeneous_matrices(e)
-        outcome = factor_check(
-            s_prime, t_prime, modulus, "linear", max_group_order
-        )
-        if outcome.linear_factors:
-            survivors.append(e)
-    return survivors
+    """The members of the twelve-member extension family whose
+    homogeneous matrices factor linearly at the given level, in family
+    order.  An empty result proves that no extension lifts there.
+
+    The result is exact with at most one Cayley-graph search:
+
+    - an extension whose T' has T'^M != I cannot factor at M, because
+      t^M = I modulo M;
+    - any two extensions differ by S'_e = x S'_b and T'_e = y T'_b with
+      x = D_b/D_e and y = ell_b/ell_e.  Checking x^4 = 1 and y^3 x = 1
+      shows that (x, y) is a character chi of the modular group, so
+      rho_e = chi (x) rho_b;
+    - among the remaining candidates chi(t) = y has y^M = 1, so y is a
+      twelfth root of unity of order dividing M.  Each such character
+      factors through the reduction modulo ord(y) (tests pin this for
+      all twelve), hence modulo M.  So rho_e factors at M exactly when
+      rho_b does, and one search on the first candidate decides all.
+
+    The group order is held to the bound before anything else, so an
+    oversized level raises TooLarge even when no candidate is left.
+    """
+    modulus = int(modulus)
+    _check_group_order(modulus, max_group_order)
+    t_o = basic_stats(d).t_o
+    candidates = [
+        e
+        for e in extension_family(d)
+        if _dehn_order_divides(_homogeneous_t_diag(e, t_o), modulus)
+    ]
+    if not candidates:
+        return []
+    base = candidates[0]
+    for e in candidates[1:]:
+        x = base.rank / e.rank
+        y = base.charge / e.charge
+        if x ** 4 != 1 or y ** 3 * x != 1:
+            raise InvalidExtension(
+                "extensions are not related by a character of the modular group"
+            )
+    s_prime, t_prime = homogeneous_matrices(base)
+    outcome = factor_check(s_prime, t_prime, modulus, "linear", max_group_order)
+    return candidates if outcome.linear_factors else []

@@ -1,11 +1,13 @@
 """Independent oracles used by the test suite.
 
 These recompute expected values by routes that do not share code with
-the implementations they check.
+the implementations they check, or, for the congruence search, by the
+exhaustive route that the fast path replaces.
 """
 
 from moddata import cyclo, linalg
 from moddata.cyclo import root_of_unity
+from moddata.extension import extension_family, factor_check, homogeneous_matrices
 
 
 def oracle_cyclic_datum(n):
@@ -58,3 +60,14 @@ def oracle_cyclic_datum(n):
 
     t = [char_of(a, u_inv) for a in range(n)]
     return s, t
+
+
+def oracle_lift_search(d, modulus):
+    """The extensions of d whose homogeneous matrices factor linearly at
+    the modulus, by one exhaustive Cayley-graph check per extension."""
+    survivors = []
+    for e in extension_family(d):
+        s_prime, t_prime = homogeneous_matrices(e)
+        if factor_check(s_prime, t_prime, modulus, "linear").linear_factors:
+            survivors.append(e)
+    return survivors

@@ -133,6 +133,32 @@ def test_cli_resource_bound_exit():
          "--max-group-order", "100"]
     )
     assert code == 3
+    # no semion extension passes the Dehn filter at 23, but the bound holds
+    code, _ = run_cli(
+        ["lift-search", "gen:semion", "--level", "23",
+         "--max-group-order", "100"]
+    )
+    assert code == 3
+
+
+@pytest.mark.parametrize("command", ["congruence", "lift-search"])
+@pytest.mark.parametrize("level", ["0", "-4"])
+def test_cli_nonpositive_level_is_usage_error(command, level, capsys):
+    code, text = run_cli([command, "gen:semion", "--level", level])
+    assert code == 2
+    assert text == ""
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: --level")
+
+
+@pytest.mark.parametrize("name", [cli.ENV_MAX_GROUP_ORDER, cli.ENV_CONDUCTOR_LIMIT])
+def test_cli_malformed_env_is_usage_error(name, monkeypatch, capsys):
+    monkeypatch.setenv(name, "12k")
+    code, text = run_cli(["validate", "gen:semion"])
+    assert code == 2
+    assert text == ""
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and name in err
 
 
 def test_cli_congruence_semion_level_4():

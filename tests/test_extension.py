@@ -1,9 +1,11 @@
+from math import gcd
+
 import pytest
 
-from moddata import cyclo, linalg
+from moddata import cyclo, extension, linalg
 from moddata.constructors import radford_datum, semion_datum, trivial_datum
 from moddata.cyclo import root_of_unity, sqrt_integer
-from moddata.datum import basic_stats
+from moddata.datum import basic_stats, kronecker_product
 from moddata.errors import (
     ChargeOrderTooLarge,
     InvalidExtension,
@@ -26,6 +28,8 @@ from moddata.extension import (
     sl2_enumerate,
     sl2_order,
 )
+
+from oracles import oracle_lift_search
 
 
 def test_enumerate_ranks_semion():
@@ -175,6 +179,38 @@ def test_d_matrix_values():
     assert d_matrix(2, 3) == ((2, 5), (-5, -12))
 
 
+def _mul2(a, b):
+    return tuple(
+        tuple(sum(a[i][k] * b[k][j] for k in range(2)) for j in range(2))
+        for i in range(2)
+    )
+
+
+def _inverse2(a):
+    # determinant one
+    return ((a[1][1], -a[0][1]), (-a[1][0], a[0][0]))
+
+
+def _transpose2(a):
+    return ((a[0][0], a[1][0]), (a[0][1], a[1][1]))
+
+
+def test_d_matrix_is_its_generator_word():
+    s = ((0, -1), (1, 0))
+    s_inv = _inverse2(s)
+    for q in range(-6, 7):
+        for r in range(-6, 7):
+            g = d_matrix(q, r)
+            t_r = ((1, r), (0, 1))
+            t_q = ((1, q), (0, 1))
+            word = _mul2(_mul2(_mul2(_mul2(_mul2(s, t_r), s_inv), t_q), s), t_r)
+            assert word == g, (q, r)
+            # s g^-1 = g^T s = d(-q, -r) s^-1
+            lhs = _mul2(s, _inverse2(g))
+            assert lhs == _mul2(_transpose2(g), s), (q, r)
+            assert lhs == _mul2(d_matrix(-q, -r), s_inv), (q, r)
+
+
 @pytest.mark.parametrize(
     "m,size", [(1, 1), (2, 6), (3, 24), (4, 48), (5, 120), (7, 336), (8, 384), (24, 9216)]
 )
@@ -225,6 +261,37 @@ def test_semion_projective_but_not_congruence():
     assert cls.minimal_level == 8
     cls = congruence_classify(by_charge[1])
     assert cls.minimal_level == 24
+
+
+def test_congruence_classify_searches_only_levels_dehn_allows(monkeypatch):
+    # a level L with T'^L != I is listed as checked but never searched
+    searched = []
+    real = extension.factor_check
+
+    def counting(s_mat, t_mat, modulus, mode="linear", *rest):
+        searched.append((modulus, mode))
+        return real(s_mat, t_mat, modulus, mode, *rest)
+
+    monkeypatch.setattr(extension, "factor_check", counting)
+    sem = semion_datum()
+    by_charge = {additive_charge(e): e for e in extension_family(sem)}
+    cls = congruence_classify(by_charge[3])
+    assert cls.levels_checked == (1, 2, 3, 4, 6, 8)
+    assert cls.minimal_level == 8
+    linear_levels = [m for m, mode in searched if mode == "linear"]
+    # the normalized exponent 4, then only level 8 among the candidates
+    assert linear_levels == [4, 8]
+
+
+def test_congruence_classify_skipped_level_keeps_resource_bound():
+    # level 12 is skipped for charge 3 (T' has order 8), yet the bound
+    # on its group order still applies, as the search would apply it
+    sem = semion_datum()
+    by_charge = {additive_charge(e): e for e in extension_family(sem)}
+    with pytest.raises(TooLarge):
+        congruence_classify(
+            by_charge[3], level_candidates=(12, 8), max_group_order=1000
+        )
 
 
 def test_semion_lift_searches():
@@ -281,3 +348,78 @@ def test_radford_projective_congruence(n):
         d.s_matrix, linalg.diag_matrix(d.t_diag), n, "projective"
     )
     assert rep.projective_factors is True
+
+
+def _keys(extensions):
+    return [(str(e.rank), str(e.charge)) for e in extensions]
+
+
+_DIFFERENTIAL_CASES = (
+    [("trivial", m) for m in list(range(1, 13)) + [24]]
+    + [("semion", m) for m in list(range(1, 13)) + [24]]
+    + [("radford3", m) for m in (1, 2, 3, 4, 6, 8, 9, 12)]
+    + [("semion2", m) for m in (1, 2, 3, 4, 6, 8, 9, 12)]
+)
+
+
+def _named_datum(name):
+    if name == "trivial":
+        return trivial_datum()
+    if name == "semion":
+        return semion_datum()
+    if name == "radford3":
+        return radford_datum(3)
+    return kronecker_product(semion_datum(), semion_datum())
+
+
+@pytest.mark.parametrize("name,modulus", _DIFFERENTIAL_CASES)
+def test_lift_search_matches_exhaustive_oracle(name, modulus):
+    d = _named_datum(name)
+    assert _keys(lift_search(d, modulus)) == _keys(oracle_lift_search(d, modulus))
+
+
+@pytest.mark.parametrize("k", range(12))
+def test_characters_factor_at_the_order_of_their_twist(k):
+    # the character chi(t) = y, chi(s) = y^-3 of the modular group factors
+    # through the reduction modulo ord(y); lift_search relies on it
+    y = root_of_unity(12, k)
+    x = y ** -3
+    order = cyclo.root_of_unity_order(y)
+    assert order == 12 // gcd(k, 12)
+    outcome = factor_check(((x,),), ((y,),), order, "linear")
+    assert outcome.linear_factors is True
+
+
+def test_lift_search_runs_one_search_and_obeys_it(monkeypatch):
+    levels = []
+    real = extension.factor_check
+
+    def counting(s_mat, t_mat, modulus, *rest):
+        levels.append(modulus)
+        return real(s_mat, t_mat, modulus, *rest)
+
+    monkeypatch.setattr(extension, "factor_check", counting)
+    sem = semion_datum()
+    assert len(lift_search(sem, 8)) == 4
+    assert levels == [8]
+    levels.clear()
+    # no semion extension has T'^4 = I, so nothing is searched
+    assert lift_search(sem, 4) == []
+    assert levels == []
+    # the verdict of the one search on the base decides every candidate
+    monkeypatch.setattr(
+        extension,
+        "factor_check",
+        lambda s_mat, t_mat, modulus, *rest: extension.CongruenceReport(
+            modulus=modulus, linear_factors=False, projective_factors=None
+        ),
+    )
+    assert lift_search(sem, 8) == []
+
+
+def test_lift_search_bounds_group_order_without_candidates():
+    # no semion extension has T'^23 = I, yet the bound still applies
+    with pytest.raises(TooLarge):
+        lift_search(semion_datum(), 23, max_group_order=100)
+    assert lift_search(semion_datum(), 23) == []
+
