@@ -732,9 +732,13 @@ def main(argv=None, out=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    if getattr(args, "conductor_limit", None):
-        cyclo.set_conductor_limit(args.conductor_limit)
+    previous_limit = cyclo.get_conductor_limit()
     try:
+        if args.conductor_limit < 1:
+            raise SchemaError(
+                "--conductor-limit", f"must be positive, got {args.conductor_limit}"
+            )
+        cyclo.set_conductor_limit(args.conductor_limit)
         return args.func(args, out)
     except TooLarge as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -748,6 +752,8 @@ def main(argv=None, out=None) -> int:
     except ModdataError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        cyclo.set_conductor_limit(previous_limit)
 
 
 if __name__ == "__main__":

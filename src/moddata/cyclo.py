@@ -3,15 +3,23 @@
 An element of the M-th cyclotomic field is stored on the power basis
 1, z, ..., z^(phi(M)-1) of Q[x]/(Phi_M(x)), where z is a fixed primitive
 M-th root of unity and Phi_M the M-th cyclotomic polynomial.  The
-representation is canonical, so two elements at the same conductor are
-equal iff their coefficient vectors agree.  Binary operations lift both
-operands to the lcm of their conductors; nothing ever reduces a conductor.
+coordinates are held as integer numerators ``nums`` over one shared
+positive denominator ``den``, kept canonical: gcd(den, *nums) == 1, and
+zero has den == 1.  So two elements at the same conductor are equal iff
+their (den, nums) pairs agree, and arithmetic runs on Python ints with
+one gcd per result.  A per-conductor table of the roots of unity +-z^k
+answers ``root_of_unity_order`` and inverts them; other elements are
+inverted by the extended Euclidean algorithm over ``fractions.Fraction``.
+Otherwise rationals appear only at the boundaries: the ``coeffs`` view,
+``is_rational`` and JSON.  Binary operations lift both operands to the
+lcm of their conductors; nothing ever reduces a conductor.
 
 All values are immutable and all functions are pure.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
@@ -24,12 +32,7 @@ from .errors import (
     TooLarge,
 )
 
-try:
-    from gmpy2 import mpq as _Q
-except ImportError:  # pragma: no cover - gmpy2 is optional
-    _Q = Fraction
-
-_RAT_TYPES = (int, Fraction, type(_Q(0)))
+_RAT_TYPES = (int, Fraction)
 
 # Largest conductor for which a basis will be materialized; guards against
 # runaway lcm growth.  The CLI exposes this bound via --conductor-limit.
@@ -47,9 +50,10 @@ def get_conductor_limit() -> int:
 
 def rational(num, den=1):
     """Exact rational with canonical form (gcd 1, positive denominator)."""
-    return _Q(num, den)
+    return Fraction(num, den)
 
 
+@lru_cache(maxsize=None)
 def euler_phi(m: int) -> int:
     phi = 1
     for p, e in factorize(m):
@@ -115,16 +119,15 @@ def cyclotomic_polynomial(m: int) -> tuple:
     return tuple(poly)
 
 
-@lru_cache(maxsize=None)
-def _power_rows(m: int) -> tuple:
-    """Sparse reduction of z^k modulo Phi_m for every exponent needed.
-
-    Row k holds ((index, int_coeff), ...) with z^k = sum coeff * z^index.
-    Rows cover k up to max(m, 2*phi - 1) - 1, enough both for exponent
-    arithmetic mod m and for reducing products of basis vectors.
-    """
+def _check_limit(m: int) -> None:
+    # Checked on every use, not when a table is built: a table cached
+    # under a larger limit must not get past a smaller one.
     if m > _conductor_limit:
         raise TooLarge(f"conductor {m} exceeds limit {_conductor_limit}")
+
+
+@lru_cache(maxsize=None)
+def _reduction_rows(m: int) -> tuple:
     phi_poly = cyclotomic_polynomial(m)
     phi = len(phi_poly) - 1
     top = max(m, 2 * phi - 1)
@@ -149,42 +152,107 @@ def _power_rows(m: int) -> tuple:
     )
 
 
+def _power_rows(m: int) -> tuple:
+    """Sparse reduction of z^k modulo Phi_m for every exponent needed.
+
+    Row k holds ((index, int_coeff), ...) with z^k = sum coeff * z^index.
+    Rows cover k up to max(m, 2*phi - 1) - 1, enough both for exponent
+    arithmetic mod m and for reducing products of basis vectors.
+    """
+    _check_limit(m)
+    return _reduction_rows(m)
+
+
+@lru_cache(maxsize=None)
+def _unit_table(m: int) -> dict:
+    # The roots of unity of Q(z) are the n = lcm(2, m) powers of w, a
+    # primitive n-th root: w = z for even m, w = -z^((m+1)/2) for odd m
+    # (then w^2 = z and w^m = -1).  Each has den 1, so nums is its key.
+    rows = _reduction_rows(m)
+    phi = euler_phi(m)
+    n = m if m % 2 == 0 else 2 * m
+    powers = []
+    for j in range(n):
+        if m % 2 == 0:
+            k, sign = j, 1
+        else:
+            k, sign = j * (m + 1) // 2 % m, -1 if j % 2 else 1
+        nums = [0] * phi
+        for idx, c in rows[k]:
+            nums[idx] = sign * c
+        powers.append(tuple(nums))
+    return {
+        nums: (n // gcd(n, j), _make(m, powers[-j % n], 1))
+        for j, nums in enumerate(powers)
+    }
+
+
+def _units(m: int) -> dict:
+    """{nums: (order, inverse)} for every root of unity at conductor m."""
+    _check_limit(m)
+    return _unit_table(m)
+
+
+def _make(conductor, nums, den):
+    # Trusted constructor: nums is a tuple already in canonical form.
+    x = object.__new__(CycloNum)
+    x.conductor = conductor
+    x.nums = nums
+    x.den = den
+    return x
+
+
+def _reduced(conductor, nums, den):
+    """The element sum(nums[i] z^i) / den, for den > 0, made canonical."""
+    g = gcd(den, *nums)
+    if g != 1:
+        return _make(conductor, tuple([c // g for c in nums]), den // g)
+    return _make(conductor, tuple(nums), den)
+
+
+def _from_rationals(conductor, values):
+    """Element with the given rational coordinates (ints or Fractions)."""
+    den = lcm(*[q.denominator for q in values])
+    return _reduced(
+        conductor, [q.numerator * (den // q.denominator) for q in values], den
+    )
+
+
 class CycloNum:
     """Element of the cyclotomic field of the given conductor."""
 
-    __slots__ = ("conductor", "coeffs")
-    __hash__ = None  # equality crosses conductors; use coeff keys instead
+    __slots__ = ("conductor", "nums", "den")
+    __hash__ = None  # equality crosses conductors; use (den, nums) keys instead
 
     def __init__(self, conductor: int, coeffs):
         conductor = int(conductor)
         if conductor < 1:
             raise BadConductor(f"conductor must be positive, got {conductor}")
         phi = euler_phi(conductor)
-        coeffs = tuple(_Q(c) for c in coeffs)
-        if len(coeffs) != phi:
+        values = [Fraction(c) for c in coeffs]
+        if len(values) != phi:
             raise ValueError(
                 f"need {phi} coefficients at conductor {conductor}, "
-                f"got {len(coeffs)}"
+                f"got {len(values)}"
             )
+        x = _from_rationals(conductor, values)
         self.conductor = conductor
-        self.coeffs = coeffs
+        self.nums = x.nums
+        self.den = x.den
 
-    # -- construction helpers -------------------------------------------
-
-    @staticmethod
-    def _make(conductor, coeffs_tuple):
-        x = object.__new__(CycloNum)
-        x.conductor = conductor
-        x.coeffs = coeffs_tuple
-        return x
+    @property
+    def coeffs(self) -> tuple:
+        """The rational coordinates, for display and reporting."""
+        den = self.den
+        return tuple(Fraction(c, den) for c in self.nums)
 
     # -- basic predicates ------------------------------------------------
 
     def __bool__(self):
-        return any(self.coeffs)
+        return any(self.nums)
 
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        return not any(self.nums)
 
     # -- conversions -------------------------------------------------------
 
@@ -202,22 +270,25 @@ class CycloNum:
 
     def __eq__(self, other):
         if isinstance(other, CycloNum):
-            if self.conductor == other.conductor:
-                return self.coeffs == other.coeffs
-            m = lcm(self.conductor, other.conductor)
-            return self.lift(m).coeffs == other.lift(m).coeffs
+            a, b = self, other
+            if a.conductor != b.conductor:
+                a, b = _common(a, b)
+            return a.den == b.den and a.nums == b.nums
         if isinstance(other, _RAT_TYPES):
-            return self.coeffs[0] == other and not any(self.coeffs[1:])
+            # canonical form makes nums[0] / den a fraction in lowest terms
+            nums = self.nums
+            return (
+                self.den == other.denominator
+                and nums[0] == other.numerator
+                and not any(nums[1:])
+            )
         return NotImplemented
 
     def __add__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        a, b = _common(self, other)
-        return CycloNum._make(
-            a.conductor, tuple(x + y for x, y in zip(a.coeffs, b.coeffs))
-        )
+        return _add(self, other, 1)
 
     __radd__ = __add__
 
@@ -225,10 +296,7 @@ class CycloNum:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        a, b = _common(self, other)
-        return CycloNum._make(
-            a.conductor, tuple(x - y for x, y in zip(a.coeffs, b.coeffs))
-        )
+        return _add(self, other, -1)
 
     def __rsub__(self, other):
         other = self._coerce(other)
@@ -237,35 +305,45 @@ class CycloNum:
         return other.__sub__(self)
 
     def __neg__(self):
-        return CycloNum._make(self.conductor, tuple(-c for c in self.coeffs))
+        return _make(self.conductor, tuple([-c for c in self.nums]), self.den)
 
     def __mul__(self, other):
-        if isinstance(other, _RAT_TYPES):
-            q = _Q(other)
-            return CycloNum._make(
-                self.conductor, tuple(c * q for c in self.coeffs)
-            )
         if not isinstance(other, CycloNum):
+            if isinstance(other, _RAT_TYPES):
+                p = other.numerator
+                return _reduced(
+                    self.conductor,
+                    [c * p for c in self.nums],
+                    self.den * other.denominator,
+                )
             return NotImplemented
-        a, b = _common(self, other)
+        a, b = self, other
+        if a.conductor != b.conductor:
+            a, b = _common(a, b)
         m = a.conductor
-        phi = len(a.coeffs)
-        rows = _power_rows(m)
-        nz_a = [(i, c) for i, c in enumerate(a.coeffs) if c]
-        nz_b = [(j, c) for j, c in enumerate(b.coeffs) if c]
+        an, bn = a.nums, b.nums
+        phi = len(an)
+        nz_a = [(i, c) for i, c in enumerate(an) if c]
+        nz_b = [(j, c) for j, c in enumerate(bn) if c]
         if len(nz_a) > len(nz_b):
             nz_a, nz_b = nz_b, nz_a
-        acc = [_Q(0)] * (2 * phi - 1 if phi > 1 else 1)
+        acc = [0] * (2 * phi - 1)
         for i, ca in nz_a:
             for j, cb in nz_b:
                 acc[i + j] += ca * cb
-        out = acc[:phi]
-        for k in range(phi, len(acc)):
-            c = acc[k]
-            if c:
-                for idx, r in rows[k]:
-                    out[idx] += c * r
-        return CycloNum._make(m, tuple(out))
+        if phi > 1:
+            # the checked accessor only when over the limit, so it raises
+            rows = _reduction_rows(m) if m <= _conductor_limit else _power_rows(m)
+            for k in range(phi, 2 * phi - 1):
+                c = acc[k]
+                if c:
+                    for idx, r in rows[k]:
+                        acc[idx] += c * r
+            del acc[phi:]
+        den = a.den * b.den
+        if den == 1:
+            return _make(m, tuple(acc), 1)
+        return _reduced(m, acc, den)
 
     def __rmul__(self, other):
         if isinstance(other, _RAT_TYPES):
@@ -273,16 +351,22 @@ class CycloNum:
         return NotImplemented
 
     def inverse(self) -> "CycloNum":
-        """Multiplicative inverse via the extended Euclidean algorithm
-        against the cyclotomic polynomial over the rationals."""
+        """Multiplicative inverse: the conjugate for a root of unity, else
+        the extended Euclidean algorithm against the cyclotomic
+        polynomial over the rationals."""
         if self.is_zero():
             raise DivisionByZero("inverse of zero")
         m = self.conductor
-        phi_poly = [_Q(c) for c in cyclotomic_polynomial(m)]
-        a = list(self.coeffs)
+        if self.den == 1:
+            hit = _units(m).get(self.nums)
+            if hit is not None:
+                return hit[1]
+        # (nums / den)^-1 = den * nums^-1; invert the integer polynomial
+        phi_poly = [Fraction(c) for c in cyclotomic_polynomial(m)]
+        a = [Fraction(c) for c in self.nums]
         # invariant: r0 = s0 * a (mod Phi), r1 = s1 * a (mod Phi)
         r0, r1 = phi_poly, a
-        s0, s1 = [_Q(0)], [_Q(1)]
+        s0, s1 = [0], [1]
         while any(r1):
             q, r = _poly_divmod(r0, r1)
             r0, r1 = r1, r
@@ -291,15 +375,14 @@ class CycloNum:
         if deg != 0:
             # cannot happen: Phi_m is irreducible over Q
             raise ArithmeticError("gcd with cyclotomic polynomial not constant")
-        c = r0[0]
-        inv = [si / c for si in s0]
-        phi = len(self.coeffs)
-        out = inv[:phi] + [_Q(0)] * (phi - len(inv))
-        return CycloNum._make(m, tuple(out))
+        c = r0[0] / self.den
+        phi = len(self.nums)
+        inv = [si / c for si in s0[:phi]]
+        return _from_rationals(m, inv + [0] * (phi - len(inv)))
 
     def __truediv__(self, other):
         if isinstance(other, _RAT_TYPES):
-            q = _Q(other)
+            q = Fraction(other)
             if q == 0:
                 raise DivisionByZero("division by zero")
             return self.__mul__(1 / q)
@@ -351,6 +434,24 @@ class CycloNum:
         return " + ".join(terms).replace("+ -", "- ") if terms else "0"
 
 
+def _add(a: CycloNum, b: CycloNum, sign: int) -> CycloNum:
+    """a + b for sign 1, a - b for sign -1."""
+    if a.conductor != b.conductor:
+        a, b = _common(a, b)
+    an, bn, den = a.nums, b.nums, a.den
+    if b.den != den:
+        an = [x * b.den for x in an]
+        bn = [y * den for y in bn]
+        den *= b.den
+    if sign == 1:
+        nums = [x + y for x, y in zip(an, bn)]
+    else:
+        nums = [x - y for x, y in zip(an, bn)]
+    if den == 1:
+        return _make(a.conductor, tuple(nums), 1)
+    return _reduced(a.conductor, nums, den)
+
+
 # -- polynomial helpers over the rationals (dense lists) -------------------
 
 
@@ -363,13 +464,13 @@ def _poly_degree(p):
 
 def _poly_sub(a, b):
     n = max(len(a), len(b))
-    a = a + [_Q(0)] * (n - len(a))
-    b = b + [_Q(0)] * (n - len(b))
+    a = a + [0] * (n - len(a))
+    b = b + [0] * (n - len(b))
     return [x - y for x, y in zip(a, b)]
 
 
 def _poly_mul(a, b):
-    out = [_Q(0)] * (len(a) + len(b) - 1)
+    out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if not x:
             continue
@@ -380,12 +481,13 @@ def _poly_mul(a, b):
 
 
 def _poly_divmod(a, b):
+    # b's leading coefficient must be a Fraction, so that / stays exact
     a = list(a)
     db = _poly_degree(b)
     if db < 0:
         raise DivisionByZero("polynomial division by zero")
     lead = b[db]
-    q = [_Q(0)] * max(len(a) - db, 1)
+    q = [0] * max(len(a) - db, 1)
     for i in range(_poly_degree(a) - db, -1, -1):
         c = a[i + db] / lead
         if not c:
@@ -401,21 +503,18 @@ def _poly_divmod(a, b):
 
 @lru_cache(maxsize=None)
 def zero(conductor: int = 1) -> CycloNum:
-    phi = euler_phi(conductor)
-    return CycloNum._make(conductor, tuple([_Q(0)] * phi))
+    return _make(conductor, (0,) * euler_phi(conductor), 1)
 
 
 @lru_cache(maxsize=None)
 def one(conductor: int = 1) -> CycloNum:
-    phi = euler_phi(conductor)
-    return CycloNum._make(conductor, tuple([_Q(1)] + [_Q(0)] * (phi - 1)))
+    return _make(conductor, (1,) + (0,) * (euler_phi(conductor) - 1), 1)
 
 
 def from_rational(value, conductor: int = 1) -> CycloNum:
-    phi = euler_phi(conductor)
-    return CycloNum._make(
-        conductor, tuple([_Q(value)] + [_Q(0)] * (phi - 1))
-    )
+    q = Fraction(value)
+    rest = (0,) * (euler_phi(conductor) - 1)
+    return _make(conductor, (q.numerator,) + rest, q.denominator)
 
 
 def root_of_unity(m: int, k: int) -> CycloNum:
@@ -423,12 +522,10 @@ def root_of_unity(m: int, k: int) -> CycloNum:
     m = int(m)
     if m < 1:
         raise BadConductor(f"order must be positive, got {m}")
-    phi = euler_phi(m)
-    row = _power_rows(m)[k % m]
-    coeffs = [_Q(0)] * phi
-    for idx, c in row:
-        coeffs[idx] = _Q(c)
-    return CycloNum._make(m, tuple(coeffs))
+    nums = [0] * euler_phi(m)
+    for idx, c in _power_rows(m)[k % m]:
+        nums[idx] = c
+    return _make(m, tuple(nums), 1)
 
 
 def lift_conductor(x: CycloNum, conductor: int) -> CycloNum:
@@ -440,15 +537,16 @@ def lift_conductor(x: CycloNum, conductor: int) -> CycloNum:
     if conductor == m:
         return x
     scale = conductor // m
-    phi = euler_phi(conductor)
     rows = _power_rows(conductor)
-    out = [_Q(0)] * phi
-    for i, c in enumerate(x.coeffs):
+    out = [0] * euler_phi(conductor)
+    for i, c in enumerate(x.nums):
         if not c:
             continue
         for idx, r in rows[(i * scale) % conductor]:
             out[idx] += c * r
-    return CycloNum._make(conductor, tuple(out))
+    # Z[z_m] is a direct summand of Z[z_M], so the content, and with it
+    # the canonical denominator, is unchanged.
+    return _make(conductor, tuple(out), x.den)
 
 
 def _common(a: CycloNum, b: CycloNum):
@@ -466,46 +564,41 @@ def galois_apply(x: CycloNum, q: int) -> CycloNum:
     q %= m
     if q == 1:
         return x
-    phi = len(x.coeffs)
     rows = _power_rows(m)
-    out = [_Q(0)] * phi
-    for i, c in enumerate(x.coeffs):
+    out = [0] * len(x.nums)
+    for i, c in enumerate(x.nums):
         if not c:
             continue
         for idx, r in rows[(i * q) % m]:
             out[idx] += c * r
-    return CycloNum._make(m, tuple(out))
+    # an automorphism of Z[z] keeps the content, hence the denominator
+    return _make(m, tuple(out), x.den)
 
 
 def root_of_unity_order(x: CycloNum):
     """Multiplicative order of x, or None if x is not a root of unity.
 
-    The roots of unity at conductor m all have order dividing lcm(2, m),
-    so 2m successive powers decide the question.
+    The roots of unity at conductor m are the lcm(2, m) elements +-z^k,
+    looked up in a per-conductor table.
     """
-    m = x.conductor
-    unit = one(m)
-    y = x
-    for d in range(1, 2 * m + 1):
-        if y == unit:
-            return d
-        y = y * x
-    return None
+    if x.den != 1:
+        return None
+    hit = _units(x.conductor).get(x.nums)
+    return None if hit is None else hit[0]
 
 
 def is_rational(x: CycloNum):
     """Rational value of x, or None if x has a nonconstant coordinate."""
-    if any(x.coeffs[1:]):
+    if any(x.nums[1:]):
         return None
-    return x.coeffs[0]
+    return Fraction(x.nums[0], x.den)
 
 
 def is_integer(x: CycloNum):
     """Integer value of x, or None."""
-    r = is_rational(x)
-    if r is None or r.denominator != 1:
+    if x.den != 1 or any(x.nums[1:]):
         return None
-    return int(r.numerator)
+    return x.nums[0]
 
 
 def _sqrt_prime(p: int) -> CycloNum:
@@ -563,17 +656,27 @@ def jacobi_symbol(q: int, n: int) -> int:
 
 # -- serialization -----------------------------------------------------------
 
+# The spellings to_json writes; any other string goes through Fraction.
+_CANONICAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+
 
 def to_json(x: CycloNum) -> dict:
     """Wire form {"conductor": m, "coeffs": ["p/q", ...]} with phi(m)
-    entries; denominators of 1 are omitted from the strings."""
-    return {
-        "conductor": x.conductor,
-        "coeffs": [str(c) for c in x.coeffs],
-    }
+    entries in lowest terms; denominators of 1 are omitted."""
+    den = x.den
+    if den == 1:
+        coeffs = [str(c) for c in x.nums]
+    else:
+        coeffs = []
+        for c in x.nums:
+            g = gcd(c, den)
+            coeffs.append(str(c // g) if g == den else f"{c // g}/{den // g}")
+    return {"conductor": x.conductor, "coeffs": coeffs}
 
 
 def from_json(obj) -> CycloNum:
+    """Inverse of to_json.  A coefficient is a JSON integer or any string
+    ``fractions.Fraction`` accepts; a zero denominator is a ValueError."""
     if not isinstance(obj, dict):
         raise ValueError("expected an object with conductor and coeffs")
     m = obj.get("conductor")
@@ -585,9 +688,27 @@ def from_json(obj) -> CycloNum:
     phi = euler_phi(m)
     if len(coeffs) != phi:
         raise ValueError(f"need {phi} coefficients at conductor {m}")
-    vals = []
+    nums = []
+    dens = []
     for c in coeffs:
         if isinstance(c, bool) or not isinstance(c, (int, str)):
             raise ValueError(f"coefficient {c!r} is not an integer or string")
-        vals.append(_Q(c))
-    return CycloNum(m, vals)
+        if isinstance(c, int):
+            p, q = c, 1
+        else:
+            match = _CANONICAL.fullmatch(c)
+            if match is not None:
+                p, q = int(match[1]), int(match[2] or 1)
+            else:
+                try:
+                    value = Fraction(c)
+                except ZeroDivisionError:
+                    q = 0
+                else:
+                    p, q = value.numerator, value.denominator
+            if q == 0:
+                raise ValueError(f"coefficient {c!r} has a zero denominator")
+        nums.append(p)
+        dens.append(q)
+    den = lcm(*dens)
+    return _reduced(m, [p * (den // q) for p, q in zip(nums, dens)], den)

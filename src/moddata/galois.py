@@ -114,15 +114,14 @@ def index_action(d: ModularDatum, q: int) -> GaloisPermutation:
         raise NotAUnit(f"{q} is not a unit modulo {n_o}")
     rows, conductor = _normalized_rows(d, n_o)
     lookup = {}
-    for j, row in enumerate(rows):
-        key = tuple(x.coeffs for x in row)
+    for j, key in enumerate(linalg.mat_key(rows)):
         lookup.setdefault(key, []).append(j)
     lifted = unit_lift(q, n_o, conductor)
+    images = linalg.mat_key(
+        [[cyclo.galois_apply(x, lifted) for x in row] for row in rows]
+    )
     perm = []
-    for i, row in enumerate(rows):
-        image = tuple(
-            cyclo.galois_apply(x, lifted).coeffs for x in row
-        )
+    for i, image in enumerate(images):
         matches = lookup.get(image, [])
         if len(matches) != 1:
             raise NoUniqueMatch(

@@ -101,7 +101,7 @@ def mat_lift(a, conductor: int) -> tuple:
 
 def mat_key(a) -> tuple:
     """Hashable key of a matrix whose entries share one conductor."""
-    return tuple(tuple(x.coeffs for x in row) for row in a)
+    return tuple(tuple((x.den, x.nums) for x in row) for row in a)
 
 
 def mat_inverse(a) -> tuple:

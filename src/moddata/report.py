@@ -68,7 +68,7 @@ def jsonable(obj):
         return obj
     if isinstance(obj, (int, str, float)):
         return obj
-    if isinstance(obj, Fraction) or type(obj).__name__ == "mpq":
+    if isinstance(obj, Fraction):
         return str(obj)
     if isinstance(obj, dict):
         return {str(k): jsonable(v) for k, v in obj.items()}

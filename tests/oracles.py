@@ -5,6 +5,10 @@ the implementations they check, or, for the congruence search, by the
 exhaustive route that the fast path replaces.
 """
 
+from fractions import Fraction
+from functools import lru_cache
+from math import lcm
+
 from moddata import cyclo, linalg
 from moddata.cyclo import root_of_unity
 from moddata.extension import extension_family, factor_check, homogeneous_matrices
@@ -71,3 +75,122 @@ def oracle_lift_search(d, modulus):
         if factor_check(s_prime, t_prime, modulus, "linear").linear_factors:
             survivors.append(e)
     return survivors
+
+
+# -- dense-Fraction cyclotomic arithmetic ------------------------------------
+#
+# An element at conductor m is a list of phi(m) Fractions on the power basis
+# 1, z, ..., z^(phi-1).  Phi_m comes from the Moebius product formula, every
+# product is reduced by long division, and the inverse solves the linear
+# system of multiplication by the element.  No step shares code with
+# moddata.cyclo.
+
+
+def _mobius(n):
+    sign, p = 1, 2
+    while p * p <= n:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return 0
+            sign = -sign
+        p += 1
+    return -sign if n > 1 else sign
+
+
+def _dense_mul(a, b):
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _long_division(a, b):
+    """Quotient and remainder of a by b (b's top coefficient nonzero)."""
+    a = [Fraction(c) for c in a]
+    q = [Fraction(0)] * max(len(a) - len(b) + 1, 1)
+    for i in range(len(a) - len(b), -1, -1):
+        c = a[i + len(b) - 1] / b[-1]
+        q[i] = c
+        for j, bj in enumerate(b):
+            a[i + j] -= c * bj
+    return q, a[: len(b) - 1]
+
+
+@lru_cache(maxsize=None)
+def oracle_cyclotomic(m):
+    """Phi_m = prod over d | m of (x^d - 1)^mu(m/d), low degree first."""
+    num, den = [Fraction(1)], [Fraction(1)]
+    for d in range(1, m + 1):
+        mu = _mobius(m // d) if m % d == 0 else 0
+        factor = [Fraction(-1)] + [Fraction(0)] * (d - 1) + [Fraction(1)]
+        if mu == 1:
+            num = _dense_mul(num, factor)
+        elif mu == -1:
+            den = _dense_mul(den, factor)
+    quot, rem = _long_division(num, den)
+    assert not any(rem)
+    return tuple(quot)
+
+
+def oracle_reduce(poly, m):
+    """Coordinates of the polynomial poly(z) at conductor m."""
+    phi_m = oracle_cyclotomic(m)
+    phi = len(phi_m) - 1
+    if len(poly) <= phi:
+        return [Fraction(c) for c in poly] + [Fraction(0)] * (phi - len(poly))
+    return _long_division(poly, phi_m)[1]
+
+
+def oracle_mul(a, b, m):
+    return oracle_reduce(_dense_mul(a, b), m)
+
+
+def _monomial_map(a, target, exponent):
+    """sum a_i z_target^(exponent * i), reduced at the target conductor."""
+    poly = [Fraction(0)] * target
+    for i, c in enumerate(a):
+        poly[exponent * i % target] += c
+    return oracle_reduce(poly, target)
+
+
+def oracle_lift(a, m, target):
+    return _monomial_map(a, target, target // m)
+
+
+def oracle_galois(a, m, q):
+    return _monomial_map(a, m, q % m)
+
+
+def oracle_inverse(a, m):
+    """Solve (a * x) = 1 by Gaussian elimination on the matrix whose
+    column j holds a * z^j."""
+    phi = len(a)
+    columns = [
+        oracle_mul(a, [Fraction(0)] * j + [Fraction(1)], m) for j in range(phi)
+    ]
+    rows = [
+        [columns[j][i] for j in range(phi)] + [Fraction(1 if i == 0 else 0)]
+        for i in range(phi)
+    ]
+    for col in range(phi):
+        pivot = next(r for r in range(col, phi) if rows[r][col])
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        lead = rows[col][col]
+        rows[col] = [x / lead for x in rows[col]]
+        for r in range(phi):
+            if r != col and rows[r][col]:
+                f = rows[r][col]
+                rows[r] = [x - f * y for x, y in zip(rows[r], rows[col])]
+    return [row[phi] for row in rows]
+
+
+def oracle_to_json(a, m):
+    return {"conductor": m, "coeffs": [str(c) for c in a]}
+
+
+def oracle_common(a, m, b, n):
+    """Both operands at the conductor lcm(m, n)."""
+    k = lcm(m, n)
+    return oracle_lift(a, m, k), oracle_lift(b, n, k), k

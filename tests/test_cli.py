@@ -151,6 +151,42 @@ def test_cli_nonpositive_level_is_usage_error(command, level, capsys):
     assert err.count("\n") == 1 and err.startswith("error: --level")
 
 
+@pytest.mark.parametrize("limit", ["0", "-5"])
+def test_cli_nonpositive_conductor_limit_is_usage_error(limit, capsys):
+    code, text = run_cli(["validate", "gen:semion", "--conductor-limit", limit])
+    assert code == 2
+    assert text == ""
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: --conductor-limit")
+
+
+def test_conductor_limit_applies_to_cached_tables(capsys):
+    # the first call caches the conductor-7 tables under the default limit
+    assert run_cli(["gauss-sum", "--n", "7"])[0] == 0
+    code, _ = run_cli(["gauss-sum", "--n", "7", "--conductor-limit", "5"])
+    assert code == 3
+    assert "conductor 7 exceeds limit 5" in capsys.readouterr().err
+
+
+def test_main_restores_the_conductor_limit():
+    before = cyclo.get_conductor_limit()
+    assert run_cli(["gauss-sum", "--n", "7", "--conductor-limit", "5"])[0] == 3
+    assert cyclo.get_conductor_limit() == before
+    assert run_cli(["gauss-sum", "--n", "7"])[0] == 0
+
+
+def test_zero_denominator_is_usage_error(tmp_path, capsys):
+    obj = serialize_datum(semion_datum())
+    obj["S"][0][0]["coeffs"][0] = "1/0"
+    path = tmp_path / "zero-den.json"
+    path.write_text(json.dumps(obj))
+    code, text = run_cli(["validate", str(path)])
+    assert code == 2
+    assert text == ""
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: $.S[0][0]: ")
+
+
 @pytest.mark.parametrize("name", [cli.ENV_MAX_GROUP_ORDER, cli.ENV_CONDUCTOR_LIMIT])
 def test_cli_malformed_env_is_usage_error(name, monkeypatch, capsys):
     monkeypatch.setenv(name, "12k")

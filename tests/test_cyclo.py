@@ -1,5 +1,10 @@
+from fractions import Fraction
+from math import gcd, lcm
+
 import pytest
 from hypothesis import given, settings, strategies as st
+
+import oracles
 
 from moddata import cyclo
 from moddata.cyclo import (
@@ -65,8 +70,6 @@ def test_root_of_unity_order():
 
 @pytest.mark.parametrize("m", list(range(1, 25)))
 def test_root_orders_match_gcd(m):
-    from math import gcd
-
     for k in range(m):
         assert root_of_unity_order(root_of_unity(m, k)) == m // gcd(m, k)
 
@@ -165,8 +168,6 @@ def test_inverse_law(x):
 @settings(max_examples=60, deadline=None)
 @given(cyclo_numbers(), st.integers(1, 23), st.integers(1, 23))
 def test_galois_composition(x, q, r):
-    from math import gcd
-
     m = x.conductor
     if gcd(q, m) == 1 and gcd(r, m) == 1:
         assert galois_apply(galois_apply(x, q), r) == galois_apply(x, q * r)
@@ -180,3 +181,149 @@ def test_lift_preserves_arithmetic(x, factor):
     assert lifted == x
     assert lifted * lifted == x * x
     assert lifted + 1 == x + 1
+
+
+# -- canonical form, the unit table and the JSON boundary ---------------------
+
+
+def assert_canonical(x):
+    """nums are ints over one positive den with gcd(den, *nums) == 1, so
+    zero has den == 1."""
+    assert type(x.den) is int and x.den > 0
+    assert all(type(c) is int for c in x.nums)
+    assert len(x.nums) == cyclo.euler_phi(x.conductor)
+    assert gcd(x.den, *x.nums) == 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(cyclo_numbers(), cyclo_numbers(), st.integers(-6, 6), st.integers(1, 6))
+def test_canonical_form_after_every_operation(x, y, p, q):
+    r = rational(p, q)
+    results = [
+        x, x + y, x - y, x * y, -x, x * x, x ** 3, x * p, x * r, p * x,
+        x + p, r - x, x / q, x / r if p else x, x + (-x), x * 0,
+        lift_conductor(x, 2 * x.conductor), galois_apply(x, -1),
+        cyclo.from_json(cyclo.to_json(x)), cyclo.from_rational(r, 12),
+        root_of_unity(12, p), cyclo.zero(5), cyclo.one(5), sqrt_integer(q),
+    ]
+    if not y.is_zero():
+        results += [y.inverse(), x / y, y ** -2, 1 / y]
+    for value in results:
+        assert_canonical(value)
+
+
+def _brute_force_order(x):
+    # successive powers; roots of unity at conductor m have order <= 2m
+    unit = cyclo.one(x.conductor)
+    y = x
+    for d in range(1, 2 * x.conductor + 1):
+        if y == unit:
+            return d
+        y = y * x
+    return None
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6, 7, 8, 9, 12, 15, 24])
+def test_unit_table_matches_successive_powers(m):
+    roots = [s * root_of_unity(m, k) for s in (1, -1) for k in range(m)]
+    keys = {(x.den, x.nums) for x in roots}
+    assert len(keys) == lcm(2, m)
+    assert set(cyclo._units(m)) == {nums for _, nums in keys}
+    for x in roots:
+        order = _brute_force_order(x)
+        assert root_of_unity_order(x) == order
+        inverse = cyclo.one(m)
+        for _ in range(order - 1):
+            inverse = inverse * x
+        assert x.inverse() == inverse
+        assert_canonical(x.inverse())
+    z = root_of_unity(m, 1)
+    non_roots = [cyclo.from_rational(2, m), cyclo.from_rational(rational(1, 2), m),
+                 2 * z, z / 2, z + rational(1, 2), 1 - z, 1 + z, z + z * z]
+    for x in non_roots:
+        order = _brute_force_order(x)
+        assert root_of_unity_order(x) == order
+        if order is None and x:
+            assert x * x.inverse() == 1
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["-3/6", "2/1", "-0", " 3", "1.5", "abc", "+3", "1_0", "3/-4", "1/0",
+     "0/0", " 1/0", "-1/2 ", "7/21", "1e2", ""],
+)
+def test_from_json_accepts_the_spellings_fraction_accepts(text):
+    obj = {"conductor": 3, "coeffs": [text, "1/2"]}
+    try:
+        expected = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        with pytest.raises(ValueError):
+            cyclo.from_json(obj)
+        return
+    x = cyclo.from_json(obj)
+    assert_canonical(x)
+    assert x.coeffs == (expected, Fraction(1, 2))
+    assert cyclo.to_json(x)["coeffs"] == [str(expected), "1/2"]
+
+
+# -- differential test against the dense-Fraction oracle ---------------------
+
+_ORACLE_CONDUCTORS = [1, 3, 4, 5, 7, 8, 9, 12, 15, 24, 60]
+
+
+@st.composite
+def with_oracle(draw, conductors=_ORACLE_CONDUCTORS):
+    """A CycloNum and its dense Fraction coordinates, from independent
+    constructions; a third of them are roots of unity +-z^k."""
+    m = draw(st.sampled_from(conductors))
+    phi = cyclo.euler_phi(m)
+    if draw(st.integers(0, 2)) == 0:
+        k = draw(st.integers(0, m - 1))
+        sign = draw(st.sampled_from([1, -1]))
+        dense = oracles.oracle_reduce([0] * k + [Fraction(sign)], m)
+        return sign * root_of_unity(m, k), dense, m
+    coeff = st.one_of(
+        st.just(Fraction(0)),
+        st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6)),
+    )
+    dense = [draw(coeff) for _ in range(phi)]
+    return CycloNum(m, dense), dense, m
+
+
+@settings(max_examples=80, deadline=None)
+@given(with_oracle(), st.data())
+def test_ring_operations_match_dense_oracle(xa, data):
+    x, a, m = xa
+    partners = [n for n in _ORACLE_CONDUCTORS if lcm(m, n) <= 120]
+    y, b, n = data.draw(with_oracle(partners))
+    a2, b2, k = oracles.oracle_common(a, m, b, n)
+    for value, expected in (
+        (x + y, [p + q for p, q in zip(a2, b2)]),
+        (x - y, [p - q for p, q in zip(a2, b2)]),
+        (x * y, oracles.oracle_mul(a2, b2, k)),
+    ):
+        assert_canonical(value)
+        assert value.conductor == k
+        assert list(value.coeffs) == expected
+
+
+@settings(max_examples=80, deadline=None)
+@given(with_oracle(), st.sampled_from([1, 2, 3, 5]), st.integers(1, 120))
+def test_unary_operations_match_dense_oracle(xa, factor, q):
+    x, a, m = xa
+    lifted = lift_conductor(x, m * factor)
+    assert_canonical(lifted)
+    assert list(lifted.coeffs) == oracles.oracle_lift(a, m, m * factor)
+    if gcd(q, m) == 1:
+        image = galois_apply(x, q)
+        assert_canonical(image)
+        assert list(image.coeffs) == oracles.oracle_galois(a, m, q)
+    if any(a):
+        inverse = x.inverse()
+        assert_canonical(inverse)
+        assert list(inverse.coeffs) == oracles.oracle_inverse(a, m)
+    wire = oracles.oracle_to_json(a, m)
+    assert cyclo.to_json(x) == wire
+    back = cyclo.from_json(wire)
+    assert_canonical(back)
+    assert back == x and list(back.coeffs) == a
