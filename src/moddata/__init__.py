@@ -15,6 +15,7 @@ from .cyclo import (
     lift_conductor,
     rational,
     root_of_unity,
+    root_of_unity_exponent,
     root_of_unity_order,
     sqrt_integer,
 )

@@ -13,12 +13,15 @@ import json
 import os
 import sys
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from . import constructors, cyclo, datum as datum_mod, extension, fusion, galois, linalg
 from .cyclo import CycloNum
 from .datum import ModularDatum
 from .errors import (
+    EvenOrder,
     ModdataError,
+    NotAUnit,
     NotIntegral,
     SchemaError,
     TooLarge,
@@ -40,6 +43,8 @@ def _cyclo_from_node(obj, path: str) -> CycloNum:
         raise SchemaError(path, "expected an object with conductor and coeffs")
     try:
         return cyclo.from_json(obj)
+    except TooLarge as exc:
+        raise TooLarge(f"{path}: {exc}") from None
     except ValueError as exc:
         raise SchemaError(path, str(exc)) from exc
 
@@ -147,10 +152,21 @@ def load_datum(ref: str) -> ModularDatum:
         if kind == "radford":
             if len(parts) < 2:
                 raise SchemaError("$", "gen:radford needs an order, e.g. gen:radford:5")
-            return constructors.radford_datum(int(parts[1]))
+            try:
+                n = int(parts[1])
+            except ValueError:
+                raise SchemaError(
+                    "$", f"gen:radford order must be an integer, got {parts[1]!r}"
+                ) from None
+            return constructors.radford_datum(n)
         raise SchemaError("$", f"unknown generator {kind!r}")
     with open(ref, "r", encoding="utf-8") as handle:
-        return parse_datum(handle.read())
+        try:
+            text = handle.read()
+        except UnicodeDecodeError as exc:
+            raise SchemaError("$", f"not UTF-8 text: {exc}") from None
+    return parse_datum(text)
+
 
 
 # -- analysis bundle ---------------------------------------------------------
@@ -466,9 +482,7 @@ def _level(args, d: ModularDatum) -> int:
     n_o = datum_mod.basic_stats(d).N_o
     if args.level is None:
         return n_o
-    if args.level < 1:
-        raise SchemaError("--level", f"must be positive, got {args.level}")
-    return args.level
+    return _positive("--level", args.level)
 
 
 def _cmd_congruence(args, out) -> int:
@@ -520,11 +534,7 @@ def _cmd_lift_search(args, out) -> int:
 
 
 def _cmd_gen(args, out) -> int:
-    if args.kind == "semion":
-        d = constructors.semion_datum()
-    elif args.kind == "trivial":
-        d = constructors.trivial_datum()
-    elif args.kind == "radford":
+    if args.kind == "radford":
         if args.n is None:
             raise SchemaError("$", "gen radford requires --n")
         d = constructors.radford_datum(args.n, args.zeta)
@@ -535,7 +545,7 @@ def _cmd_gen(args, out) -> int:
             load_datum(args.factors[0]), load_datum(args.factors[1])
         )
     else:
-        raise SchemaError("$", f"unknown generator {args.kind!r}")
+        d = load_datum(f"gen:{args.kind}")
     text = serialize_datum_text(d)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
@@ -546,6 +556,7 @@ def _cmd_gen(args, out) -> int:
 
 
 def _cmd_gauss_sum(args, out) -> int:
+    _positive("--n", args.n)
     g = constructors.classical_gauss_sum(args.n)
     rep = constructors.verify_gauss_lemma(args.n)
     payload = {
@@ -570,6 +581,7 @@ def _cmd_gauss_sum(args, out) -> int:
 
 
 def _cmd_cocycle(args, out) -> int:
+    _positive("--n", args.n)
     c = constructors.cocycle_omega(args.n, args.zeta)
     payload = {
         "n": args.n,
@@ -602,25 +614,10 @@ def _int_env(name: str, fallback: int) -> int:
         raise SchemaError(f"${name}", f"must be an integer, got {raw!r}") from None
 
 
-def _add_common(parser, with_datum=True):
-    if with_datum:
-        parser.add_argument(
-            "datum",
-            help="datum JSON file or gen: pseudo-path "
-            "(gen:semion, gen:trivial, gen:radford:N)",
-        )
-    parser.add_argument("--json", action="store_true", help="machine output")
+def _add_conductor_limit(parser):
+    # unset is None, as for --max-group-order: main reads the environment
     parser.add_argument(
-        "--max-group-order",
-        type=int,
-        default=_int_env(ENV_MAX_GROUP_ORDER, extension.DEFAULT_MAX_GROUP_ORDER),
-        help="bound on the reduced modular group order",
-    )
-    parser.add_argument(
-        "--conductor-limit",
-        type=int,
-        default=_int_env(ENV_CONDUCTOR_LIMIT, cyclo.get_conductor_limit()),
-        help="bound on cyclotomic conductors",
+        "--conductor-limit", type=int, help="bound on cyclotomic conductors"
     )
 
 
@@ -631,53 +628,45 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("validate", help="check the five defining axioms")
-    _add_common(p)
-    p.set_defaults(func=_cmd_validate)
-
-    p = sub.add_parser("analyze", help="run the full analysis chain")
-    _add_common(p)
-    p.add_argument(
+    datum_commands = {}
+    for name, text, func in (
+        ("validate", "check the five defining axioms", _cmd_validate),
+        ("analyze", "run the full analysis chain", _cmd_analyze),
+        ("fusion-table", "emit the fusion coefficients", _cmd_fusion_table),
+        ("galois-check", "verify the Galois action laws", _cmd_galois_check),
+        ("symbols", "fusion-symbol table and laws", _cmd_symbols),
+        ("extensions", "list the twelve extensions", _cmd_extensions),
+        ("congruence", "projective factoring and lift search at a level",
+         _cmd_congruence),
+        ("lift-search", "extensions whose representation factors at a level",
+         _cmd_lift_search),
+    ):
+        datum_commands[name] = p = sub.add_parser(name, help=text)
+        p.add_argument(
+            "datum",
+            help="datum JSON file or gen: pseudo-path "
+            "(gen:semion, gen:trivial, gen:radford:N)",
+        )
+        p.add_argument("--json", action="store_true", help="machine output")
+        p.add_argument(
+            "--max-group-order",
+            type=int,
+            help="bound on the reduced modular group order",
+        )
+        _add_conductor_limit(p)
+        p.set_defaults(func=func)
+    datum_commands["analyze"].add_argument(
         "--extensions",
         action="store_true",
         help="include the extension and congruence suite",
     )
-    p.set_defaults(func=_cmd_analyze)
-
-    p = sub.add_parser("fusion-table", help="emit the fusion coefficients")
-    _add_common(p)
-    p.set_defaults(func=_cmd_fusion_table)
-
-    p = sub.add_parser("galois-check", help="verify the Galois action laws")
-    _add_common(p)
-    p.set_defaults(func=_cmd_galois_check)
-
-    p = sub.add_parser("symbols", help="fusion-symbol table and laws")
-    _add_common(p)
-    p.set_defaults(func=_cmd_symbols)
-
-    p = sub.add_parser("extensions", help="list the twelve extensions")
-    _add_common(p)
-    p.set_defaults(func=_cmd_extensions)
-
-    p = sub.add_parser(
-        "congruence", help="projective factoring and lift search at a level"
-    )
-    _add_common(p)
-    p.add_argument("--level", type=int, default=None)
-    p.add_argument(
+    for name in ("congruence", "lift-search"):
+        datum_commands[name].add_argument("--level", type=int, default=None)
+    datum_commands["congruence"].add_argument(
         "--projective",
         action="store_true",
         help="only the projective check on the raw matrices",
     )
-    p.set_defaults(func=_cmd_congruence)
-
-    p = sub.add_parser(
-        "lift-search", help="extensions whose representation factors at a level"
-    )
-    _add_common(p)
-    p.add_argument("--level", type=int, default=None)
-    p.set_defaults(func=_cmd_lift_search)
 
     p = sub.add_parser("gen", help="emit a built-in datum as JSON")
     p.add_argument(
@@ -688,22 +677,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--zeta", type=int, default=1, help="primitive root exponent")
     p.add_argument("--out", default=None, help="output file")
     p.add_argument("--json", action="store_true", help=argparse.SUPPRESS)
-    p.add_argument(
-        "--conductor-limit",
-        type=int,
-        default=_int_env(ENV_CONDUCTOR_LIMIT, cyclo.get_conductor_limit()),
-    )
+    _add_conductor_limit(p)
     p.set_defaults(func=_cmd_gen, max_group_order=None)
 
     p = sub.add_parser("gauss-sum", help="classical quadratic Gauss sum laws")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--q", type=int, default=None)
     p.add_argument("--json", action="store_true")
-    p.add_argument(
-        "--conductor-limit",
-        type=int,
-        default=_int_env(ENV_CONDUCTOR_LIMIT, cyclo.get_conductor_limit()),
-    )
+    _add_conductor_limit(p)
     p.set_defaults(func=_cmd_gauss_sum, max_group_order=None)
 
     p = sub.add_parser("cocycle", help="cyclic-group 3-cocycle table")
@@ -711,42 +692,51 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--zeta", type=int, default=1)
     p.add_argument("--check", action="store_true")
     p.add_argument("--json", action="store_true")
-    p.add_argument(
-        "--conductor-limit",
-        type=int,
-        default=_int_env(ENV_CONDUCTOR_LIMIT, cyclo.get_conductor_limit()),
-    )
+    _add_conductor_limit(p)
     p.set_defaults(func=_cmd_cocycle, max_group_order=None)
 
     return parser
 
 
+@lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    # built on the first main call, not at import; it keeps no call state
+    return build_parser()
+
+
+def _positive(name: str, value: int) -> int:
+    if value < 1:
+        raise SchemaError(name, f"must be positive, got {value}")
+    return value
+
+
 def main(argv=None, out=None) -> int:
     out = out if out is not None else sys.stdout
     try:
-        parser = build_parser()
-    except SchemaError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     previous_limit = cyclo.get_conductor_limit()
     try:
-        if args.conductor_limit < 1:
-            raise SchemaError(
-                "--conductor-limit", f"must be positive, got {args.conductor_limit}"
-            )
-        cyclo.set_conductor_limit(args.conductor_limit)
+        # read on every call, so a changed environment takes effect
+        max_group_order = _int_env(
+            ENV_MAX_GROUP_ORDER, extension.DEFAULT_MAX_GROUP_ORDER
+        )
+        conductor_limit = _int_env(ENV_CONDUCTOR_LIMIT, previous_limit)
+        if args.max_group_order is None:
+            args.max_group_order = max_group_order
+        if args.conductor_limit is None:
+            args.conductor_limit = conductor_limit
+        cyclo.set_conductor_limit(
+            _positive("--conductor-limit", args.conductor_limit)
+        )
         return args.func(args, out)
     except TooLarge as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except SchemaError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (SchemaError, OSError, EvenOrder, NotAUnit) as exc:
+        # bad input: a malformed file or flag, or an order or exponent
+        # that no construction accepts
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ModdataError as exc:

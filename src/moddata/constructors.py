@@ -32,13 +32,15 @@ def radford_datum(n: int, zeta_exponent: int = 1) -> ModularDatum:
     if gcd(zeta_exponent, n) != 1:
         raise NotAUnit(f"{zeta_exponent} is not a unit modulo {n}")
     e = zeta_exponent % n
+    # T first: its first root of unity checks the conductor limit before
+    # anything of size n is built
+    t_diag = tuple(root_of_unity(n, (a * a * e) % n) for a in range(n))
     labels = tuple(str(a) for a in range(n))
     star = tuple((-a) % n for a in range(n))
     s_matrix = tuple(
         tuple(root_of_unity(n, (-2 * a * b * e) % n) for b in range(n))
         for a in range(n)
     )
-    t_diag = tuple(root_of_unity(n, (a * a * e) % n) for a in range(n))
     return ModularDatum(
         labels=labels, unit="0", star=star, s_matrix=s_matrix, t_diag=t_diag
     )
@@ -73,8 +75,8 @@ def classical_gauss_sum(n: int, multiplier: int = 1) -> CycloNum:
         raise ValueError(f"need a positive modulus, got {n}")
     if gcd(multiplier, n) != 1:
         raise NotAUnit(f"{multiplier} is not a unit modulo {n}")
-    acc = cyclo.zero(n)
-    for i in range(n):
+    acc = root_of_unity(n, 0)  # the term i = 0; checks the conductor limit
+    for i in range(1, n):
         acc = acc + root_of_unity(n, (multiplier * i * i) % n)
     return acc
 

@@ -181,14 +181,17 @@ def _unit_table(m: int) -> dict:
         for idx, c in rows[k]:
             nums[idx] = sign * c
         powers.append(tuple(nums))
+    # w^j is z_o^(j/g) for its order o = n/g, g = gcd(n, j), since the
+    # fixed roots are compatible: w = z_n and z_n^g = z_o
     return {
-        nums: (n // gcd(n, j), _make(m, powers[-j % n], 1))
+        nums: (n // gcd(n, j), _make(m, powers[-j % n], 1), j // gcd(n, j))
         for j, nums in enumerate(powers)
     }
 
 
 def _units(m: int) -> dict:
-    """{nums: (order, inverse)} for every root of unity at conductor m."""
+    """{nums: (order o, inverse, a)} for every root of unity at conductor
+    m, which is the a-th power of the fixed primitive o-th root."""
     _check_limit(m)
     return _unit_table(m)
 
@@ -228,6 +231,7 @@ class CycloNum:
         conductor = int(conductor)
         if conductor < 1:
             raise BadConductor(f"conductor must be positive, got {conductor}")
+        _check_limit(conductor)  # before euler_phi factorises it
         phi = euler_phi(conductor)
         values = [Fraction(c) for c in coeffs]
         if len(values) != phi:
@@ -522,8 +526,9 @@ def root_of_unity(m: int, k: int) -> CycloNum:
     m = int(m)
     if m < 1:
         raise BadConductor(f"order must be positive, got {m}")
+    rows = _power_rows(m)  # checks the limit before euler_phi factorises m
     nums = [0] * euler_phi(m)
-    for idx, c in _power_rows(m)[k % m]:
+    for idx, c in rows[k % m]:
         nums[idx] = c
     return _make(m, tuple(nums), 1)
 
@@ -585,6 +590,15 @@ def root_of_unity_order(x: CycloNum):
         return None
     hit = _units(x.conductor).get(x.nums)
     return None if hit is None else hit[0]
+
+
+def root_of_unity_exponent(x: CycloNum):
+    """(o, a) with o the order of x and x = root_of_unity(o, a), 0 <= a < o,
+    or None if x is not a root of unity."""
+    if x.den != 1:
+        return None
+    hit = _units(x.conductor).get(x.nums)
+    return None if hit is None else (hit[0], hit[2])
 
 
 def is_rational(x: CycloNum):
@@ -685,6 +699,7 @@ def from_json(obj) -> CycloNum:
         raise ValueError("conductor must be a positive integer")
     if not isinstance(coeffs, list):
         raise ValueError("coeffs must be a list")
+    _check_limit(m)  # before euler_phi factorises it
     phi = euler_phi(m)
     if len(coeffs) != phi:
         raise ValueError(f"need {phi} coefficients at conductor {m}")

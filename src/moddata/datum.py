@@ -10,7 +10,8 @@ axioms, and builds Kronecker products.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import wraps
 from math import lcm
 from typing import Optional
 
@@ -30,6 +31,8 @@ class ModularDatum:
     star: tuple
     s_matrix: tuple
     t_diag: tuple
+    # values of the @derived functions, filled on first use
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         m = len(self.labels)
@@ -74,6 +77,21 @@ class ModularDatum:
         )
 
 
+def derived(compute):
+    """Decorator: compute(d, *args), pure with an immutable value, runs once
+    per datum and arguments, and the value is kept on d (a race computes
+    it twice, with equal results).  __wrapped__ is the uncached function."""
+
+    @wraps(compute)
+    def cached(d, *args):
+        key = (cached, *args)
+        if key not in d._memo:
+            d._memo[key] = cached.__wrapped__(d, *args)
+        return d._memo[key]
+
+    return cached
+
+
 @dataclass(frozen=True)
 class DatumStats:
     """Cheaply derived quantities; no axiom re-verification."""
@@ -106,6 +124,7 @@ class DatumReport:
     integral: bool
 
 
+@derived
 def basic_stats(d: ModularDatum) -> DatumStats:
     """Global dimension (as sum of squared dimensions), exponents and
     Gaussian sums.  Raises InvalidDatum if some Dehn entry is not a root
@@ -155,6 +174,7 @@ def basic_stats(d: ModularDatum) -> DatumStats:
     )
 
 
+@derived
 def _global_dimension_from_square(d: ModularDatum):
     """The constant n with S^2 = nC, or (None, witness) when no such
     constant exists."""
@@ -171,8 +191,10 @@ def _global_dimension_from_square(d: ModularDatum):
     return n, None
 
 
-def _axioms_1_to_4(d: ModularDatum) -> CheckReport:
-    """Axioms that do not require the fusion table; see validate_axioms."""
+@derived
+def _axioms_1_to_4(d: ModularDatum) -> tuple:
+    """(name, passed, witness, value) of each check of the axioms that do
+    not require the fusion table; see validate_axioms."""
     rep = CheckReport("axioms")
     m = d.size
     o = d.o
@@ -232,7 +254,7 @@ def _axioms_1_to_4(d: ModularDatum) -> CheckReport:
             if witness4:
                 break
         rep.add("axiom4-proportionality", witness4 is None, witness4, value=g)
-    return rep
+    return tuple((c.name, c.passed, c.witness, c.value) for c in rep.checks)
 
 
 def validate_axioms(d: ModularDatum) -> CheckReport:
@@ -240,9 +262,12 @@ def validate_axioms(d: ModularDatum) -> CheckReport:
 
     Total: any well-formed ModularDatum yields a report, never a crash.
     Later axioms that cannot be evaluated once an earlier one failed are
-    reported as failures with an explanatory witness.
+    reported as failures with an explanatory witness.  The report is new
+    on every call; the checks of axioms 1 to 4 are kept on the datum.
     """
-    rep = _axioms_1_to_4(d)
+    rep = CheckReport("axioms")
+    for check in _axioms_1_to_4(d):
+        rep.add(*check)
     n = rep["axiom3-s-squared"].value
 
     # axiom 5: Verlinde numbers are nonnegative integers

@@ -73,29 +73,32 @@ def enumerate_ranks(d: ModularDatum):
 
 
 def enumerate_charges(d: ModularDatum, rank: CycloNum):
-    """The three cube roots of g / (n_o t_o D), found by exhaustive search
-    through the roots of unity of the compatible order."""
+    """The three cube roots of w = g / (n_o t_o D).
+
+    With w the a-th power of the primitive o-th root of unity, they are
+    the (a + k o)-th powers of the primitive 3o-th root, k = 0, 1, 2.  They
+    are listed in the order a scan of z^j, then -z^j, for j = 0, 1, ...
+    over the 3o-th roots meets them, which fixes the family order: when 3o
+    is even, z^j is also -z^(j + 3o/2), met first if that index is smaller.
+    """
     stats = basic_stats(d)
     sq = rank * rank
     if sq * sq != stats.n * stats.n:
         raise InvalidExtension("not a generalized rank: fourth power differs")
     w = stats.g / (stats.n_o * stats.t_o * rank)
-    order = cyclo.root_of_unity_order(w)
-    if order is None:
+    hit = cyclo.root_of_unity_exponent(w)
+    if hit is None:
         raise ChargeNotRootOfUnity(
             "g/(n_o t_o D) is not a root of unity; invalid datum/rank pair"
         )
+    order, a = hit
     bound = 3 * order
-    found = []
-    for j in range(bound):
-        for candidate in (root_of_unity(bound, j), -root_of_unity(bound, j)):
-            if candidate ** 3 == w and all(candidate != c for c in found):
-                found.append(candidate)
-    if len(found) != 3:
-        raise ChargeNotRootOfUnity(
-            f"expected 3 cube roots, found {len(found)}"
-        )
-    return found
+
+    def first_met(j):
+        return j if bound % 2 else min(j, (j + bound // 2) % bound)
+
+    exponents = sorted((a + k * order for k in range(3)), key=first_met)
+    return [root_of_unity(bound, j) for j in exponents]
 
 
 def make_extension(d: ModularDatum, rank: CycloNum, charge: CycloNum) -> ExtendedDatum:
@@ -128,9 +131,9 @@ def extension_family(d: ModularDatum):
     return out
 
 
-def _homogeneous_t_diag(e: ExtendedDatum, t_o: CycloNum):
+def _homogeneous_t_diag(e: ExtendedDatum):
     """The diagonal of T' = T/(t_o ell)."""
-    scale = (t_o * e.charge).inverse()
+    scale = (basic_stats(e.datum).t_o * e.charge).inverse()
     return tuple(t * scale for t in e.datum.t_diag)
 
 
@@ -145,7 +148,7 @@ def homogeneous_matrices(e: ExtendedDatum):
     relations of the modular group: S'^4 = E and (T'S')^3 = S'^2."""
     d = e.datum
     s_prime = linalg.mat_scale(d.s_matrix, e.rank.inverse())
-    t_prime_diag = _homogeneous_t_diag(e, basic_stats(d).t_o)
+    t_prime_diag = _homogeneous_t_diag(e)
     t_prime = linalg.diag_matrix(t_prime_diag)
     s2 = linalg.mat_mul(s_prime, s_prime)
     s4 = linalg.mat_mul(s2, s2)
@@ -469,8 +472,7 @@ def default_level_candidates(d: ModularDatum):
     """Ascending divisors of 24 times the normalized exponent; covers the
     levels that occur for the built-in examples but is configurable since
     no general bound is known."""
-    stats = basic_stats(d)
-    return cyclo.divisors(24 * stats.N_o)
+    return cyclo.divisors(24 * basic_stats(d).N_o)
 
 
 def congruence_classify(
@@ -502,7 +504,7 @@ def congruence_classify(
         if level_candidates is not None
         else default_level_candidates(d)
     )
-    t_diag = _homogeneous_t_diag(e, stats.t_o)
+    t_diag = _homogeneous_t_diag(e)
     minimal = None
     checked = []
     for level in candidates:
@@ -554,11 +556,10 @@ def lift_search(
     """
     modulus = int(modulus)
     _check_group_order(modulus, max_group_order)
-    t_o = basic_stats(d).t_o
     candidates = [
         e
         for e in extension_family(d)
-        if _dehn_order_divides(_homogeneous_t_diag(e, t_o), modulus)
+        if _dehn_order_divides(_homogeneous_t_diag(e), modulus)
     ]
     if not candidates:
         return []

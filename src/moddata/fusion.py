@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from . import cyclo
 from .cyclo import CycloNum
-from .datum import ModularDatum, _global_dimension_from_square, basic_stats
+from .datum import ModularDatum, _global_dimension_from_square, basic_stats, derived
 from .errors import DimensionMismatch, InvalidDatum
 from .report import CheckReport
 
@@ -136,6 +136,7 @@ def basis_element(m: int, i: int) -> FusionElement:
     )
 
 
+@derived
 def fusion_coefficients(d: ModularDatum) -> FusionTable:
     """Evaluate every N_ij^k exactly from the Verlinde expression.
 

@@ -14,7 +14,7 @@ from math import gcd, lcm
 
 from . import cyclo, linalg
 from .cyclo import CycloNum
-from .datum import DatumStats, ModularDatum, basic_stats
+from .datum import DatumStats, ModularDatum, _axioms_1_to_4, basic_stats, derived
 from .errors import (
     BadInversePair,
     EvenExponent,
@@ -108,10 +108,14 @@ def index_action(d: ModularDatum, q: int) -> GaloisPermutation:
     Fails with NoUniqueMatch when zero or several rows match, which
     signals a corrupted or non-integral datum.
     """
-    stats = _require_integral(d)
-    n_o = stats.N_o
+    n_o = _require_integral(d).N_o
     if gcd(q, n_o) != 1:
         raise NotAUnit(f"{q} is not a unit modulo {n_o}")
+    return _index_action(d, q % n_o, n_o)
+
+
+@derived
+def _index_action(d: ModularDatum, q: int, n_o: int) -> GaloisPermutation:
     rows, conductor = _normalized_rows(d, n_o)
     lookup = {}
     for j, key in enumerate(linalg.mat_key(rows)):
@@ -130,7 +134,7 @@ def index_action(d: ModularDatum, q: int) -> GaloisPermutation:
         perm.append(matches[0])
     if sorted(perm) != list(range(d.size)):
         raise NoUniqueMatch("matched rows do not form a permutation")
-    return GaloisPermutation(q=q % n_o, perm=tuple(perm))
+    return GaloisPermutation(q=q, perm=tuple(perm))
 
 
 def verify_action_laws(d: ModularDatum) -> CheckReport:
@@ -145,9 +149,7 @@ def verify_action_laws(d: ModularDatum) -> CheckReport:
     o = d.o
     n_o = stats.N_o
     c = d.conjugation_matrix()
-    perms = {}
-    for q in units_mod(n_o):
-        perms[q] = index_action(d, q)
+    perms = {q: index_action(d, q) for q in units_mod(n_o)}
 
     w = None
     for q, gp in perms.items():
@@ -225,6 +227,7 @@ def verify_action_laws(d: ModularDatum) -> CheckReport:
     return rep
 
 
+@derived
 def is_galois_datum(d: ModularDatum):
     """Whether d is a valid integral datum whose Dehn entries transform
     by the squared automorphism along the induced index action, for
@@ -236,12 +239,10 @@ def is_galois_datum(d: ModularDatum):
     (True, None), or (False, witness) where the witness is either the
     name of a failed axiom or the offending (q, i) pair.
     """
-    from .datum import _axioms_1_to_4
-
     stats = _require_integral(d)
-    axioms = _axioms_1_to_4(d)
-    if not axioms.passed:
-        return False, axioms.failures()[0].name
+    failed = next((name for name, ok, *_ in _axioms_1_to_4(d) if not ok), None)
+    if failed is not None:
+        return False, failed
     n_exp = stats.N
     for q in units_mod(n_exp):
         gp = index_action(d, q)

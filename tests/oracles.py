@@ -1,8 +1,8 @@
 """Independent oracles used by the test suite.
 
 These recompute expected values by routes that do not share code with
-the implementations they check, or, for the congruence search, by the
-exhaustive route that the fast path replaces.
+the implementations they check, or, for the congruence search and the
+central charges, by the exhaustive route that the fast path replaces.
 """
 
 from fractions import Fraction
@@ -11,6 +11,7 @@ from math import lcm
 
 from moddata import cyclo, linalg
 from moddata.cyclo import root_of_unity
+from moddata.datum import basic_stats
 from moddata.extension import extension_family, factor_check, homogeneous_matrices
 
 
@@ -75,6 +76,20 @@ def oracle_lift_search(d, modulus):
         if factor_check(s_prime, t_prime, modulus, "linear").linear_factors:
             survivors.append(e)
     return survivors
+
+
+def oracle_enumerate_charges(d, rank):
+    """The cube roots of g / (n_o t_o D) by exhaustive search through
+    +-z^j over the 3 ord(w)-th roots of unity, in the order met."""
+    stats = basic_stats(d)
+    w = stats.g / (stats.n_o * stats.t_o * rank)
+    bound = 3 * cyclo.root_of_unity_order(w)
+    found = []
+    for j in range(bound):
+        for candidate in (root_of_unity(bound, j), -root_of_unity(bound, j)):
+            if candidate ** 3 == w and all(candidate != c for c in found):
+                found.append(candidate)
+    return found
 
 
 # -- dense-Fraction cyclotomic arithmetic ------------------------------------

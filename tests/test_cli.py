@@ -345,3 +345,150 @@ def test_fusion_element_dimension_mismatch():
     table = fusion_coefficients(semion_datum())
     with pytest.raises(DimensionMismatch):
         multiply(basis_element(3, 0), basis_element(3, 1), table)
+
+
+_EVERY_COMMAND = [
+    ["validate", "gen:semion"],
+    ["analyze", "gen:semion"],
+    ["fusion-table", "gen:semion"],
+    ["galois-check", "gen:semion"],
+    ["symbols", "gen:semion"],
+    ["extensions", "gen:semion"],
+    ["congruence", "gen:semion", "--level", "4"],
+    ["lift-search", "gen:semion", "--level", "4"],
+    ["gen", "semion"],
+    ["gauss-sum", "--n", "3"],
+    ["cocycle", "--n", "3"],
+]
+
+
+@pytest.mark.parametrize("argv", _EVERY_COMMAND, ids=[a[0] for a in _EVERY_COMMAND])
+@pytest.mark.parametrize("name", [cli.ENV_MAX_GROUP_ORDER, cli.ENV_CONDUCTOR_LIMIT])
+def test_malformed_env_is_usage_error_for_every_command(name, argv, monkeypatch, capsys):
+    monkeypatch.setenv(name, "12k")
+    code, text = run_cli(argv)
+    assert code == 2
+    assert text == ""
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and name in err
+
+
+def test_env_is_read_on_every_call(monkeypatch):
+    argv = ["congruence", "gen:semion", "--level", "4"]
+    monkeypatch.delenv(cli.ENV_MAX_GROUP_ORDER, raising=False)
+    assert run_cli(argv)[0] == 0
+    monkeypatch.setenv(cli.ENV_MAX_GROUP_ORDER, "10")
+    assert run_cli(argv)[0] == 3
+    monkeypatch.delenv(cli.ENV_MAX_GROUP_ORDER)
+    assert run_cli(argv)[0] == 0
+    # the conductor limit too, and a flag still beats the environment
+    monkeypatch.setenv(cli.ENV_CONDUCTOR_LIMIT, "5")
+    assert run_cli(["gauss-sum", "--n", "7"])[0] == 3
+    assert run_cli(["gauss-sum", "--n", "7", "--conductor-limit", "7"])[0] == 0
+
+
+def test_parser_is_built_once(monkeypatch):
+    calls = []
+    real = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: calls.append(1) or real())
+    cli._parser.cache_clear()
+    try:
+        for _ in range(3):
+            assert run_cli(["validate", "gen:trivial"])[0] == 0
+    finally:
+        cli._parser.cache_clear()
+    assert calls == [1]
+
+
+def _one_line_error(capsys, prefix):
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith(prefix), err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv,prefix",
+    [
+        (["validate", "gen:radford:x"], "error: $: gen:radford order must be an integer"),
+        (["validate", "gen:radford:4"], "error: cyclic datum requires odd"),
+        (["validate", "gen:radford:0"], "error: cyclic datum requires odd"),
+        (["gen", "radford", "--n", "4"], "error: cyclic datum requires odd"),
+        (["gen", "radford", "--n", "5", "--zeta", "5"], "error: 5 is not a unit"),
+        (["gauss-sum", "--n", "4", "--q", "2"], "error: 2 is not a unit modulo 4"),
+        (["gauss-sum", "--n", "0"], "error: --n: must be positive, got 0"),
+        (["cocycle", "--n", "0"], "error: --n: must be positive, got 0"),
+        (["cocycle", "--n", "-2", "--check"], "error: --n: must be positive"),
+    ],
+)
+def test_bad_arguments_are_usage_errors(argv, prefix, capsys):
+    code, text = run_cli(argv)
+    assert code == 2
+    assert text == ""
+    _one_line_error(capsys, prefix)
+
+
+def test_directory_as_datum_path_is_usage_error(tmp_path, capsys):
+    code, text = run_cli(["validate", str(tmp_path)])
+    assert code == 2
+    assert text == ""
+    _one_line_error(capsys, "error: ")
+
+
+def test_non_utf8_datum_file_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"labels": ["\xe9"]}')
+    code, text = run_cli(["validate", str(path)])
+    assert code == 2
+    assert text == ""
+    _one_line_error(capsys, "error: $: not UTF-8 text")
+
+
+_HUGE = 2**61 - 1  # prime: factorising it by trial division never ends
+
+
+def test_huge_conductor_in_datum_file_is_resource_error(tmp_path):
+    obj = serialize_datum(load_datum("gen:trivial"))
+    obj["S"][0][0] = {"conductor": _HUGE, "coeffs": ["1"]}
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(obj))
+    # a fresh process with a time bound, so a regression fails, not hangs
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from moddata.cli import main; "
+         f"sys.exit(main(['validate', {str(path)!r}]))"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert proc.stderr == f"error: $.S[0][0]: conductor {_HUGE} exceeds limit 100000\n"
+
+
+@pytest.mark.parametrize("command", ["gauss-sum", "cocycle"])
+def test_huge_order_is_resource_error(command):
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from moddata.cli import main; "
+         f"sys.exit(main([{command!r}, '--n', '{_HUGE}']))"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 3
+    assert proc.stderr.count("\n") == 1 and "exceeds limit" in proc.stderr
+
+
+def test_cyclo_constructors_check_the_limit_before_factorising(monkeypatch):
+    from moddata.errors import TooLarge
+
+    def factorising(m):
+        raise AssertionError(f"euler_phi({m}) ran before the limit check")
+
+    monkeypatch.setattr(cyclo, "euler_phi", factorising)
+    with pytest.raises(TooLarge):
+        cyclo.from_json({"conductor": _HUGE, "coeffs": ["1"]})
+    with pytest.raises(TooLarge):
+        cyclo.CycloNum(_HUGE, [1])
+    with pytest.raises(TooLarge):
+        cyclo.root_of_unity(_HUGE, 1)

@@ -232,6 +232,8 @@ def test_unit_table_matches_successive_powers(m):
     for x in roots:
         order = _brute_force_order(x)
         assert root_of_unity_order(x) == order
+        o, a = cyclo.root_of_unity_exponent(x)
+        assert o == order and 0 <= a < o and root_of_unity(o, a) == x
         inverse = cyclo.one(m)
         for _ in range(order - 1):
             inverse = inverse * x
@@ -243,6 +245,7 @@ def test_unit_table_matches_successive_powers(m):
     for x in non_roots:
         order = _brute_force_order(x)
         assert root_of_unity_order(x) == order
+        assert (cyclo.root_of_unity_exponent(x) is None) == (order is None)
         if order is None and x:
             assert x * x.inverse() == 1
 

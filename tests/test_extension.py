@@ -29,7 +29,29 @@ from moddata.extension import (
     sl2_order,
 )
 
-from oracles import oracle_lift_search
+from oracles import oracle_enumerate_charges, oracle_lift_search
+
+
+def _built_in_data():
+    """Every built-in datum: trivial, semion, the cyclic data of odd order
+    up to 15 under every primitive root, and two products."""
+    data = [trivial_datum(), semion_datum()]
+    for n in (3, 5, 7, 9, 11, 13, 15):
+        data += [radford_datum(n, e) for e in range(1, n) if gcd(e, n) == 1]
+    data.append(kronecker_product(semion_datum(), semion_datum()))
+    data.append(kronecker_product(radford_datum(3), semion_datum()))
+    return data
+
+
+def test_enumerate_charges_matches_the_scan_oracle():
+    for d in _built_in_data():
+        for option in enumerate_ranks(d):
+            charges = enumerate_charges(d, option.value)
+            expected = oracle_enumerate_charges(d, option.value)
+            # same values, in the same order, at the same conductor
+            assert [(c.conductor, c.nums, c.den) for c in charges] == [
+                (c.conductor, c.nums, c.den) for c in expected
+            ], (d.size, option.value)
 
 
 def test_enumerate_ranks_semion():
