@@ -157,6 +157,7 @@ def cocycle_omega(n: int, zeta_exponent: int = 1) -> CocycleFn:
     """The 3-cocycle (i, j, k) -> sigma(i, j)^k on Z_n, where sigma is
     the carry 2-cocycle valued at the chosen n-th root of unity:
     sigma(i, j) = z^e when the representatives i + j wrap past n, else 1.
+    The identity holds by construction; verify_3cocycle checks a table.
     """
     n = int(n)
     if n < 1:
@@ -172,8 +173,4 @@ def cocycle_omega(n: int, zeta_exponent: int = 1) -> CocycleFn:
         )
         for i in range(n)
     )
-    c = CocycleFn(n=n, table=table)
-    ok, witness = verify_3cocycle(c)
-    if not ok:
-        raise AssertionError(f"cocycle identity failed at {witness}")
-    return c
+    return CocycleFn(n=n, table=table)

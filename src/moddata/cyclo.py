@@ -27,6 +27,7 @@ from math import gcd, lcm
 from .errors import (
     BadConductor,
     BadModulus,
+    DimensionMismatch,
     DivisionByZero,
     NotAUnit,
     TooLarge,
@@ -213,6 +214,24 @@ def _reduced(conductor, nums, den):
     return _make(conductor, tuple(nums), den)
 
 
+def _settle(conductor, acc, den):
+    """The element sum(acc[k] z^k) / den, for den > 0 and an unreduced
+    acc of 2 phi - 1 integers: one reduction modulo Phi_m and one gcd.
+    The caller has checked the conductor limit."""
+    phi = (len(acc) + 1) // 2
+    if phi > 1:
+        rows = _reduction_rows(conductor)
+        for k in range(phi, 2 * phi - 1):
+            c = acc[k]
+            if c:
+                for idx, r in rows[k]:
+                    acc[idx] += c * r
+        del acc[phi:]
+    if den == 1:
+        return _make(conductor, tuple(acc), 1)
+    return _reduced(conductor, acc, den)
+
+
 def _from_rationals(conductor, values):
     """Element with the given rational coordinates (ints or Fractions)."""
     den = lcm(*[q.denominator for q in values])
@@ -335,19 +354,9 @@ class CycloNum:
         for i, ca in nz_a:
             for j, cb in nz_b:
                 acc[i + j] += ca * cb
-        if phi > 1:
-            # the checked accessor only when over the limit, so it raises
-            rows = _reduction_rows(m) if m <= _conductor_limit else _power_rows(m)
-            for k in range(phi, 2 * phi - 1):
-                c = acc[k]
-                if c:
-                    for idx, r in rows[k]:
-                        acc[idx] += c * r
-            del acc[phi:]
-        den = a.den * b.den
-        if den == 1:
-            return _make(m, tuple(acc), 1)
-        return _reduced(m, acc, den)
+        if phi > 1 and m > _conductor_limit:
+            _check_limit(m)
+        return _settle(m, acc, a.den * b.den)
 
     def __rmul__(self, other):
         if isinstance(other, _RAT_TYPES):
@@ -533,6 +542,20 @@ def root_of_unity(m: int, k: int) -> CycloNum:
     return _make(m, tuple(nums), 1)
 
 
+def _lift_nums(nums, m: int, conductor: int) -> list:
+    """The numerators at a multiple of m of sum(nums[i] z_m^i); the
+    caller has checked the conductor limit."""
+    scale = conductor // m
+    rows = _reduction_rows(conductor)
+    out = [0] * euler_phi(conductor)
+    for i, c in enumerate(nums):
+        if not c:
+            continue
+        for idx, r in rows[(i * scale) % conductor]:
+            out[idx] += c * r
+    return out
+
+
 def lift_conductor(x: CycloNum, conductor: int) -> CycloNum:
     """Represent x at a larger conductor; value-preserving."""
     m = x.conductor
@@ -541,17 +564,10 @@ def lift_conductor(x: CycloNum, conductor: int) -> CycloNum:
         raise BadConductor(f"{m} does not divide {conductor}")
     if conductor == m:
         return x
-    scale = conductor // m
-    rows = _power_rows(conductor)
-    out = [0] * euler_phi(conductor)
-    for i, c in enumerate(x.nums):
-        if not c:
-            continue
-        for idx, r in rows[(i * scale) % conductor]:
-            out[idx] += c * r
+    _check_limit(conductor)
     # Z[z_m] is a direct summand of Z[z_M], so the content, and with it
     # the canonical denominator, is unchanged.
-    return _make(conductor, tuple(out), x.den)
+    return _make(conductor, tuple(_lift_nums(x.nums, m, conductor)), x.den)
 
 
 def _common(a: CycloNum, b: CycloNum):
@@ -559,6 +575,98 @@ def _common(a: CycloNum, b: CycloNum):
         return a, b
     m = lcm(a.conductor, b.conductor)
     return a.lift(m), b.lift(m)
+
+
+# -- sums of products --------------------------------------------------------
+#
+# A sum of products is accumulated as one unreduced polynomial of 2 phi - 1
+# integer coefficients over one common denominator, reduced modulo Phi_m
+# once and made canonical with one gcd.  The canonical form of a value at a
+# given conductor is unique, so the result is exactly what the left fold of
+# * and + returns as long as the conductor is the fold's: the lcm of the
+# conductors of all operands, zeros included.  linalg.mat_mul and
+# fusion.multiply call _operand and _sum_terms themselves, so that an
+# operand shared by many sums is lifted once.
+
+
+def _product_conductor(a: int, b: int) -> int:
+    """Conductor of x * y for x, y at conductors a and b, raising TooLarge
+    where that product does: when it lifts, or reduces modulo Phi_c."""
+    c = a if a == b else lcm(a, b)
+    if c > _conductor_limit and (a != b or c > 2):
+        _check_limit(c)
+    return c
+
+
+def _sum_conductor(a: int, b: int) -> int:
+    """Conductor of x + y for x, y at conductors a and b, raising TooLarge
+    where that sum does: when it lifts."""
+    if a == b:
+        return a
+    c = lcm(a, b)
+    _check_limit(c)
+    return c
+
+
+def _fold_conductor(xs, ys) -> int:
+    """Conductor of the left fold x0 * y0 + x1 * y1 + ... of a nonempty
+    sum, raising TooLarge where that fold would."""
+    m = None
+    for x, y in zip(xs, ys):
+        c = _product_conductor(x.conductor, y.conductor)
+        m = c if m is None else _sum_conductor(m, c)
+    return m
+
+
+def _operand(x: CycloNum, m: int):
+    """x at the conductor m, a multiple of its own, as (its nonzero
+    coordinates [(i, c), ...], den).  The caller has checked the limit."""
+    nums = x.nums if x.conductor == m else _lift_nums(x.nums, x.conductor, m)
+    return [(i, c) for i, c in enumerate(nums) if c], x.den
+
+
+def _sum_terms(m: int, terms) -> CycloNum:
+    """The sum of w * x * y over the terms (x, y, w): x and y operands at
+    conductor m (see _operand), w an integer.  One reduction modulo Phi_m
+    and one gcd for the whole sum."""
+    acc = [0] * (2 * euler_phi(m) - 1)
+    den = 1
+    for (xs, dx), (ys, dy), w in terms:
+        d = dx * dy
+        if d != den:
+            if den % d:
+                # bring the sum so far to the lcm of the denominators
+                f = d // gcd(den, d)
+                acc = [c * f for c in acc]
+                den *= f
+            w *= den // d
+        if len(xs) > len(ys):
+            xs, ys = ys, xs
+        for i, a in xs:
+            a *= w
+            for j, b in ys:
+                acc[i + j] += a * b
+    return _settle(m, acc, den)
+
+
+def dot(xs, ys) -> CycloNum:
+    """x0 * y0 + x1 * y1 + ..., exactly the value, conductor and canonical
+    form the left fold of * and + returns, raising TooLarge where that
+    fold would; the empty sum is zero(1).  Each operand is lifted to the
+    common conductor once, and the whole sum costs one reduction modulo
+    the cyclotomic polynomial and one gcd."""
+    xs = list(xs)
+    ys = list(ys)
+    if len(xs) != len(ys):
+        raise DimensionMismatch(f"sum of products over {len(xs)} and {len(ys)} terms")
+    if not xs:
+        return zero(1)
+    m = _fold_conductor(xs, ys)
+    terms = []
+    for x, y in zip(xs, ys):
+        if x and y:
+            terms.append((_operand(x, m), _operand(y, m), 1))
+    return _sum_terms(m, terms)
 
 
 def galois_apply(x: CycloNum, q: int) -> CycloNum:

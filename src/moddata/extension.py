@@ -23,7 +23,7 @@ from typing import Optional
 
 from . import cyclo, linalg
 from .cyclo import CycloNum, root_of_unity
-from .datum import ModularDatum, basic_stats
+from .datum import ModularDatum, basic_stats, derived
 from .errors import (
     ChargeNotRootOfUnity,
     ChargeOrderTooLarge,
@@ -115,20 +115,24 @@ def make_extension(d: ModularDatum, rank: CycloNum, charge: CycloNum) -> Extende
     )
 
 
+@derived
+def _family_choices(d: ModularDatum) -> tuple:
+    """(rank, charge, is_rank) of each of the twelve extensions.  Kept on
+    the datum without the ExtendedDatums, which would hold the datum and
+    make a reference cycle through its memo."""
+    return tuple(
+        (option.value, charge, option.is_rank)
+        for option in enumerate_ranks(d)
+        for charge in enumerate_charges(d, option.value)
+    )
+
+
 def extension_family(d: ModularDatum):
     """All twelve extensions: four generalized ranks times three charges."""
-    out = []
-    for option in enumerate_ranks(d):
-        for charge in enumerate_charges(d, option.value):
-            out.append(
-                ExtendedDatum(
-                    datum=d,
-                    rank=option.value,
-                    charge=charge,
-                    is_rank=option.is_rank,
-                )
-            )
-    return out
+    return [
+        ExtendedDatum(datum=d, rank=rank, charge=charge, is_rank=is_rank)
+        for rank, charge, is_rank in _family_choices(d)
+    ]
 
 
 def _homogeneous_t_diag(e: ExtendedDatum):
@@ -281,7 +285,9 @@ def sl2_enumerate(modulus: int, max_group_order: int = DEFAULT_MAX_GROUP_ORDER) 
     return SL2Mod(modulus=modulus, elements=elements)
 
 
-@lru_cache(maxsize=None)
+# A few moduli: enough for the levels one congruence_classify revisits,
+# and at M = 72 one entry holds about 249k elements and 498k edges.
+@lru_cache(maxsize=8)
 def _cayley_data(modulus: int):
     """Breadth-first data over the generators s and t only: element list
     in discovery order, the full edge list in that order, and parent

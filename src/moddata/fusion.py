@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import cyclo
+from . import cyclo, linalg
 from .cyclo import CycloNum
 from .datum import ModularDatum, _global_dimension_from_square, basic_stats, derived
 from .errors import DimensionMismatch, InvalidDatum
@@ -153,21 +153,24 @@ def fusion_coefficients(d: ModularDatum) -> FusionTable:
     if any(s[o][l].is_zero() for l in range(m)):
         raise InvalidDatum("unit row of S has a zero entry")
     n_inv = n.inverse()
-    # weight_l = 1 / s_ol, shared across all entries
+    # sw[j][l] = s_jl / s_ol, and row (i, j) of partial holds s_il sw[j][l]
     weights = [s[o][l].inverse() for l in range(m)]
+    sw = [[s[j][l] * weights[l] for l in range(m)] for j in range(m)]
+    partial = tuple(
+        tuple(s[i][l] * sw[j][l] for l in range(m))
+        for i in range(m)
+        for j in range(m)
+    )
+    # N_ij^k n = sum over l of partial[i m + j][l] s_(k*)l
+    dual = tuple(tuple(s[star[k]][l] for k in range(m)) for l in range(m))
+    sums = linalg.mat_mul(partial, dual)
     violations = []
     coeffs = []
     for i in range(m):
         plane = []
         for j in range(m):
-            # common factor of the sum over l for this (i, j)
-            partial = [s[i][l] * s[j][l] * weights[l] for l in range(m)]
             row = []
-            for k in range(m):
-                ks = star[k]
-                acc = partial[0] * s[ks][0]
-                for l in range(1, m):
-                    acc = acc + partial[l] * s[ks][l]
+            for k, acc in enumerate(sums[i * m + j]):
                 value = acc * n_inv
                 as_int = cyclo.is_integer(value)
                 if as_int is None or as_int < 0:
@@ -183,25 +186,43 @@ def fusion_coefficients(d: ModularDatum) -> FusionTable:
 
 
 def multiply(x: FusionElement, y: FusionElement, t: FusionTable) -> FusionElement:
-    """Bilinear extension of the basis product given by the table."""
+    """Bilinear extension of the basis product given by the table.
+
+    Coefficient k is the sum of N_ij^k x_i y_j over the nonzero x_i and
+    y_j, one sum-of-products call each.  It is exactly what adding
+    (x_i y_j) N_ij^k to zero(1) in (i, j) order returns, at the conductor
+    and with the TooLarge that this fold would give.
+    """
     m = t.size
     if x.size != m or y.size != m:
         raise DimensionMismatch("element size does not match the table")
-    out = [cyclo.zero(1) for _ in range(m)]
-    for i in range(m):
-        xi = x.coeffs[i]
-        if xi.is_zero():
-            continue
-        for j in range(m):
-            yj = y.coeffs[j]
-            if yj.is_zero():
-                continue
-            prod = xi * yj
-            row = t.coeffs[i][j]
-            for k in range(m):
-                nijk = row[k]
+    xs = [(i, c) for i, c in enumerate(x.coeffs) if c]
+    ys = [(j, c) for j, c in enumerate(y.coeffs) if c]
+    conductors = [1] * m
+    terms = [[] for _ in range(m)]  # terms[k] = [(i, j, N_ij^k), ...]
+    for i, xi in xs:
+        for j, yj in ys:
+            c = cyclo._product_conductor(xi.conductor, yj.conductor)
+            for k, nijk in enumerate(t.coeffs[i][j]):
                 if nijk:
-                    out[k] = out[k] + prod * nijk
+                    conductors[k] = cyclo._sum_conductor(conductors[k], c)
+                    terms[k].append((i, j, nijk))
+    sides = (x.coeffs, y.coeffs)
+    operands = {}  # (side, index, conductor) -> operand
+
+    def operand(side, idx, mk):
+        key = (side, idx, mk)
+        op = operands.get(key)
+        if op is None:
+            op = operands[key] = cyclo._operand(sides[side][idx], mk)
+        return op
+
+    out = []
+    for k, mk in enumerate(conductors):
+        out.append(cyclo._sum_terms(mk, [
+            (operand(0, i, mk), operand(1, j, mk), nijk)
+            for i, j, nijk in terms[k]
+        ]))
     return FusionElement(tuple(out))
 
 
@@ -211,18 +232,15 @@ def xi_evaluate(d: ModularDatum, q: int, x: FusionElement) -> CycloNum:
     m = d.size
     if x.size != m:
         raise DimensionMismatch("element size does not match the datum")
-    n_q = d.s(q, d.o)
-    if n_q.is_zero():
+    if d.s(q, d.o).is_zero():
         raise InvalidDatum(f"dimension n_{q} vanishes")
-    inv = n_q.inverse()
-    acc = cyclo.zero(1)
-    for i in range(m):
-        if not x.coeffs[i].is_zero():
-            acc = acc + x.coeffs[i] * d.s(i, q) * inv
-    return acc
+    row = _xi_matrix(d)[q]
+    nonzero = [i for i in range(m) if x.coeffs[i]]
+    return cyclo.dot([x.coeffs[i] for i in nonzero], [row[i] for i in nonzero])
 
 
-def _xi_matrix(d: ModularDatum):
+@derived
+def _xi_matrix(d: ModularDatum) -> tuple:
     """xi[q][i] = s_iq / n_q."""
     m = d.size
     o = d.o
@@ -230,7 +248,7 @@ def _xi_matrix(d: ModularDatum):
     for q in range(m):
         inv = d.s(q, o).inverse()
         rows.append(tuple(d.s(i, q) * inv for i in range(m)))
-    return rows
+    return tuple(rows)
 
 
 def verify_ring_homomorphisms(d: ModularDatum, t: FusionTable) -> CheckReport:
@@ -239,23 +257,28 @@ def verify_ring_homomorphisms(d: ModularDatum, t: FusionTable) -> CheckReport:
     rep = CheckReport("fusion-homomorphisms")
     m = d.size
     xi = _xi_matrix(d)
-    w = None
-    for q in range(m):
-        row = xi[q]
-        for i in range(m):
-            for j in range(m):
-                acc = cyclo.zero(1)
-                for k in range(m):
-                    nijk = t.coeff(i, j, k)
-                    if nijk:
-                        acc = acc + row[k] * nijk
-                if acc != row[i] * row[j]:
-                    w = (q, i, j)
-                    break
-            if w:
-                break
-        if w:
-            break
+    # sums[i][j][q] = sum over k of N_ij^k xi[q][k]
+    xi_t = linalg.mat_transpose(xi)
+    sums = [
+        linalg.mat_mul(
+            tuple(
+                tuple(cyclo.from_rational(nijk) for nijk in t.coeffs[i][j])
+                for j in range(m)
+            ),
+            xi_t,
+        )
+        for i in range(m)
+    ]
+    w = next(
+        (
+            (q, i, j)
+            for q in range(m)
+            for i in range(m)
+            for j in range(m)
+            if sums[i][j][q] != xi[q][i] * xi[q][j]
+        ),
+        None,
+    )
     rep.add("multiplicative", w is None, w)
     w = next(
         (
@@ -301,9 +324,7 @@ def idempotents(d: ModularDatum, t: FusionTable):
     xi = _xi_matrix(d)
     out = []
     for i in range(m):
-        xi_ba = sum(
-            (b_a.coeffs[j] * xi[i][j] for j in range(m)), cyclo.zero(1)
-        )
+        xi_ba = cyclo.dot(b_a.coeffs, xi[i])
         expected = stats.n / (stats.dims[i] * stats.dims[i])
         if xi_ba != expected or xi_ba.is_zero():
             raise InvalidDatum(

@@ -7,12 +7,32 @@ central charges, by the exhaustive route that the fast path replaces.
 
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import gcd, lcm
 
 from moddata import cyclo, linalg
+from moddata.constructors import radford_datum, semion_datum, trivial_datum
 from moddata.cyclo import root_of_unity
-from moddata.datum import basic_stats
+from moddata.datum import basic_stats, kronecker_product
 from moddata.extension import extension_family, factor_check, homogeneous_matrices
+
+
+def built_in_data():
+    """(name, datum) for each built-in datum the differential tests run
+    over: every Galois conjugate of radford 3 to 9, radford 11 and the
+    products semion x semion and radford 3 x semion."""
+    data = [("trivial", trivial_datum()), ("semion", semion_datum())]
+    for n in (3, 5, 7, 9):
+        data += [
+            (f"radford{n}^{e}", radford_datum(n, e))
+            for e in range(1, n)
+            if gcd(e, n) == 1
+        ]
+    data.append(("radford11", radford_datum(11)))
+    data.append(("semion2", kronecker_product(semion_datum(), semion_datum())))
+    data.append(
+        ("radford3*semion", kronecker_product(radford_datum(3), semion_datum()))
+    )
+    return data
 
 
 def oracle_cyclic_datum(n):
@@ -65,6 +85,45 @@ def oracle_cyclic_datum(n):
 
     t = [char_of(a, u_inv) for a in range(n)]
     return s, t
+
+
+def oracle_dot(xs, ys):
+    """x0 * y0 + x1 * y1 + ... as the left fold of * and +; zero(1) when
+    empty."""
+    pairs = list(zip(xs, ys))
+    if not pairs:
+        return cyclo.zero(1)
+    acc = pairs[0][0] * pairs[0][1]
+    for x, y in pairs[1:]:
+        acc = acc + x * y
+    return acc
+
+
+def oracle_mat_mul(a, b):
+    """The matrix product, each entry the left fold over the inner index."""
+    return tuple(
+        tuple(oracle_dot(row, [b[k][j] for k in range(len(b))])
+              for j in range(len(b[0])))
+        for row in a
+    )
+
+
+def oracle_multiply(x, y, t):
+    """Coefficient k of the fusion product: (x_i y_j) N_ij^k added to
+    zero(1) over the nonzero x_i and y_j, in (i, j) order."""
+    m = t.size
+    out = [cyclo.zero(1) for _ in range(m)]
+    for i in range(m):
+        if x.coeffs[i].is_zero():
+            continue
+        for j in range(m):
+            if y.coeffs[j].is_zero():
+                continue
+            prod = x.coeffs[i] * y.coeffs[j]
+            for k in range(m):
+                if t.coeffs[i][j][k]:
+                    out[k] = out[k] + prod * t.coeffs[i][j][k]
+    return out
 
 
 def oracle_lift_search(d, modulus):

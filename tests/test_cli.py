@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from moddata import cli, cyclo
+from moddata import cli, constructors, cyclo
 from moddata.cli import (
     build_analysis,
     datum_from_obj,
@@ -250,6 +250,24 @@ def test_cli_cocycle():
     assert code == 0
     payload = json.loads(text)
     assert payload["cocycle_identity"] is True
+
+
+def test_cli_cocycle_check_runs_the_checker_once(monkeypatch):
+    calls = []
+    check = constructors.verify_3cocycle
+
+    def counting(c):
+        calls.append(c.n)
+        return check(c)
+
+    monkeypatch.setattr(constructors, "verify_3cocycle", counting)
+    code, text = run_cli(["cocycle", "--n", "6", "--check", "--json"])
+    assert code == 0
+    assert json.loads(text)["cocycle_identity"] is True
+    assert calls == [6]
+    calls.clear()
+    assert run_cli(["cocycle", "--n", "6", "--json"])[0] == 0
+    assert calls == []
 
 
 def test_cli_gen_product(tmp_path):

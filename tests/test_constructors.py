@@ -5,6 +5,8 @@ independent R-matrix oracle in oracles.py: direct summation in the
 group algebra must reproduce S and T entrywise before the closed forms
 are trusted anywhere else."""
 
+from math import gcd
+
 import pytest
 
 from oracles import oracle_cyclic_datum
@@ -118,6 +120,14 @@ def test_cocycle_three_exhaustive():
     c = cocycle_omega(3, 1)
     ok, witness = verify_3cocycle(c)
     assert ok and witness is None
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_cocycle_identity_for_every_unit(n):
+    # cocycle_omega builds its table from the closed form unchecked
+    for e in range(n):
+        if gcd(e, n) == 1:
+            assert verify_3cocycle(cocycle_omega(n, e)) == (True, None)
 
 
 def test_constant_table_is_cocycle():

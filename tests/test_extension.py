@@ -445,3 +445,16 @@ def test_lift_search_bounds_group_order_without_candidates():
         lift_search(semion_datum(), 23, max_group_order=100)
     assert lift_search(semion_datum(), 23) == []
 
+
+
+def test_cayley_cache_stays_within_its_bound():
+    cache = extension._cayley_data
+    bound = cache.cache_info().maxsize
+    assert bound is not None
+    for modulus in range(1, bound + 5):
+        sl2_enumerate(modulus)
+    info = cache.cache_info()
+    assert info.currsize <= bound
+    # the most recent modulus is still kept
+    sl2_enumerate(bound + 4)
+    assert cache.cache_info().hits == info.hits + 1

@@ -2,26 +2,33 @@
 reports handed out stay independent, and a datum whose memo is full
 analyses exactly as a fresh one does."""
 
-from math import gcd
+import gc
+import weakref
 
 import pytest
 
-from moddata import datum, fusion, galois
+from oracles import built_in_data
+
+from moddata import datum, extension, fusion, galois
 from moddata.cli import build_analysis
-from moddata.constructors import radford_datum, semion_datum, trivial_datum
-from moddata.datum import kronecker_product, validate_axioms
+from moddata.constructors import radford_datum, semion_datum
+from moddata.datum import validate_axioms
+
+_DERIVED = (
+    (datum, "basic_stats"),
+    (datum, "_global_dimension_from_square"),
+    (datum, "_axioms_1_to_4"),
+    (fusion, "fusion_coefficients"),
+    (fusion, "_xi_matrix"),
+    (galois, "_index_action"),
+    (galois, "is_galois_datum"),
+    (extension, "_family_choices"),
+)
 
 
-def test_build_analysis_derives_each_value_once(monkeypatch):
+def _count_derivations(monkeypatch):
     counts = {}
-    for module, name in (
-        (datum, "basic_stats"),
-        (datum, "_global_dimension_from_square"),
-        (datum, "_axioms_1_to_4"),
-        (fusion, "fusion_coefficients"),
-        (galois, "_index_action"),
-        (galois, "is_galois_datum"),
-    ):
+    for module, name in _DERIVED:
         cached = getattr(module, name)
         uncached = cached.__wrapped__
 
@@ -30,6 +37,11 @@ def test_build_analysis_derives_each_value_once(monkeypatch):
             return uncached(*args)
 
         monkeypatch.setattr(cached, "__wrapped__", counting)
+    return counts
+
+
+def test_build_analysis_derives_each_value_once(monkeypatch):
+    counts = _count_derivations(monkeypatch)
     bundle = build_analysis(radford_datum(9))
     assert bundle.passed
     assert counts == {
@@ -37,10 +49,35 @@ def test_build_analysis_derives_each_value_once(monkeypatch):
         "_global_dimension_from_square": 1,
         "_axioms_1_to_4": 1,
         "fusion_coefficients": 1,
+        "_xi_matrix": 1,
         # one permutation per unit modulo the normalized exponent 9
         "_index_action": 6,
         "is_galois_datum": 1,
     }
+
+
+def test_analysis_with_extensions_builds_the_family_once(monkeypatch):
+    counts = _count_derivations(monkeypatch)
+    assert build_analysis(radford_datum(3), extensions=True).passed
+    assert counts["_family_choices"] == 1
+    assert counts["_xi_matrix"] == 1
+
+
+def test_memo_holds_no_reference_cycle_through_the_datum():
+    # with the collector off only reference counts free the datum, which
+    # they cannot if a kept value refers back to it
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        d = radford_datum(3)
+        assert build_analysis(d, extensions=True).passed
+        assert extension.extension_family(d)[0].datum is d
+        ref = weakref.ref(d)
+        del d
+        assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_mutating_a_report_leaves_the_next_one_alone():
@@ -58,23 +95,7 @@ def test_mutating_a_report_leaves_the_next_one_alone():
     assert validate_axioms(d).to_json() == expected
 
 
-def _built_in_data():
-    data = [("trivial", trivial_datum()), ("semion", semion_datum())]
-    for n in (3, 5, 7, 9):
-        data += [
-            (f"radford{n}^{e}", radford_datum(n, e))
-            for e in range(1, n)
-            if gcd(e, n) == 1
-        ]
-    data.append(("radford11", radford_datum(11)))
-    data.append(("semion2", kronecker_product(semion_datum(), semion_datum())))
-    data.append(
-        ("radford3*semion", kronecker_product(radford_datum(3), semion_datum()))
-    )
-    return data
-
-
-_BUILT_IN = _built_in_data()
+_BUILT_IN = built_in_data()
 
 
 @pytest.mark.parametrize("name,d", _BUILT_IN, ids=[name for name, _ in _BUILT_IN])
