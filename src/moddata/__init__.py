@@ -76,6 +76,7 @@ from .constructors import (
     cocycle_omega,
     radford_datum,
     semion_datum,
+    su2_datum,
     trivial_datum,
     verify_3cocycle,
     verify_gauss_lemma,

@@ -19,6 +19,7 @@ from . import constructors, cyclo, datum as datum_mod, extension, fusion, galois
 from .cyclo import CycloNum
 from .datum import ModularDatum
 from .errors import (
+    BadLevel,
     EvenOrder,
     ModdataError,
     NotAUnit,
@@ -139,27 +140,37 @@ def serialize_datum_text(d: ModularDatum) -> str:
 # -- datum references --------------------------------------------------------
 
 
+# gen: pseudo-path kinds: constructor, and the name of its integer
+# parameter (None when it takes none)
+_GENERATORS = {
+    "semion": (constructors.semion_datum, None),
+    "trivial": (constructors.trivial_datum, None),
+    "radford": (constructors.radford_datum, "order"),
+    "su2": (constructors.su2_datum, "level"),
+}
+
+
 def load_datum(ref: str) -> ModularDatum:
     """Resolve a file path or a gen: pseudo-path such as gen:semion,
-    gen:trivial, or gen:radford:5."""
+    gen:trivial, gen:radford:5 or gen:su2:3."""
     if ref.startswith("gen:"):
-        parts = ref.split(":")[1:]
-        kind = parts[0]
-        if kind == "semion":
-            return constructors.semion_datum()
-        if kind == "trivial":
-            return constructors.trivial_datum()
-        if kind == "radford":
-            if len(parts) < 2:
-                raise SchemaError("$", "gen:radford needs an order, e.g. gen:radford:5")
-            try:
-                n = int(parts[1])
-            except ValueError:
-                raise SchemaError(
-                    "$", f"gen:radford order must be an integer, got {parts[1]!r}"
-                ) from None
-            return constructors.radford_datum(n)
-        raise SchemaError("$", f"unknown generator {kind!r}")
+        kind, *params = ref.split(":")[1:]
+        if kind not in _GENERATORS:
+            raise SchemaError("$", f"unknown generator {kind!r}")
+        make, param = _GENERATORS[kind]
+        if param is None:
+            return make()
+        if not params:
+            raise SchemaError(
+                "$", f"gen:{kind} needs an integer {param}, e.g. gen:{kind}:5"
+            )
+        try:
+            value = int(params[0])
+        except ValueError:
+            raise SchemaError(
+                "$", f"gen:{kind} {param} must be an integer, got {params[0]!r}"
+            ) from None
+        return make(value)
     with open(ref, "r", encoding="utf-8") as handle:
         try:
             text = handle.read()
@@ -645,7 +656,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "datum",
             help="datum JSON file or gen: pseudo-path "
-            "(gen:semion, gen:trivial, gen:radford:N)",
+            "(gen:semion, gen:trivial, gen:radford:N, gen:su2:K)",
         )
         p.add_argument("--json", action="store_true", help="machine output")
         p.add_argument(
@@ -734,9 +745,9 @@ def main(argv=None, out=None) -> int:
     except TooLarge as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (SchemaError, OSError, EvenOrder, NotAUnit) as exc:
-        # bad input: a malformed file or flag, or an order or exponent
-        # that no construction accepts
+    except (SchemaError, OSError, BadLevel, EvenOrder, NotAUnit) as exc:
+        # bad input: a malformed file or flag, or an order, level or
+        # exponent that no construction accepts
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ModdataError as exc:

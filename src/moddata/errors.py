@@ -75,6 +75,10 @@ class EvenOrder(ModdataError, ValueError):
     """Cyclic datum constructor requires odd group order."""
 
 
+class BadLevel(ModdataError, ValueError):
+    """SU(2)_k constructor requires a positive level."""
+
+
 class TooLarge(ModdataError, ValueError):
     """A resource bound (group order or conductor) was exceeded."""
 

@@ -9,7 +9,8 @@ idempotents, each with a full law-verification suite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import product
 
 from . import cyclo, linalg
 from .cyclo import CycloNum
@@ -23,22 +24,31 @@ class FusionTable:
     """Structure constants N_ij^k as nonnegative integers.
 
     Entries that failed the integrality test are listed in violations as
-    (i, j, k, exact_value) and stored as 0 in the integer array.
+    (i, j, k, exact_value) and stored as 0 in the integer array.  terms
+    holds the same table sparsely: terms[i][j] lists the nonzero
+    (k, N_ij^k) by increasing k.
     """
 
     size: int
     coeffs: tuple
     violations: tuple = ()
+    terms: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "terms", tuple(tuple(
+            tuple((k, n) for k, n in enumerate(row) if n) for row in plane
+        ) for plane in self.coeffs))
 
     def coeff(self, i: int, j: int, k: int) -> int:
         return self.coeffs[i][j][k]
 
     def verify_invariants(self) -> CheckReport:
-        """Commutativity, unit row, duality against star is not known to
-        the table; associativity is.  Duality and unit checks live in the
-        structural-identity suite, which knows the datum."""
+        """Integrality, commutativity, nonnegativity and associativity of
+        the table.  The unit row and duality need the datum; they are
+        checked by the structural-identity suite."""
         rep = CheckReport("fusion-table")
         m = self.size
+        terms = self.terms
         rep.add("no-integrality-violations", not self.violations,
                 self.violations[:8] or None)
         w = None
@@ -55,36 +65,36 @@ class FusionTable:
                 (i, j, k)
                 for i in range(m)
                 for j in range(m)
-                for k in range(m)
-                if self.coeff(i, j, k) < 0
+                for k, n in terms[i][j]
+                if n < 0
             ),
             None,
         )
         rep.add("nonnegative", w is None, w)
+        # (b_i b_j) b_l against b_i (b_j b_l), each a sparse integer sum
         w = None
-        for i in range(m):
-            for j in range(m):
-                for l in range(m):
-                    for p in range(m):
-                        lhs = sum(
-                            self.coeff(i, j, k) * self.coeff(k, l, p)
-                            for k in range(m)
-                        )
-                        rhs = sum(
-                            self.coeff(j, l, k) * self.coeff(i, k, p)
-                            for k in range(m)
-                        )
-                        if lhs != rhs:
-                            w = (i, j, l, p)
-                            break
-                    if w:
-                        break
-                if w:
-                    break
-            if w:
+        for i, j, l in product(range(m), repeat=3):
+            lhs, rhs = [0] * m, [0] * m
+            for k, a in terms[i][j]:
+                for p, b in terms[k][l]:
+                    lhs[p] += a * b
+            for k, a in terms[j][l]:
+                for p, b in terms[i][k]:
+                    rhs[p] += a * b
+            if lhs != rhs:
+                w = (i, j, l, next(p for p in range(m) if lhs[p] != rhs[p]))
                 break
         rep.add("associative", w is None, w)
         return rep
+
+
+def _weighted_sum(terms, values) -> CycloNum:
+    """The sum of n * values[k] over the sparse terms (k, n)."""
+    if len(terms) == 1 and terms[0][1] == 1:
+        return values[terms[0][0]]
+    return cyclo.dot(
+        [values[k] for k, _ in terms], [cyclo.from_rational(n) for _, n in terms]
+    )
 
 
 @dataclass(frozen=True)
@@ -203,10 +213,9 @@ def multiply(x: FusionElement, y: FusionElement, t: FusionTable) -> FusionElemen
     for i, xi in xs:
         for j, yj in ys:
             c = cyclo._product_conductor(xi.conductor, yj.conductor)
-            for k, nijk in enumerate(t.coeffs[i][j]):
-                if nijk:
-                    conductors[k] = cyclo._sum_conductor(conductors[k], c)
-                    terms[k].append((i, j, nijk))
+            for k, nijk in t.terms[i][j]:
+                conductors[k] = cyclo._sum_conductor(conductors[k], c)
+                terms[k].append((i, j, nijk))
     sides = (x.coeffs, y.coeffs)
     operands = {}  # (side, index, conductor) -> operand
 
@@ -257,25 +266,14 @@ def verify_ring_homomorphisms(d: ModularDatum, t: FusionTable) -> CheckReport:
     rep = CheckReport("fusion-homomorphisms")
     m = d.size
     xi = _xi_matrix(d)
-    # sums[i][j][q] = sum over k of N_ij^k xi[q][k]
-    xi_t = linalg.mat_transpose(xi)
-    sums = [
-        linalg.mat_mul(
-            tuple(
-                tuple(cyclo.from_rational(nijk) for nijk in t.coeffs[i][j])
-                for j in range(m)
-            ),
-            xi_t,
-        )
-        for i in range(m)
-    ]
+    # xi_q(b_i b_j) is the sum over the nonzero N_ij^k of N_ij^k xi_q(b_k)
     w = next(
         (
             (q, i, j)
             for q in range(m)
             for i in range(m)
             for j in range(m)
-            if sums[i][j][q] != xi[q][i] * xi[q][j]
+            if _weighted_sum(t.terms[i][j], xi[q]) != xi[q][i] * xi[q][j]
         ),
         None,
     )
@@ -340,60 +338,46 @@ def idempotents(d: ModularDatum, t: FusionTable):
 
 def verify_idempotent_laws(d: ModularDatum, t: FusionTable) -> CheckReport:
     """Orthogonal idempotents summing to the unit, dual to the evaluation
-    maps, and absorbing multiplication by their eigenvalue."""
+    maps, and absorbing multiplication by their eigenvalue.  Where p_j
+    absorbs every b_k, p_i p_j = xi_j(p_i) p_j by bilinearity, so its
+    idempotent and orthogonality laws are read off the values xi_j(p_i);
+    products with any other p_j are multiplied out."""
     rep = CheckReport("idempotent-laws")
     m = d.size
     o = d.o
-    stats = basic_stats(d)
     ps = idempotents(d, t)
-    w = next(
-        (i for i in range(m) if multiply(ps[i], ps[i], t) != ps[i]), None
-    )
-    rep.add("idempotent", w is None, w)
-    w = next(
-        (
-            (i, j)
-            for i in range(m)
-            for j in range(m)
-            if i != j and not multiply(ps[i], ps[j], t).is_zero()
-        ),
-        None,
-    )
-    rep.add("orthogonal", w is None, w)
-    total = ps[0]
-    for p in ps[1:]:
-        total = total + p
-    rep.add("partition-of-unity", total == basis_element(m, o))
-    w = None
-    for i in range(m):
-        for j in range(m):
-            val = xi_evaluate(d, j, ps[i])
-            if val != (1 if i == j else 0):
-                w = (i, j)
-                break
-        if w:
-            break
-    rep.add("dual-to-evaluations", w is None, w)
     xi = _xi_matrix(d)
-    w = None
-    for k in range(m):
-        b_k = basis_element(m, k)
-        for i in range(m):
-            if multiply(b_k, ps[i], t) != ps[i].scale(xi[i][k]):
-                w = (k, i)
-                break
-        if w:
-            break
+    # by_output[k][l]: the nonzero (j, N_kj^l); coefficient l of b_k x is
+    # the sum of N_kj^l x_j
+    by_output = [[[] for _ in range(m)] for _ in range(m)]
+    for k, j in product(range(m), repeat=2):
+        for l, n in t.terms[k][j]:
+            by_output[k][l].append((j, n))
+    # unabsorbed[i]: the first k with b_k p_i != xi_i(b_k) p_i, or None
+    unabsorbed = [
+        next((k for k in range(m) if any(
+            _weighted_sum(by_output[k][l], p.coeffs) != xi[i][k] * p.coeffs[l]
+            for l in range(m)
+        )), None)
+        for i, p in enumerate(ps)
+    ]
+    values = [[xi_evaluate(d, j, p) for j in range(m)] for p in ps]
+
+    def product_is(i, j, c):  # whether p_i p_j == c p_j
+        if unabsorbed[j] is None:
+            return values[i][j] == c or ps[j].is_zero()
+        return multiply(ps[i], ps[j], t) == ps[j].scale(c)
+
+    pairs = list(product(range(m), repeat=2))
+    w = next((i for i in range(m) if not product_is(i, i, 1)), None)
+    rep.add("idempotent", w is None, w)
+    w = next(((i, j) for i, j in pairs if i != j and not product_is(i, j, 0)), None)
+    rep.add("orthogonal", w is None, w)
+    rep.add("partition-of-unity", sum(ps[1:], ps[0]) == basis_element(m, o))
+    w = next(((i, j) for i, j in pairs if values[i][j] != (1 if i == j else 0)), None)
+    rep.add("dual-to-evaluations", w is None, w)
+    w = min(((k, i) for i, k in enumerate(unabsorbed) if k is not None), default=None)
     rep.add("eigenvalue-absorption", w is None, w)
-    n_o_inv = stats.n_o.inverse()
-    w = next(
-        (
-            k
-            for k in range(m)
-            if multiply(basis_element(m, k), ps[o], t)
-            != ps[o].scale(stats.dims[k] * n_o_inv)
-        ),
-        None,
-    )
-    rep.add("unit-idempotent-dimensions", w is None, w)
+    # xi_o(b_k) = n_k / n_o, so this law is absorption at p_o
+    rep.add("unit-idempotent-dimensions", unabsorbed[o] is None, unabsorbed[o])
     return rep

@@ -148,7 +148,7 @@ def verify_action_laws(d: ModularDatum) -> CheckReport:
     m = d.size
     o = d.o
     n_o = stats.N_o
-    c = d.conjugation_matrix()
+    s = d.s_matrix
     perms = {q: index_action(d, q) for q in units_mod(n_o)}
 
     w = None
@@ -189,21 +189,13 @@ def verify_action_laws(d: ModularDatum) -> CheckReport:
     )
     rep.add("commutes-with-star", w is None, w)
 
-    w = None
-    for q, gp in perms.items():
-        p_mat = gp.matrix()
-        p_inv = linalg.mat_transpose(p_mat)
-        if not linalg.mat_eq(
-            linalg.mat_mul(d.s_matrix, p_mat),
-            linalg.mat_mul(p_inv, d.s_matrix),
-        ):
-            w = q
-            break
-        if not linalg.mat_eq(
-            linalg.mat_mul(p_mat, c), linalg.mat_mul(c, p_mat)
-        ):
-            w = q
-            break
+    # P[i][j] = 1 iff i = p(j), so S P = P^T S iff s_i,p(j) = s_p(i),j; and
+    # P C = C P iff p^-1 star = star p^-1, that is iff p commutes with star
+    w = next((
+        q for q, gp in perms.items()
+        if any(s[i][gp.perm[j]] != s[gp.perm[i]][j] for i in range(m) for j in range(m))
+        or any(gp.perm[d.star[i]] != d.star[gp.perm[i]] for i in range(m))
+    ), None)
     rep.add("permutation-matrix-relations", w is None, w)
 
     gamma = perms[(-1) % n_o] if n_o > 1 else perms[0]

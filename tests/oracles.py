@@ -1,25 +1,29 @@
 """Independent oracles used by the test suite.
 
 These recompute expected values by routes that do not share code with
-the implementations they check, or, for the congruence search and the
-central charges, by the exhaustive route that the fast path replaces.
+the implementations they check, or, for the congruence search, the
+central charges and the fusion-ring and Galois law checks, by the
+exhaustive or dense route that the fast path replaces.
 """
 
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
-from moddata import cyclo, linalg
-from moddata.constructors import radford_datum, semion_datum, trivial_datum
+from moddata import cyclo, fusion, galois, linalg
+from moddata.constructors import radford_datum, semion_datum, su2_datum, trivial_datum
 from moddata.cyclo import root_of_unity
 from moddata.datum import basic_stats, kronecker_product
 from moddata.extension import extension_family, factor_check, homogeneous_matrices
+from moddata.report import CheckReport
 
 
 def built_in_data():
     """(name, datum) for each built-in datum the differential tests run
-    over: every Galois conjugate of radford 3 to 9, radford 11 and the
-    products semion x semion and radford 3 x semion."""
+    over: every Galois conjugate of radford 3 to 9, radford 11, the
+    products semion x semion and radford 3 x semion, and SU(2)_k for
+    k <= 6, whose fusion products have up to k/2 + 1 terms where every
+    other datum here has one."""
     data = [("trivial", trivial_datum()), ("semion", semion_datum())]
     for n in (3, 5, 7, 9):
         data += [
@@ -32,6 +36,7 @@ def built_in_data():
     data.append(
         ("radford3*semion", kronecker_product(radford_datum(3), semion_datum()))
     )
+    data += [(f"su2_{k}", su2_datum(k)) for k in range(1, 7)]
     return data
 
 
@@ -149,6 +154,195 @@ def oracle_enumerate_charges(d, rank):
             if candidate ** 3 == w and all(candidate != c for c in found):
                 found.append(candidate)
     return found
+
+
+# -- the fusion-ring and Galois law checks by dense arithmetic ----------------
+#
+# Each law is checked as it is stated: associativity and the idempotent
+# laws by products over the full table, the homomorphisms by one matrix
+# product per basis element, and the permutation-matrix relations on the
+# permutation matrices themselves.
+
+
+def oracle_verify_invariants(t):
+    """FusionTable.verify_invariants with associativity as the O(m^5) sum
+    over every k of N_ij^k N_kl^p against N_jl^k N_ik^p."""
+    rep = CheckReport("fusion-table")
+    m = t.size
+    rep.add("no-integrality-violations", not t.violations,
+            t.violations[:8] or None)
+    w = next(
+        ((i, j) for i in range(m) for j in range(i + 1, m)
+         if t.coeffs[i][j] != t.coeffs[j][i]),
+        None,
+    )
+    rep.add("commutative", w is None, w)
+    w = next(
+        ((i, j, k) for i in range(m) for j in range(m) for k in range(m)
+         if t.coeff(i, j, k) < 0),
+        None,
+    )
+    rep.add("nonnegative", w is None, w)
+    w = next(
+        (
+            (i, j, l, p)
+            for i in range(m)
+            for j in range(m)
+            for l in range(m)
+            for p in range(m)
+            if sum(t.coeff(i, j, k) * t.coeff(k, l, p) for k in range(m))
+            != sum(t.coeff(j, l, k) * t.coeff(i, k, p) for k in range(m))
+        ),
+        None,
+    )
+    rep.add("associative", w is None, w)
+    return rep
+
+
+def oracle_verify_ring_homomorphisms(d, t):
+    """verify_ring_homomorphisms with sum_k N_ij^k xi_q(b_k) taken from
+    the matrix product of the table plane i with the evaluation matrix."""
+    rep = CheckReport("fusion-homomorphisms")
+    m = d.size
+    xi = fusion._xi_matrix(d)
+    xi_t = linalg.mat_transpose(xi)
+    sums = [
+        linalg.mat_mul(
+            tuple(
+                tuple(cyclo.from_rational(nijk) for nijk in t.coeffs[i][j])
+                for j in range(m)
+            ),
+            xi_t,
+        )
+        for i in range(m)
+    ]
+    w = next(
+        ((q, i, j) for q in range(m) for i in range(m) for j in range(m)
+         if sums[i][j][q] != xi[q][i] * xi[q][j]),
+        None,
+    )
+    rep.add("multiplicative", w is None, w)
+    w = next(
+        ((q, r) for q in range(m) for r in range(q + 1, m)
+         if all(xi[q][i] == xi[r][i] for i in range(m))),
+        None,
+    )
+    rep.add("maps-pairwise-distinct", w is None, w)
+    w = next(
+        ((i, j) for i in range(m) for j in range(i + 1, m)
+         if all(xi[q][i] == xi[q][j] for q in range(m))),
+        None,
+    )
+    rep.add("basis-separated", w is None, w)
+    return rep
+
+
+def oracle_verify_idempotent_laws(d, t):
+    """verify_idempotent_laws with every law checked on the products
+    themselves, each multiplied out by fusion.multiply."""
+    rep = CheckReport("idempotent-laws")
+    m = d.size
+    o = d.o
+    stats = basic_stats(d)
+    ps = fusion.idempotents(d, t)
+    w = next((i for i in range(m) if fusion.multiply(ps[i], ps[i], t) != ps[i]), None)
+    rep.add("idempotent", w is None, w)
+    w = next(
+        ((i, j) for i in range(m) for j in range(m)
+         if i != j and not fusion.multiply(ps[i], ps[j], t).is_zero()),
+        None,
+    )
+    rep.add("orthogonal", w is None, w)
+    total = ps[0]
+    for p in ps[1:]:
+        total = total + p
+    rep.add("partition-of-unity", total == fusion.basis_element(m, o))
+    w = next(
+        ((i, j) for i in range(m) for j in range(m)
+         if fusion.xi_evaluate(d, j, ps[i]) != (1 if i == j else 0)),
+        None,
+    )
+    rep.add("dual-to-evaluations", w is None, w)
+    xi = fusion._xi_matrix(d)
+    w = next(
+        ((k, i) for k in range(m) for i in range(m)
+         if fusion.multiply(fusion.basis_element(m, k), ps[i], t)
+         != ps[i].scale(xi[i][k])),
+        None,
+    )
+    rep.add("eigenvalue-absorption", w is None, w)
+    n_o_inv = stats.n_o.inverse()
+    w = next(
+        (k for k in range(m)
+         if fusion.multiply(fusion.basis_element(m, k), ps[o], t)
+         != ps[o].scale(stats.dims[k] * n_o_inv)),
+        None,
+    )
+    rep.add("unit-idempotent-dimensions", w is None, w)
+    return rep
+
+
+def oracle_verify_action_laws(d):
+    """galois.verify_action_laws with the permutation-matrix relations
+    checked as S P = P^T S and P C = C P on the matrices themselves.  The
+    permutations come from galois.index_action, looked up on each call."""
+    stats = galois._require_integral(d)
+    rep = CheckReport("galois-action-laws")
+    m = d.size
+    o = d.o
+    n_o = stats.N_o
+    c = d.conjugation_matrix()
+    perms = {q: galois.index_action(d, q) for q in galois.units_mod(n_o)}
+    w = next(
+        ((q, i, j) for q, gp in perms.items() for i in range(m) for j in range(m)
+         if (img := galois.sigma(d.s(i, j), q, n_o)) != d.s(gp.perm[i], j)
+         or img != d.s(i, gp.perm[j])),
+        None,
+    )
+    rep.add("moves-s-entries", w is None, w)
+    w = next(
+        ((q, i) for q, gp in perms.items() for i in range(m)
+         if stats.dims[gp.perm[i]] != stats.dims[i]),
+        None,
+    )
+    rep.add("preserves-dimensions", w is None, w)
+    w = next((q for q, gp in perms.items() if gp.perm[o] != o), None)
+    rep.add("fixes-unit", w is None, w)
+    w = next(
+        ((q, i) for q, gp in perms.items() for i in range(m)
+         if gp.perm[d.star[i]] != d.star[gp.perm[i]]),
+        None,
+    )
+    rep.add("commutes-with-star", w is None, w)
+    w = next(
+        (
+            q
+            for q, gp in perms.items()
+            if not linalg.mat_eq(
+                linalg.mat_mul(d.s_matrix, gp.matrix()),
+                linalg.mat_mul(linalg.mat_transpose(gp.matrix()), d.s_matrix),
+            )
+            or not linalg.mat_eq(
+                linalg.mat_mul(gp.matrix(), c), linalg.mat_mul(c, gp.matrix())
+            )
+        ),
+        None,
+    )
+    rep.add("permutation-matrix-relations", w is None, w)
+    gamma = perms[(-1) % n_o] if n_o > 1 else perms[0]
+    rep.add(
+        "conjugation-is-star",
+        gamma.perm == d.star,
+        None if gamma.perm == d.star else gamma.perm,
+    )
+    w = next(
+        ((q, r) for q in perms for r in perms
+         if tuple(perms[q].perm[perms[r].perm[i]] for i in range(m))
+         != perms[(q * r) % n_o if n_o > 1 else 0].perm),
+        None,
+    )
+    rep.add("action-multiplicative", w is None, w)
+    return rep
 
 
 # -- dense-Fraction cyclotomic arithmetic ------------------------------------

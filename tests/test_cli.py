@@ -87,6 +87,7 @@ def test_gen_pseudo_paths():
     assert load_datum("gen:semion").labels == ("0", "1")
     assert load_datum("gen:trivial").size == 1
     assert load_datum("gen:radford:5").size == 5
+    assert load_datum("gen:su2:3").size == 4
     with pytest.raises(SchemaError):
         load_datum("gen:unknown")
 
@@ -436,6 +437,9 @@ def _one_line_error(capsys, prefix):
         (["gauss-sum", "--n", "0"], "error: --n: must be positive, got 0"),
         (["cocycle", "--n", "0"], "error: --n: must be positive, got 0"),
         (["cocycle", "--n", "-2", "--check"], "error: --n: must be positive"),
+        (["validate", "gen:su2"], "error: $: gen:su2 needs an integer level"),
+        (["validate", "gen:su2:x"], "error: $: gen:su2 level must be an integer"),
+        (["validate", "gen:su2:0"], "error: SU(2)_k requires a positive level"),
     ],
 )
 def test_bad_arguments_are_usage_errors(argv, prefix, capsys):
@@ -443,6 +447,31 @@ def test_bad_arguments_are_usage_errors(argv, prefix, capsys):
     assert code == 2
     assert text == ""
     _one_line_error(capsys, prefix)
+
+
+@pytest.mark.parametrize(
+    "ref",
+    [
+        f"gen:radford:{constructors.MAX_RANK + 1}",
+        f"gen:su2:{constructors.MAX_RANK}",
+        "gen:radford:4999",
+    ],
+)
+def test_datum_over_the_rank_bound_is_resource_error(ref, capsys):
+    # refused before anything of its size is built, so no memory bound is needed
+    code, text = run_cli(["validate", ref])
+    assert code == 3
+    assert text == ""
+    _one_line_error(capsys, "error: rank ")
+
+
+def test_analyze_su2_skips_the_galois_suite_unless_integral():
+    for k in range(1, 7):
+        bundle = build_analysis(constructors.su2_datum(k))
+        assert bundle.passed, k
+        assert bundle.report.integral == (k == 1)
+        assert ("galois-suite" in bundle.verdicts) == (k > 1)
+        assert ("galois-action-laws" in bundle.verdicts) == (k == 1)
 
 
 def test_directory_as_datum_path_is_usage_error(tmp_path, capsys):

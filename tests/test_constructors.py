@@ -5,6 +5,7 @@ independent R-matrix oracle in oracles.py: direct summation in the
 group algebra must reproduce S and T entrywise before the closed forms
 are trusted anywhere else."""
 
+from itertools import product
 from math import gcd
 
 import pytest
@@ -17,13 +18,15 @@ from moddata.constructors import (
     cocycle_omega,
     radford_datum,
     semion_datum,
+    su2_datum,
     verify_3cocycle,
     verify_gauss_lemma,
     CocycleFn,
 )
 from moddata.cyclo import galois_apply, jacobi_symbol, root_of_unity
 from moddata.datum import derive_report, validate_axioms
-from moddata.errors import EvenOrder, NotAUnit
+from moddata.errors import BadLevel, EvenOrder, NotAUnit
+from moddata.fusion import fusion_coefficients
 
 
 @pytest.mark.parametrize("n", [3, 5, 7])
@@ -34,6 +37,23 @@ def test_cyclic_datum_matches_r_matrix_oracle(n):
         assert d.t_diag[a] == t_oracle[a], ("t", a)
         for b in range(n):
             assert d.s_matrix[a][b] == s_oracle[a][b], ("s", a, b)
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_su2_fusion_is_the_truncated_clebsch_gordan_rule(k):
+    # labels are twice the spin: i x j = |i-j| + (|i-j| + 2) + ... up to
+    # min(i + j, 2k - i - j)
+    d = su2_datum(k)
+    assert validate_axioms(d).passed
+    t = fusion_coefficients(d)
+    for i, j, l in product(range(k + 1), repeat=3):
+        allowed = abs(i - j) <= l <= min(i + j, 2 * k - i - j)
+        assert t.coeff(i, j, l) == int(allowed and (i + j + l) % 2 == 0), (i, j, l)
+
+
+def test_su2_requires_a_positive_level():
+    with pytest.raises(BadLevel):
+        su2_datum(0)
 
 
 # -- constructor behavior ----------------------------------------------------
