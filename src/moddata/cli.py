@@ -15,7 +15,9 @@ import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from . import constructors, cyclo, datum as datum_mod, extension, fusion, galois, linalg
+# fusion, galois and constructors are imported by the functions that
+# call them, so a command loads only the modules it runs
+from . import cyclo, datum as datum_mod, extension, linalg
 from .cyclo import CycloNum
 from .datum import ModularDatum
 from .errors import (
@@ -140,13 +142,13 @@ def serialize_datum_text(d: ModularDatum) -> str:
 # -- datum references --------------------------------------------------------
 
 
-# gen: pseudo-path kinds: constructor, and the name of its integer
-# parameter (None when it takes none)
+# gen: pseudo-path kinds: the name of the constructor, and the name of
+# its integer parameter (None when it takes none)
 _GENERATORS = {
-    "semion": (constructors.semion_datum, None),
-    "trivial": (constructors.trivial_datum, None),
-    "radford": (constructors.radford_datum, "order"),
-    "su2": (constructors.su2_datum, "level"),
+    "semion": ("semion_datum", None),
+    "trivial": ("trivial_datum", None),
+    "radford": ("radford_datum", "order"),
+    "su2": ("su2_datum", "level"),
 }
 
 
@@ -157,12 +159,23 @@ def load_datum(ref: str) -> ModularDatum:
         kind, *params = ref.split(":")[1:]
         if kind not in _GENERATORS:
             raise SchemaError("$", f"unknown generator {kind!r}")
-        make, param = _GENERATORS[kind]
+        from . import constructors
+
+        name, param = _GENERATORS[kind]
+        make = getattr(constructors, name)
         if param is None:
+            if params:
+                raise SchemaError(
+                    "$", f"gen:{kind} takes no parameter, got {ref!r}"
+                )
             return make()
         if not params:
             raise SchemaError(
                 "$", f"gen:{kind} needs an integer {param}, e.g. gen:{kind}:5"
+            )
+        if len(params) > 1:
+            raise SchemaError(
+                "$", f"gen:{kind} takes one integer {param}, got {ref!r}"
             )
         try:
             value = int(params[0])
@@ -220,6 +233,8 @@ def build_analysis(
     power identities, fusion-ring laws, Galois laws, fusion symbols, the
     odd-exponent sign theorems and divisibility; with extensions=True
     also the extension family, charge powers and the congruence suite."""
+    from . import fusion, galois
+
     bundle = AnalysisBundle(datum=d, report=None)
     verdicts = bundle.verdicts
     axioms = datum_mod.validate_axioms(d)
@@ -392,6 +407,8 @@ def _cmd_analyze(args, out) -> int:
 
 
 def _cmd_fusion_table(args, out) -> int:
+    from . import fusion
+
     d = load_datum(args.datum)
     table = fusion.fusion_coefficients(d)
     payload = {
@@ -421,6 +438,8 @@ def _cmd_fusion_table(args, out) -> int:
 
 
 def _cmd_galois_check(args, out) -> int:
+    from . import galois
+
     d = load_datum(args.datum)
     laws = galois.verify_action_laws(d)
     galois_ok, witness = galois.is_galois_datum(d)
@@ -444,6 +463,8 @@ def _cmd_galois_check(args, out) -> int:
 
 
 def _cmd_symbols(args, out) -> int:
+    from . import galois
+
     d = load_datum(args.datum)
     table = galois.fusion_symbol_table(d)
     analysis = galois.fusion_symbol_analysis(d)
@@ -548,6 +569,8 @@ def _cmd_gen(args, out) -> int:
     if args.kind == "radford":
         if args.n is None:
             raise SchemaError("$", "gen radford requires --n")
+        from . import constructors
+
         d = constructors.radford_datum(args.n, args.zeta)
     elif args.kind == "product":
         if len(args.factors) != 2:
@@ -567,6 +590,8 @@ def _cmd_gen(args, out) -> int:
 
 
 def _cmd_gauss_sum(args, out) -> int:
+    from . import constructors
+
     _positive("--n", args.n)
     g = constructors.classical_gauss_sum(args.n)
     rep = constructors.verify_gauss_lemma(args.n)
@@ -592,6 +617,8 @@ def _cmd_gauss_sum(args, out) -> int:
 
 
 def _cmd_cocycle(args, out) -> int:
+    from . import constructors
+
     _positive("--n", args.n)
     c = constructors.cocycle_omega(args.n, args.zeta)
     payload = {

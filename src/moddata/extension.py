@@ -19,7 +19,6 @@ from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 from math import lcm
-from typing import Optional
 
 from . import cyclo, linalg
 from .cyclo import CycloNum, root_of_unity
@@ -354,9 +353,9 @@ class Witness:
 @dataclass(frozen=True)
 class CongruenceReport:
     modulus: int
-    linear_factors: Optional[bool]
-    projective_factors: Optional[bool]
-    witness: Optional[Witness] = None
+    linear_factors: bool | None
+    projective_factors: bool | None
+    witness: Witness | None = None
 
 
 def _proj_normalize(mat):
@@ -469,7 +468,7 @@ class CongruenceClassification:
     modulus: int
     projective: bool
     congruence: bool
-    minimal_level: Optional[int]
+    minimal_level: int | None
     levels_checked: tuple
     exhausted: bool
 

@@ -399,9 +399,9 @@ def relact_check(d: ModularDatum, q: int, q_prime: int) -> CheckReport:
     t_pow_q = [d.t(i) ** q for i in range(m)]
     t_pow_qp = [d.t(i) ** q_prime for i in range(m)]
     s = d.s_matrix
-    c = d.conjugation_matrix()
-    # S^-1 = S C / n
-    s_inv = linalg.mat_scale(linalg.mat_mul(s, c), stats.n.inverse())
+    # S^-1 = S C / n, and S C permutes the columns of S by star
+    s_c = tuple(tuple(row[d.star[j]] for j in range(m)) for row in s)
+    s_inv = linalg.mat_scale(s_c, stats.n.inverse())
     word = linalg.mat_mul_diag(s, t_pow_qp)
     word = linalg.mat_mul(word, s_inv)
     word = linalg.mat_mul_diag(word, t_pow_q)

@@ -10,7 +10,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
-from moddata import cyclo, fusion, galois, linalg
+from moddata import cyclo, datum, fusion, galois, linalg
 from moddata.constructors import radford_datum, semion_datum, su2_datum, trivial_datum
 from moddata.cyclo import root_of_unity
 from moddata.datum import basic_stats, kronecker_product
@@ -342,6 +342,61 @@ def oracle_verify_action_laws(d):
         None,
     )
     rep.add("action-multiplicative", w is None, w)
+    return rep
+
+
+def oracle_verify_structural_identities(d):
+    """datum.verify_structural_identities with C S = S C and C T = T C
+    checked on the matrices themselves: the conjugation matrix, diag(T)
+    and four matrix products."""
+    datum.require_valid(d)
+    rep = CheckReport("structural-identities")
+    m = d.size
+    o = d.o
+    star = d.star
+    stats = basic_stats(d)
+    w = next(
+        ((i, j) for i in range(m) for j in range(m)
+         if d.s(star[i], star[j]) != d.s(i, j)),
+        None,
+    )
+    rep.add("s-star-symmetry", w is None, w)
+    w = next((j for j in range(m) if d.dim(star[j]) != d.dim(j)), None)
+    rep.add("dims-star-invariant", w is None, w)
+    c = d.conjugation_matrix()
+    rep.add(
+        "c-commutes-with-s",
+        linalg.mat_eq(linalg.mat_mul(c, d.s_matrix),
+                      linalg.mat_mul(d.s_matrix, c)),
+    )
+    t_mat = linalg.diag_matrix(d.t_diag)
+    rep.add(
+        "c-commutes-with-t",
+        linalg.mat_eq(linalg.mat_mul(c, t_mat), linalg.mat_mul(t_mat, c)),
+    )
+    table = fusion.fusion_coefficients(d)
+    w = next(
+        ((i, j) for i in range(m) for j in range(m)
+         if table.coeff(o, i, j) != (1 if i == j else 0)
+         or table.coeff(i, o, j) != (1 if i == j else 0)
+         or table.coeff(i, j, o) != (1 if star[i] == j else 0)),
+        None,
+    )
+    rep.add("unit-row-and-duality", w is None, w)
+    w = next(
+        ((i, j) for i in range(m) for j in range(m)
+         if d.s(i, j) * d.t(i) * d.t(j) != stats.t_o * sum(
+             (table.coeff(i, k, j) * stats.dims[k] * d.t(k) for k in range(m)),
+             cyclo.zero(1),
+         )),
+        None,
+    )
+    rep.add("s-from-fusion-table", w is None, w)
+    rep.add(
+        "gauss-product",
+        stats.g * stats.g_rec == stats.n * stats.n_o * stats.n_o,
+        value=stats.g,
+    )
     return rep
 
 

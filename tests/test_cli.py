@@ -440,6 +440,10 @@ def _one_line_error(capsys, prefix):
         (["validate", "gen:su2"], "error: $: gen:su2 needs an integer level"),
         (["validate", "gen:su2:x"], "error: $: gen:su2 level must be an integer"),
         (["validate", "gen:su2:0"], "error: SU(2)_k requires a positive level"),
+        # a gen: reference with a segment its generator does not take
+        (["validate", "gen:semion:7"], "error: $: gen:semion takes no parameter"),
+        (["validate", "gen:radford:5:9"], "error: $: gen:radford takes one integer order"),
+        (["validate", "gen:trivial:x"], "error: $: gen:trivial takes no parameter"),
     ],
 )
 def test_bad_arguments_are_usage_errors(argv, prefix, capsys):

@@ -1,17 +1,24 @@
-"""The fusion-ring and Galois law checks decide their laws from integer
-and index structure.  Each gives the report of its dense oracle in
-oracles.py, check by check: names, verdicts, witnesses and values, on
-every built-in datum and on tables and permutations with one entry
-changed.  The counts pin that the structural routes do no matrix
-products and multiply out no idempotents on valid data."""
+"""The fusion-ring, Galois law and structural-identity checks decide
+their laws from integer and index structure.  Each gives the report of
+its dense oracle in oracles.py, check by check: names, verdicts,
+witnesses and values, on every built-in datum and on changed tables,
+permutations, involutions and Dehn diagonals.  The counts pin that the
+structural routes do no matrix products and multiply out no idempotents
+on valid data."""
 
 import pytest
 
 import oracles
 
-from moddata import cyclo, fusion, galois, linalg
+from moddata import cyclo, datum, fusion, galois, linalg
 from moddata.constructors import radford_datum, semion_datum, su2_datum
-from moddata.datum import ModularDatum, basic_stats, kronecker_product
+from moddata.datum import (
+    ModularDatum,
+    basic_stats,
+    kronecker_product,
+    validate_axioms,
+    verify_structural_identities,
+)
 from moddata.errors import ModdataError
 from moddata.fusion import (
     FusionTable,
@@ -185,4 +192,52 @@ def test_idempotent_laws_multiply_nothing_on_valid_data(monkeypatch):
     calls = _counting(monkeypatch, fusion, "multiply")
     for name, d in _BUILT_IN:
         assert verify_idempotent_laws(d, fusion_coefficients(d)).passed, name
+    assert calls == []
+
+
+@pytest.mark.parametrize("name,d", _BUILT_IN, ids=_IDS)
+def test_structural_identities_match_the_oracle(name, d):
+    got = _outcome(verify_structural_identities, d)
+    assert got == _outcome(oracles.oracle_verify_structural_identities, d)
+    assert got["passed"]
+
+
+@pytest.mark.parametrize(
+    "star,t_changed,failing",
+    [
+        # 1 <-> 4 alone: T stays star-invariant, C S = S C fails
+        ((0, 4, 2, 3, 1), False, {"c-commutes-with-s"}),
+        # 1 <-> 2: both fail
+        ((0, 2, 1, 3, 4), False, {"c-commutes-with-s", "c-commutes-with-t"}),
+        # the true star, with t_4 no longer equal to t_1
+        ((0, 4, 3, 2, 1), True, {"c-commutes-with-t"}),
+    ],
+)
+def test_structural_identities_match_the_oracle_on_a_changed_datum(
+    monkeypatch, star, t_changed, failing
+):
+    # every valid datum passes both commutation checks (C = S^2 / n and
+    # T is star-invariant), so the axioms are bypassed and the fusion
+    # table of the unchanged datum is used
+    d = radford_datum(5)
+    table = fusion_coefficients(d)
+    t_diag = d.t_diag
+    if t_changed:
+        t_diag = t_diag[:4] + (t_diag[2],)
+    changed = ModularDatum(d.labels, d.unit, star, d.s_matrix, t_diag)
+    monkeypatch.setattr(datum, "require_valid", lambda d: None)
+    monkeypatch.setattr(fusion, "fusion_coefficients", lambda d: table)
+    got = verify_structural_identities(changed)
+    assert got.to_json() == oracles.oracle_verify_structural_identities(changed).to_json()
+    commutation = {"c-commutes-with-s", "c-commutes-with-t"}
+    assert {c.name for c in got.failures()} & commutation == failing
+
+
+def test_structural_identities_make_no_matrix_product(monkeypatch):
+    for name, d in _BUILT_IN:
+        # S^2 and S T S of the axioms are kept on the datum
+        validate_axioms(d)
+    calls = _counting(monkeypatch, linalg, "mat_mul")
+    for name, d in _BUILT_IN:
+        assert verify_structural_identities(d).passed, name
     assert calls == []
