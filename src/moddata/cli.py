@@ -78,7 +78,7 @@ def datum_from_obj(obj, path: str = "$") -> ModularDatum:
     star = []
     for lab in labels:
         target = star_map.get(lab)
-        if target not in index:
+        if not isinstance(target, str) or target not in index:
             raise SchemaError(
                 f"{path}.star.{lab}", f"maps to unknown label {target!r}"
             )

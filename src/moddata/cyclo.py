@@ -20,9 +20,10 @@ All values are immutable and all functions are pure.
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 
 from .errors import (
     BadConductor,
@@ -62,14 +63,15 @@ def euler_phi(m: int) -> int:
     return phi
 
 
-def factorize(n: int):
-    """Prime factorization [(p, e), ...] by trial division."""
+def factorize(n: int, bound: int | None = None):
+    """Prime factorization [(p, e), ...] by trial division, or with a bound
+    [(p, e), ..., (cofactor, 1)] with no prime past the bound tried."""
     n = int(n)
     if n < 1:
         raise ValueError(f"cannot factorize {n}")
     out = []
     p = 2
-    while p * p <= n:
+    while p * p <= n and (bound is None or p <= bound):
         if n % p == 0:
             e = 0
             while n % p == 0:
@@ -736,13 +738,23 @@ def _sqrt_prime(p: int) -> CycloNum:
 
 
 def sqrt_integer(n: int) -> CycloNum:
-    """An exact element whose square is n, at conductor dividing 8n."""
+    """An exact element whose square is n, at conductor dividing 8n.
+    Only primes up to the conductor limit are tried: a larger prime to an
+    odd power would need a conductor over the limit, which is TooLarge."""
     n = int(n)
     if n < 1:
         raise ValueError(f"need a positive integer, got {n}")
     k = 1
     odd_primes = []
-    for p, e in factorize(n):
+    for p, e in factorize(n, _conductor_limit):
+        if p > _conductor_limit:
+            root = isqrt(p)
+            if root * root != p:
+                raise TooLarge(
+                    f"a square root needs a conductor over {_conductor_limit}"
+                )
+            k *= root
+            continue
         k *= p ** (e // 2)
         if e % 2:
             odd_primes.append(p)
@@ -780,30 +792,47 @@ def jacobi_symbol(q: int, n: int) -> int:
 
 # The spellings to_json writes; any other string goes through Fraction.
 _CANONICAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+# A spelling with an exponent: Fraction builds 10**|exponent| to read it.
+_EXPONENT = re.compile(r"([^eE]*)[eE]([-+]?[0-9_]+)\s*")
+
+
+def _max_digits() -> int:
+    """The most decimal digits int() converts from or to a string; 0
+    means no limit.  Python 3.10 releases before 3.10.7 have no limit."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
 
 
 def to_json(x: CycloNum) -> dict:
     """Wire form {"conductor": m, "coeffs": ["p/q", ...]} with phi(m)
-    entries in lowest terms; denominators of 1 are omitted."""
+    entries in lowest terms; denominators of 1 are omitted.  A value with
+    more digits than str() converts raises TooLarge."""
     den = x.den
-    if den == 1:
-        coeffs = [str(c) for c in x.nums]
-    else:
-        coeffs = []
-        for c in x.nums:
-            g = gcd(c, den)
-            coeffs.append(str(c // g) if g == den else f"{c // g}/{den // g}")
+    try:
+        if den == 1:
+            coeffs = [str(c) for c in x.nums]
+        else:
+            coeffs = []
+            for c in x.nums:
+                g = gcd(c, den)
+                coeffs.append(
+                    str(c // g) if g == den else f"{c // g}/{den // g}"
+                )
+    except ValueError:
+        raise TooLarge(
+            f"a coefficient has more than {_max_digits()} digits to print"
+        ) from None
     return {"conductor": x.conductor, "coeffs": coeffs}
 
 
 def from_json(obj) -> CycloNum:
     """Inverse of to_json.  A coefficient is a JSON integer or any string
-    ``fractions.Fraction`` accepts; a zero denominator is a ValueError."""
+    ``fractions.Fraction`` accepts; a zero denominator, or an exponent
+    spelling with more digits than int() reads, is a ValueError."""
     if not isinstance(obj, dict):
         raise ValueError("expected an object with conductor and coeffs")
     m = obj.get("conductor")
     coeffs = obj.get("coeffs")
-    if not isinstance(m, int) or m < 1:
+    if isinstance(m, bool) or not isinstance(m, int) or m < 1:
         raise ValueError("conductor must be a positive integer")
     if not isinstance(coeffs, list):
         raise ValueError("coeffs must be a list")
@@ -823,6 +852,15 @@ def from_json(obj) -> CycloNum:
             if match is not None:
                 p, q = int(match[1]), int(match[2] or 1)
             else:
+                exponent, limit = _EXPONENT.fullmatch(c), _max_digits()
+                if exponent and limit:
+                    # digits of the numerator or denominator it builds
+                    digits = sum(map(str.isdigit, exponent[1]))
+                    digits += abs(int(exponent[2]))
+                    if digits > limit:
+                        raise ValueError(
+                            f"coefficient needs {digits} digits, over {limit}"
+                        )
                 try:
                     value = Fraction(c)
                 except ZeroDivisionError:

@@ -11,6 +11,13 @@ finite group: assign each group element the matrix of its defining word
 along a breadth-first search and verify every remaining edge.  An
 assignment consistent along all edges is exactly a homomorphism from
 the finite group, so the check is sound and complete.
+
+A linear representation rho needs one such check for every level at
+once.  For M | L the kernel of the reduction from modulo L to modulo M
+is the normal closure of t^M (Wohlfahrt 1964; the tests check it by
+brute force for every M | L <= 24).  So rho factors at M exactly when
+L0 = ord rho(t) divides M and rho factors at L0, and L0 is then the
+least level.
 """
 
 from __future__ import annotations
@@ -140,10 +147,11 @@ def _homogeneous_t_diag(e: ExtendedDatum):
     return tuple(t * scale for t in e.datum.t_diag)
 
 
-def _dehn_order_divides(t_diag, level: int) -> bool:
-    """Whether the diagonal matrix with these entries has T^level = I, a
-    necessary condition for factoring at the level since t^M = I mod M."""
-    return all(t ** level == 1 for t in t_diag)
+def _dehn_order(e: ExtendedDatum):
+    """ord T', the least L with T'^L = I, or None when some entry of T'
+    is not a root of unity."""
+    orders = [cyclo.root_of_unity_order(t) for t in _homogeneous_t_diag(e)]
+    return None if None in orders else lcm(*orders)
 
 
 def homogeneous_matrices(e: ExtendedDatum):
@@ -202,15 +210,11 @@ def additive_charge(e: ExtendedDatum) -> int:
     """The residue c mod 24 with ell equal to the c-th power of the fixed
     primitive 24th root of unity.  For integral data of odd exponent
     extended by an honest rank, c is verified to be even."""
-    if e.charge ** 24 != 1:
+    hit = cyclo.root_of_unity_exponent(e.charge)
+    if hit is None or 24 % hit[0]:
         raise ChargeOrderTooLarge("central charge is not a 24th root of unity")
-    c = next(
-        (k for k in range(24) if e.charge == root_of_unity(24, k)), None
-    )
-    if c is None:
-        raise ChargeOrderTooLarge(
-            "central charge is not a power of the canonical 24th root"
-        )
+    order, a = hit
+    c = a * (24 // order)
     stats = basic_stats(e.datum)
     if stats.integral and stats.N % 2 == 1 and e.is_rank and c % 2 != 0:
         raise InvalidExtension(
@@ -249,6 +253,11 @@ def _check_group_order(modulus: int, max_group_order: int) -> int:
     before any work is done when it exceeds the bound."""
     if modulus < 1:
         raise ValueError(f"modulus must be positive, got {modulus}")
+    if modulus > max_group_order:
+        # the order is at least the modulus; known without factorising it
+        raise TooLarge(
+            f"group order at modulus {modulus} exceeds bound {max_group_order}"
+        )
     predicted = sl2_order(modulus)
     if predicted > max_group_order:
         raise TooLarge(
@@ -275,17 +284,13 @@ def sl2_enumerate(modulus: int, max_group_order: int = DEFAULT_MAX_GROUP_ORDER) 
     """Enumerate the reduced modular group, guarded by the exact order
     formula so oversized requests fail before any work is done."""
     modulus = int(modulus)
-    predicted = _check_group_order(modulus, max_group_order)
-    elements = _cayley_data(modulus)[0]
-    if len(elements) != predicted:
-        raise AssertionError(
-            f"enumerated {len(elements)} elements, formula says {predicted}"
-        )
-    return SL2Mod(modulus=modulus, elements=elements)
+    _check_group_order(modulus, max_group_order)
+    return SL2Mod(modulus=modulus, elements=_cayley_data(modulus)[0])
 
 
-# A few moduli: enough for the levels one congruence_classify revisits,
-# and at M = 72 one entry holds about 249k elements and 498k edges.
+# A few moduli: enough for the two levels one congruence_classify
+# searches and the levels a session revisits; at M = 72 one entry holds
+# about 249k elements and 498k edges.
 @lru_cache(maxsize=8)
 def _cayley_data(modulus: int):
     """Breadth-first data over the generators s and t only: element list
@@ -389,7 +394,7 @@ def factor_check(
     projective = mode == "projective"
     linalg.mat_inverse(s_mat)
     linalg.mat_inverse(t_mat)
-    sl2_enumerate(modulus, max_group_order)
+    _check_group_order(modulus, max_group_order)
     elements, edges, parents = _cayley_data(modulus)
     m = len(s_mat)
     conductor = lcm(
@@ -409,13 +414,16 @@ def factor_check(
     identity = linalg.mat_identity(m, conductor)
     if projective:
         identity = _proj_normalize(identity)
-    assigned = {0: (identity, linalg.mat_key(identity))}
-    products = {}
+    # edges compare and cache indices of distinct matrices, not keys
+    matrices = [identity]
+    index = {linalg.mat_key(identity): 0}
+    products = ({}, {})
 
-    def step(matrix, key, gen_idx):
-        cached = products.get((key, gen_idx))
-        if cached is not None:
-            return cached
+    def step(idx, gen_idx):
+        out_idx = products[gen_idx].get(idx)
+        if out_idx is not None:
+            return out_idx
+        matrix = matrices[idx]
         if gen_idx == 0:
             out = linalg.mat_mul(matrix, s_lift)
         elif t_diag is not None:
@@ -424,42 +432,36 @@ def factor_check(
             out = linalg.mat_mul(matrix, t_lift)
         if projective:
             out = _proj_normalize(out)
-        result = (out, linalg.mat_key(out))
-        products[(key, gen_idx)] = result
-        return result
+        out_idx = index.setdefault(linalg.mat_key(out), len(matrices))
+        if out_idx == len(matrices):
+            matrices.append(out)
+        products[gen_idx][idx] = out_idx
+        return out_idx
 
+    assigned = {0: 0}
     for gi, gen_idx, hi in edges:
-        matrix, key = assigned[gi]
-        out, out_key = step(matrix, key, gen_idx)
+        out_idx = step(assigned[gi], gen_idx)
         existing = assigned.get(hi)
         if existing is None:
-            assigned[hi] = (out, out_key)
-        elif existing[1] != out_key:
+            assigned[hi] = out_idx
+        elif existing != out_idx:
             witness = Witness(
                 element=elements[hi],
                 word=_word_of(parents, gi) + "st"[gen_idx],
-                assigned=existing[0],
-                computed=out,
+                assigned=matrices[existing],
+                computed=matrices[out_idx],
             )
-            if projective:
-                return CongruenceReport(
-                    modulus=modulus,
-                    linear_factors=None,
-                    projective_factors=False,
-                    witness=witness,
-                )
             return CongruenceReport(
                 modulus=modulus,
-                linear_factors=False,
-                projective_factors=None,
+                linear_factors=None if projective else False,
+                projective_factors=False if projective else None,
                 witness=witness,
             )
-    if projective:
-        return CongruenceReport(
-            modulus=modulus, linear_factors=None, projective_factors=True
-        )
+    # a linear representation that factors also factors projectively
     return CongruenceReport(
-        modulus=modulus, linear_factors=True, projective_factors=True
+        modulus=modulus,
+        linear_factors=None if projective else True,
+        projective_factors=True,
     )
 
 
@@ -469,28 +471,17 @@ class CongruenceClassification:
     projective: bool
     congruence: bool
     minimal_level: int | None
-    levels_checked: tuple
-    exhausted: bool
-
-
-def default_level_candidates(d: ModularDatum):
-    """Ascending divisors of 24 times the normalized exponent; covers the
-    levels that occur for the built-in examples but is configurable since
-    no general bound is known."""
-    return cyclo.divisors(24 * basic_stats(d).N_o)
 
 
 def congruence_classify(
     e: ExtendedDatum,
-    level_candidates=None,
     max_group_order: int = DEFAULT_MAX_GROUP_ORDER,
 ) -> CongruenceClassification:
-    """Projective factoring of the raw matrices and linear factoring of
-    the homogeneous ones at the normalized exponent, plus the minimal
-    linear level among the candidates.  A candidate level L with
-    T'^L != I cannot be a level, because t^L = I modulo L, so it is
-    listed as checked without a search; its group order is still held
-    to the bound, as the search would have held it."""
+    """Projective factoring of the raw matrices at the normalized exponent
+    N_o, and linear factoring of the homogeneous ones at every level,
+    decided by one search at L0 = ord T' (see the module docstring): the
+    representation is congruence at N_o when L0 divides N_o and it
+    factors at L0, and its minimal level is L0 when it factors there."""
     d = e.datum
     stats = basic_stats(d)
     projective = factor_check(
@@ -501,35 +492,15 @@ def congruence_classify(
         max_group_order,
     ).projective_factors
     s_prime, t_prime = homogeneous_matrices(e)
-    congruence = factor_check(
-        s_prime, t_prime, stats.N_o, "linear", max_group_order
+    level = _dehn_order(e)
+    linear = level is not None and factor_check(
+        s_prime, t_prime, level, "linear", max_group_order
     ).linear_factors
-    candidates = (
-        list(level_candidates)
-        if level_candidates is not None
-        else default_level_candidates(d)
-    )
-    t_diag = _homogeneous_t_diag(e)
-    minimal = None
-    checked = []
-    for level in candidates:
-        checked.append(level)
-        if not _dehn_order_divides(t_diag, level):
-            _check_group_order(level, max_group_order)
-            continue
-        outcome = factor_check(
-            s_prime, t_prime, level, "linear", max_group_order
-        )
-        if outcome.linear_factors:
-            minimal = level
-            break
     return CongruenceClassification(
         modulus=stats.N_o,
         projective=bool(projective),
-        congruence=bool(congruence),
-        minimal_level=minimal,
-        levels_checked=tuple(checked),
-        exhausted=minimal is None,
+        congruence=linear and stats.N_o % level == 0,
+        minimal_level=level if linear else None,
     )
 
 
@@ -544,8 +515,8 @@ def lift_search(
 
     The result is exact with at most one Cayley-graph search:
 
-    - an extension whose T' has T'^M != I cannot factor at M, because
-      t^M = I modulo M;
+    - an extension whose ord T' does not divide M cannot factor at M,
+      because t^M = I modulo M;
     - any two extensions differ by S'_e = x S'_b and T'_e = y T'_b with
       x = D_b/D_e and y = ell_b/ell_e.  Checking x^4 = 1 and y^3 x = 1
       shows that (x, y) is a character chi of the modular group, so
@@ -554,18 +525,21 @@ def lift_search(
       twelfth root of unity of order dividing M.  Each such character
       factors through the reduction modulo ord(y) (tests pin this for
       all twelve), hence modulo M.  So rho_e factors at M exactly when
-      rho_b does, and one search on the first candidate decides all.
+      rho_b does, and one search on the first candidate decides all;
+    - that search runs at L0 = ord T'_b, a divisor of M (see the module
+      docstring), where the group is no larger than at M.
 
-    The group order is held to the bound before anything else, so an
-    oversized level raises TooLarge even when no candidate is left.
+    The group order is held to the bound at M before anything else, so
+    an oversized level raises TooLarge even when no candidate is left.
     """
     modulus = int(modulus)
     _check_group_order(modulus, max_group_order)
-    candidates = [
-        e
-        for e in extension_family(d)
-        if _dehn_order_divides(_homogeneous_t_diag(e), modulus)
-    ]
+
+    def divides(e):
+        level = _dehn_order(e)
+        return level is not None and modulus % level == 0
+
+    candidates = [e for e in extension_family(d) if divides(e)]
     if not candidates:
         return []
     base = candidates[0]
@@ -577,5 +551,7 @@ def lift_search(
                 "extensions are not related by a character of the modular group"
             )
     s_prime, t_prime = homogeneous_matrices(base)
-    outcome = factor_check(s_prime, t_prime, modulus, "linear", max_group_order)
+    outcome = factor_check(
+        s_prime, t_prime, _dehn_order(base), "linear", max_group_order
+    )
     return candidates if outcome.linear_factors else []

@@ -1,9 +1,9 @@
 """Independent oracles used by the test suite.
 
 These recompute expected values by routes that do not share code with
-the implementations they check, or, for the congruence search, the
-central charges and the fusion-ring and Galois law checks, by the
-exhaustive or dense route that the fast path replaces.
+the implementations they check, or, for the congruence search and
+level, the central charges and the fusion-ring and Galois law checks,
+by the exhaustive or dense route that the fast path replaces.
 """
 
 from fractions import Fraction
@@ -140,6 +140,38 @@ def oracle_lift_search(d, modulus):
         if factor_check(s_prime, t_prime, modulus, "linear").linear_factors:
             survivors.append(e)
     return survivors
+
+
+def oracle_congruence_classify(e):
+    """(modulus, projective, congruence, minimal_level) of an extension by
+    one search per level: projective and linear at the normalized
+    exponent N_o, then linear at each divisor L of 24 N_o in ascending
+    order until one factors, skipping the L with T'^L != I, which cannot
+    be levels because t^L = I modulo L."""
+    d = e.datum
+    n_o = basic_stats(d).N_o
+    projective = factor_check(
+        d.s_matrix, linalg.diag_matrix(d.t_diag), n_o, "projective"
+    ).projective_factors
+    s_prime, t_prime = homogeneous_matrices(e)
+    congruence = factor_check(s_prime, t_prime, n_o, "linear").linear_factors
+    t_diag = [t_prime[i][i] for i in range(d.size)]
+    minimal = None
+    for level in cyclo.divisors(24 * n_o):
+        if any(t ** level != 1 for t in t_diag):
+            continue
+        if factor_check(s_prime, t_prime, level, "linear").linear_factors:
+            minimal = level
+            break
+    return n_o, bool(projective), bool(congruence), minimal
+
+
+def oracle_additive_charge(e):
+    """The c in 0..23 with ell = root_of_unity(24, c), by a scan over the
+    24th roots of unity, or None when ell is not one of them."""
+    if e.charge ** 24 != 1:
+        return None
+    return next(k for k in range(24) if e.charge == root_of_unity(24, k))
 
 
 def oracle_enumerate_charges(d, rank):

@@ -543,3 +543,63 @@ def test_cyclo_constructors_check_the_limit_before_factorising(monkeypatch):
         cyclo.CycloNum(_HUGE, [1])
     with pytest.raises(TooLarge):
         cyclo.root_of_unity(_HUGE, 1)
+
+
+def _semion_with(tmp_path, *path_and_value):
+    obj = serialize_datum(semion_datum())
+    *path, value = path_and_value
+    node = obj
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    file = tmp_path / "hostile.json"
+    file.write_text(json.dumps(obj))
+    return str(file)
+
+
+@pytest.mark.parametrize(
+    "path_and_value,prefix",
+    [
+        (("star", "0", [1]), "error: $.star.0: maps to unknown label [1]"),
+        (("S", 0, 0, "conductor", True), "error: $.S[0][0]: conductor must be"),
+        (("S", 0, 0, "coeffs", 0, "1e1000000"), "error: $.S[0][0]: coefficient needs"),
+        (("S", 0, 0, "coeffs", 0, "1e100000000"), "error: $.S[0][0]: coefficient needs"),
+    ],
+)
+@pytest.mark.parametrize("command", ["validate", "analyze", "congruence"])
+def test_malformed_datum_node_is_usage_error(
+    path_and_value, prefix, command, tmp_path, capsys
+):
+    code, text = run_cli([command, _semion_with(tmp_path, *path_and_value)])
+    assert code == 2
+    assert text == ""
+    _one_line_error(capsys, prefix)
+
+
+@pytest.mark.parametrize(
+    "argv", [["validate"], ["analyze"], ["congruence", "--level", "4"]]
+)
+def test_value_too_long_to_print_is_resource_error(argv, tmp_path, capsys):
+    # a canonical 3000-digit coefficient is read, but its products have
+    # more digits than str() converts
+    file = _semion_with(tmp_path, "S", 0, 0, "coeffs", 0, "7" * 3000)
+    code, text = run_cli([argv[0], file, "--json", *argv[1:]])
+    assert code == 3
+    assert text == ""
+    _one_line_error(capsys, "error: a coefficient has more than ")
+
+
+def test_huge_level_is_resource_error():
+    # refused before the order formula factorises the level
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from moddata.cli import main; "
+         f"sys.exit(main(['congruence', 'gen:semion', '--level', '{_HUGE}']))"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 3
+    assert proc.stderr == (
+        f"error: group order at modulus {_HUGE} exceeds bound 1000000\n"
+    )

@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -17,7 +18,13 @@ from moddata.cyclo import (
     root_of_unity_order,
     sqrt_integer,
 )
-from moddata.errors import BadConductor, BadModulus, DivisionByZero, NotAUnit
+from moddata.errors import (
+    BadConductor,
+    BadModulus,
+    DivisionByZero,
+    NotAUnit,
+    TooLarge,
+)
 
 
 def test_root_of_unity_basics():
@@ -267,6 +274,53 @@ def test_from_json_accepts_the_spellings_fraction_accepts(text):
     assert_canonical(x)
     assert x.coeffs == (expected, Fraction(1, 2))
     assert cyclo.to_json(x)["coeffs"] == [str(expected), "1/2"]
+
+
+def _digit_limit():
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("int() converts strings of any length here")
+    return limit
+
+
+def test_from_json_bounds_exponent_spellings_as_int_bounds_digits():
+    limit = _digit_limit()
+
+    def parse(text):
+        return cyclo.from_json({"conductor": 1, "coeffs": [text]})
+
+    # the largest power of ten int() reads, spelled both ways
+    assert parse("1" + "0" * (limit - 1)) == parse(f"1e{limit - 1}")
+    assert parse(f"1/1{'0' * (limit - 1)}") == parse(f"1E-{limit - 1}")
+    for text in ("1" + "0" * limit, f"1e{limit}", f"1e-{limit}", f"0.5e-{limit}",
+                 f"1_0e{limit}", "1e1000000", "1e100000000", "0e100000000",
+                 " +2.5e99999999999999999999 "):
+        with pytest.raises(ValueError) as err:
+            parse(text)
+        assert not isinstance(err.value, TooLarge), text
+
+
+def test_to_json_of_a_value_too_long_to_print_is_too_large():
+    limit = _digit_limit()
+    with pytest.raises(TooLarge):
+        cyclo.to_json(cyclo.from_rational(10**limit))
+    with pytest.raises(TooLarge):
+        cyclo.to_json(cyclo.from_rational(Fraction(1, 10**limit), 3))
+    assert cyclo.to_json(cyclo.from_rational(10 ** (limit - 1)))["coeffs"] == [
+        "1" + "0" * (limit - 1)
+    ]
+
+
+def test_from_json_refuses_a_boolean_conductor():
+    with pytest.raises(ValueError):
+        cyclo.from_json({"conductor": True, "coeffs": ["1"]})
+
+
+def test_sqrt_integer_tries_primes_only_up_to_the_conductor_limit():
+    big = 2**61 - 1  # prime: factorising it by trial division never ends
+    assert sqrt_integer(3 * big * big) == big * sqrt_integer(3)
+    with pytest.raises(TooLarge):
+        sqrt_integer(3 * big)
 
 
 # -- differential test against the dense-Fraction oracle ---------------------

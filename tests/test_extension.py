@@ -29,7 +29,14 @@ from moddata.extension import (
     sl2_order,
 )
 
-from oracles import oracle_enumerate_charges, oracle_lift_search
+import oracles
+from oracles import (
+    built_in_data,
+    oracle_additive_charge,
+    oracle_congruence_classify,
+    oracle_enumerate_charges,
+    oracle_lift_search,
+)
 
 
 def _built_in_data():
@@ -178,6 +185,24 @@ def test_additive_charge_requires_24th_root():
         additive_charge(bogus)
 
 
+def test_additive_charge_matches_the_scan_oracle():
+    checked = 0
+    for name, d in built_in_data():
+        try:
+            family = extension_family(d)
+        except NotIntegral:
+            continue
+        for idx, e in enumerate(family):
+            expected = oracle_additive_charge(e)
+            if expected is None:
+                with pytest.raises(ChargeOrderTooLarge):
+                    additive_charge(e)
+            else:
+                assert additive_charge(e) == expected, (name, idx)
+            checked += 1
+    assert checked >= 300
+
+
 @pytest.mark.parametrize(
     "n,charge_mod4",
     [(5, 0), (9, 0), (13, 0), (3, 2), (7, 2), (11, 2), (15, 2)],
@@ -285,8 +310,11 @@ def test_semion_projective_but_not_congruence():
     assert cls.minimal_level == 24
 
 
-def test_congruence_classify_searches_only_levels_dehn_allows(monkeypatch):
-    # a level L with T'^L != I is listed as checked but never searched
+def test_congruence_classify_runs_one_linear_search_at_the_dehn_order(
+    monkeypatch,
+):
+    # charge 3 has ord T' = 8: one projective search at N_o = 4 and one
+    # linear search at 8 decide every level
     searched = []
     real = extension.factor_check
 
@@ -298,22 +326,122 @@ def test_congruence_classify_searches_only_levels_dehn_allows(monkeypatch):
     sem = semion_datum()
     by_charge = {additive_charge(e): e for e in extension_family(sem)}
     cls = congruence_classify(by_charge[3])
-    assert cls.levels_checked == (1, 2, 3, 4, 6, 8)
-    assert cls.minimal_level == 8
-    linear_levels = [m for m, mode in searched if mode == "linear"]
-    # the normalized exponent 4, then only level 8 among the candidates
-    assert linear_levels == [4, 8]
+    assert (cls.congruence, cls.minimal_level) == (False, 8)
+    assert searched == [(4, "projective"), (8, "linear")]
+    # a failed search at ord T' means no level at all
+    monkeypatch.setattr(
+        extension,
+        "factor_check",
+        lambda s_mat, t_mat, modulus, mode="linear", *rest: extension.CongruenceReport(
+            modulus=modulus, linear_factors=False, projective_factors=True
+        ),
+    )
+    cls = congruence_classify(by_charge[3])
+    assert (cls.congruence, cls.minimal_level) == (False, None)
 
 
-def test_congruence_classify_skipped_level_keeps_resource_bound():
-    # level 12 is skipped for charge 3 (T' has order 8), yet the bound
-    # on its group order still applies, as the search would apply it
+def test_congruence_classify_holds_the_bound_at_the_dehn_order():
+    # charge 1 has ord T' = 24, where the group has order 9216
     sem = semion_datum()
     by_charge = {additive_charge(e): e for e in extension_family(sem)}
     with pytest.raises(TooLarge):
-        congruence_classify(
-            by_charge[3], level_candidates=(12, 8), max_group_order=1000
-        )
+        congruence_classify(by_charge[1], max_group_order=1000)
+    assert congruence_classify(by_charge[1]).minimal_level == 24
+
+
+@pytest.mark.parametrize(
+    "name", ["trivial", "semion", "radford3", "radford3^2", "semion2"]
+)
+def test_congruence_classify_matches_the_per_level_oracle(name, monkeypatch):
+    # factor_check is pure, so the oracle and congruence_classify may share
+    # its results: each distinct search then runs once
+    real = extension.factor_check
+    done = {}
+
+    def key(mat):
+        return tuple((x.conductor, x.den, x.nums) for row in mat for x in row)
+
+    def shared(s_mat, t_mat, modulus, mode="linear", *rest):
+        args = (key(s_mat), key(t_mat), modulus, mode, rest)
+        if args not in done:
+            done[args] = real(s_mat, t_mat, modulus, mode, *rest)
+        return done[args]
+
+    monkeypatch.setattr(extension, "factor_check", shared)
+    monkeypatch.setattr(oracles, "factor_check", shared)
+    for idx, e in enumerate(extension_family(_named_datum(name))):
+        cls = congruence_classify(e)
+        got = (cls.modulus, cls.projective, cls.congruence, cls.minimal_level)
+        assert got == oracle_congruence_classify(e), (name, idx)
+
+
+def _sl2_mul(a, b, modulus):
+    return (
+        (a[0] * b[0] + a[1] * b[2]) % modulus,
+        (a[0] * b[1] + a[1] * b[3]) % modulus,
+        (a[2] * b[0] + a[3] * b[2]) % modulus,
+        (a[2] * b[1] + a[3] * b[3]) % modulus,
+    )
+
+
+def _normal_closure_of_t_power(level, m):
+    """The normal closure of t^m in SL(2, Z/level): the subgroup generated
+    by t^m, grown by every conjugate of a generator by s or t that it
+    does not yet hold.  Conjugation by s and t generates all of
+    conjugation, since the group is finite."""
+    conjugators = [
+        (tuple(x % level for x in g), tuple(x % level for x in g_inv))
+        for g, g_inv in (((0, -1, 1, 0), (0, 1, -1, 0)), ((1, 1, 0, 1), (1, -1, 0, 1)))
+    ]
+    one = (1 % level, 0, 0, 1 % level)
+    members = {one}
+    order = [one]
+    gens = []
+
+    def adjoin(x):
+        # <H, x> from H: only the x-edges out of H can leave it
+        if x in members:
+            return
+        gens.append(x)
+        frontier = []
+        for h in order:
+            y = _sl2_mul(h, x, level)
+            if y not in members:
+                members.add(y)
+                frontier.append(y)
+        while frontier:
+            order.extend(frontier)
+            found = []
+            for h in frontier:
+                for g in gens:
+                    y = _sl2_mul(h, g, level)
+                    if y not in members:
+                        members.add(y)
+                        found.append(y)
+            frontier = found
+
+    adjoin((1 % level, m % level, 0, 1 % level))
+    done = 0
+    while done < len(gens):
+        x = gens[done]
+        done += 1
+        for g, g_inv in conjugators:
+            adjoin(_sl2_mul(_sl2_mul(g, x, level), g_inv, level))
+    return members
+
+
+def test_kernel_of_reduction_is_normal_closure_of_t_power():
+    # for M | L the kernel of SL(2, Z/L) -> SL(2, Z/M) is the normal
+    # closure of t^M; congruence_classify and lift_search rest on it
+    pairs = 0
+    for level in range(1, 25):
+        for m in cyclo.divisors(level):
+            closure = _normal_closure_of_t_power(level, m)
+            one = (1 % m, 0, 0, 1 % m)
+            assert all(tuple(x % m for x in g) == one for g in closure), (level, m)
+            assert len(closure) == sl2_order(level) // sl2_order(m), (level, m)
+            pairs += 1
+    assert pairs == 84
 
 
 def test_semion_lift_searches():
@@ -391,6 +519,8 @@ def _named_datum(name):
         return semion_datum()
     if name == "radford3":
         return radford_datum(3)
+    if name == "radford3^2":
+        return radford_datum(3, 2)
     return kronecker_product(semion_datum(), semion_datum())
 
 
