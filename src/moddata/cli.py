@@ -754,18 +754,20 @@ def main(argv=None, out=None) -> int:
         args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    previous_limit = cyclo.get_conductor_limit()
+    token = None
     try:
         # read on every call, so a changed environment takes effect
         max_group_order = _int_env(
             ENV_MAX_GROUP_ORDER, extension.DEFAULT_MAX_GROUP_ORDER
         )
-        conductor_limit = _int_env(ENV_CONDUCTOR_LIMIT, previous_limit)
+        conductor_limit = _int_env(
+            ENV_CONDUCTOR_LIMIT, cyclo.get_conductor_limit()
+        )
         if args.max_group_order is None:
             args.max_group_order = max_group_order
         if args.conductor_limit is None:
             args.conductor_limit = conductor_limit
-        cyclo.set_conductor_limit(
+        token = cyclo.set_conductor_limit(
             _positive("--conductor-limit", args.conductor_limit)
         )
         return args.func(args, out)
@@ -781,7 +783,9 @@ def main(argv=None, out=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     finally:
-        cyclo.set_conductor_limit(previous_limit)
+        if token is not None:
+            # the limit is a context variable: this thread's only
+            cyclo.reset_conductor_limit(token)
 
 
 if __name__ == "__main__":

@@ -121,10 +121,7 @@ def classical_gauss_sum(n: int, multiplier: int = 1) -> CycloNum:
         raise ValueError(f"need a positive modulus, got {n}")
     if gcd(multiplier, n) != 1:
         raise NotAUnit(f"{multiplier} is not a unit modulo {n}")
-    acc = root_of_unity(n, 0)  # the term i = 0; checks the conductor limit
-    for i in range(1, n):
-        acc = acc + root_of_unity(n, (multiplier * i * i) % n)
-    return acc
+    return cyclo.gauss_sum(n, multiplier)
 
 
 def verify_gauss_lemma(n: int) -> CheckReport:

@@ -7,23 +7,32 @@ coordinates are held as integer numerators ``nums`` over one shared
 positive denominator ``den``, kept canonical: gcd(den, *nums) == 1, and
 zero has den == 1.  So two elements at the same conductor are equal iff
 their (den, nums) pairs agree, and arithmetic runs on Python ints with
-one gcd per result.  A per-conductor table of the roots of unity +-z^k
-answers ``root_of_unity_order`` and inverts them; other elements are
-inverted by the extended Euclidean algorithm over ``fractions.Fraction``.
-Otherwise rationals appear only at the boundaries: the ``coeffs`` view,
-``is_rational`` and JSON.  Binary operations lift both operands to the
-lcm of their conductors; nothing ever reduces a conductor.
+one gcd per result.
 
-All values are immutable and all functions are pure.
+One sparse table per conductor, the reduction of z^k modulo Phi_M, does
+all the work: products, lifts, Galois images, quadratic Gauss sums and
+the table of roots of unity +-z^k, which answers ``root_of_unity_order``
+and inverts them.  Any other x is inverted by its Galois conjugates: the
+product c of sigma_q(x) over the units q != 1 makes x * c the rational
+norm, so x^-1 = c / (x * c).  Rationals appear only at the boundaries:
+the ``coeffs`` view, ``is_rational`` and JSON.  Binary operations lift
+both operands to the lcm of their conductors; nothing ever reduces a
+conductor.
+
+All values are immutable and all functions are pure.  The conductor
+limit is a ``contextvars`` value, so a limit set in one thread or task
+does not reach another.
 """
 
 from __future__ import annotations
 
 import re
 import sys
+from contextvars import ContextVar
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt, lcm
+from operator import itemgetter
 
 from .errors import (
     BadConductor,
@@ -38,16 +47,21 @@ _RAT_TYPES = (int, Fraction)
 
 # Largest conductor for which a basis will be materialized; guards against
 # runaway lcm growth.  The CLI exposes this bound via --conductor-limit.
-_conductor_limit = 100_000
+_conductor_limit = ContextVar("conductor_limit", default=100_000)
 
 
-def set_conductor_limit(limit: int) -> None:
-    global _conductor_limit
-    _conductor_limit = int(limit)
+def set_conductor_limit(limit: int):
+    """Set the limit in the current context; the returned token restores
+    the previous one through reset_conductor_limit."""
+    return _conductor_limit.set(int(limit))
+
+
+def reset_conductor_limit(token) -> None:
+    _conductor_limit.reset(token)
 
 
 def get_conductor_limit() -> int:
-    return _conductor_limit
+    return _conductor_limit.get()
 
 
 def rational(num, den=1):
@@ -125,78 +139,81 @@ def cyclotomic_polynomial(m: int) -> tuple:
 def _check_limit(m: int) -> None:
     # Checked on every use, not when a table is built: a table cached
     # under a larger limit must not get past a smaller one.
-    if m > _conductor_limit:
-        raise TooLarge(f"conductor {m} exceeds limit {_conductor_limit}")
+    limit = _conductor_limit.get()
+    if m > limit:
+        raise TooLarge(f"conductor {m} exceeds limit {limit}")
 
 
 @lru_cache(maxsize=None)
 def _reduction_rows(m: int) -> tuple:
-    phi_poly = cyclotomic_polynomial(m)
-    phi = len(phi_poly) - 1
-    top = max(m, 2 * phi - 1)
-    dense = []
-    for k in range(phi):
-        row = [0] * phi
-        row[k] = 1
-        dense.append(row)
-    for k in range(phi, top):
-        prev = dense[k - 1]
-        row = [0] * phi
-        for i in range(phi - 1):
-            row[i + 1] = prev[i]
-        carry = prev[phi - 1]
-        if carry:
-            # z^phi = -(lower part of Phi_m), since Phi_m is monic
-            for i in range(phi):
-                row[i] -= carry * phi_poly[i]
-        dense.append(row)
-    return tuple(
-        tuple((i, c) for i, c in enumerate(row) if c) for row in dense
-    )
-
-
-def _power_rows(m: int) -> tuple:
     """Sparse reduction of z^k modulo Phi_m for every exponent needed.
 
     Row k holds ((index, int_coeff), ...) with z^k = sum coeff * z^index.
     Rows cover k up to max(m, 2*phi - 1) - 1, enough both for exponent
-    arithmetic mod m and for reducing products of basis vectors.
+    arithmetic mod m and for reducing products of basis vectors.  Each
+    row is built from the last, so the table holds only nonzero terms.
+    The caller checks the conductor limit.
     """
-    _check_limit(m)
-    return _reduction_rows(m)
+    phi_poly = cyclotomic_polynomial(m)
+    phi = len(phi_poly) - 1
+    # z^phi = -(lower part of Phi_m), since Phi_m is monic
+    low = [(i, -c) for i, c in enumerate(phi_poly[:phi]) if c]
+    rows = [((k, 1),) for k in range(phi)]
+    row = rows[-1]
+    for _ in range(phi, max(m, 2 * phi - 1)):
+        # z times the last row: shift every term, and reduce the one term
+        # that reaches z^phi
+        if row[-1][0] == phi - 1:
+            carry = row[-1][1]
+            acc = dict(low if carry == 1 else [(i, carry * c) for i, c in low])
+            for i, c in row[:-1]:
+                acc[i + 1] = acc.get(i + 1, 0) + c
+            row = tuple(sorted((i, c) for i, c in acc.items() if c))
+        else:
+            row = tuple([(i + 1, c) for i, c in row])
+        rows.append(row)
+    return tuple(rows)
+
+
+def _root_power(m: int, j: int):
+    """(k, sign) with w^j = sign * z^k, for w the fixed generator of the
+    n = lcm(2, m) roots of unity at conductor m: w = z for even m, and
+    w = -z^((m+1)/2) for odd m (then w^2 = z and w^m = -1)."""
+    if m % 2 == 0:
+        return j % m, 1
+    return j * (m + 1) // 2 % m, -1 if j % 2 else 1
 
 
 @lru_cache(maxsize=None)
 def _unit_table(m: int) -> dict:
-    # The roots of unity of Q(z) are the n = lcm(2, m) powers of w, a
-    # primitive n-th root: w = z for even m, w = -z^((m+1)/2) for odd m
-    # (then w^2 = z and w^m = -1).  Each has den 1, so nums is its key.
+    # Each root of unity has den 1, so its nonzero coordinates are its key.
     rows = _reduction_rows(m)
-    phi = euler_phi(m)
     n = m if m % 2 == 0 else 2 * m
-    powers = []
+    table = {}
     for j in range(n):
-        if m % 2 == 0:
-            k, sign = j, 1
-        else:
-            k, sign = j * (m + 1) // 2 % m, -1 if j % 2 else 1
-        nums = [0] * phi
-        for idx, c in rows[k]:
-            nums[idx] = sign * c
-        powers.append(tuple(nums))
-    # w^j is z_o^(j/g) for its order o = n/g, g = gcd(n, j), since the
-    # fixed roots are compatible: w = z_n and z_n^g = z_o
-    return {
-        nums: (n // gcd(n, j), _make(m, powers[-j % n], 1), j // gcd(n, j))
-        for j, nums in enumerate(powers)
-    }
+        k, sign = _root_power(m, j)
+        key = rows[k] if sign == 1 else tuple([(i, -c) for i, c in rows[k]])
+        # w^j is z_o^(j/g) for its order o = n/g, g = gcd(n, j), since the
+        # fixed roots are compatible: w = z_n and z_n^g = z_o
+        g = gcd(n, j)
+        table[key] = (n // g, j // g, -j % n)
+    return table
 
 
 def _units(m: int) -> dict:
-    """{nums: (order o, inverse, a)} for every root of unity at conductor
-    m, which is the a-th power of the fixed primitive o-th root."""
+    """{nonzero coordinates: (order o, a, j)} for every root of unity at
+    conductor m: the a-th power of the fixed primitive o-th root, with
+    inverse w^j (see _root_power)."""
     _check_limit(m)
     return _unit_table(m)
+
+
+def _unit_entry(x: "CycloNum"):
+    """x's entry in the table of roots of unity, or None if x is not one."""
+    if x.den != 1:
+        return None
+    # its nonzero coordinates ((index, c), ...)
+    return _units(x.conductor).get(tuple(filter(itemgetter(1), enumerate(x.nums))))
 
 
 def _make(conductor, nums, den):
@@ -356,7 +373,7 @@ class CycloNum:
         for i, ca in nz_a:
             for j, cb in nz_b:
                 acc[i + j] += ca * cb
-        if phi > 1 and m > _conductor_limit:
+        if phi > 1 and m > _conductor_limit.get():
             _check_limit(m)
         return _settle(m, acc, a.den * b.den)
 
@@ -367,33 +384,20 @@ class CycloNum:
 
     def inverse(self) -> "CycloNum":
         """Multiplicative inverse: the conjugate for a root of unity, else
-        the extended Euclidean algorithm against the cyclotomic
-        polynomial over the rationals."""
+        c / (x * c) for c the product of the Galois conjugates of x other
+        than x itself, which makes x * c its rational norm."""
         if self.is_zero():
             raise DivisionByZero("inverse of zero")
         m = self.conductor
-        if self.den == 1:
-            hit = _units(m).get(self.nums)
-            if hit is not None:
-                return hit[1]
-        # (nums / den)^-1 = den * nums^-1; invert the integer polynomial
-        phi_poly = [Fraction(c) for c in cyclotomic_polynomial(m)]
-        a = [Fraction(c) for c in self.nums]
-        # invariant: r0 = s0 * a (mod Phi), r1 = s1 * a (mod Phi)
-        r0, r1 = phi_poly, a
-        s0, s1 = [0], [1]
-        while any(r1):
-            q, r = _poly_divmod(r0, r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
-        deg = _poly_degree(r0)
-        if deg != 0:
-            # cannot happen: Phi_m is irreducible over Q
-            raise ArithmeticError("gcd with cyclotomic polynomial not constant")
-        c = r0[0] / self.den
-        phi = len(self.nums)
-        inv = [si / c for si in s0[:phi]]
-        return _from_rationals(m, inv + [0] * (phi - len(inv)))
+        hit = _unit_entry(self)
+        if hit is not None:
+            return _root(m, *_root_power(m, hit[2]))
+        c = one(m)
+        for q in range(2, m):
+            if gcd(q, m) == 1:
+                c = c * galois_apply(self, q)
+        norm = self * c
+        return c * Fraction(norm.den, norm.nums[0])
 
     def __truediv__(self, other):
         if isinstance(other, _RAT_TYPES):
@@ -467,52 +471,6 @@ def _add(a: CycloNum, b: CycloNum, sign: int) -> CycloNum:
     return _reduced(a.conductor, nums, den)
 
 
-# -- polynomial helpers over the rationals (dense lists) -------------------
-
-
-def _poly_degree(p):
-    for i in range(len(p) - 1, -1, -1):
-        if p[i]:
-            return i
-    return -1
-
-
-def _poly_sub(a, b):
-    n = max(len(a), len(b))
-    a = a + [0] * (n - len(a))
-    b = b + [0] * (n - len(b))
-    return [x - y for x, y in zip(a, b)]
-
-
-def _poly_mul(a, b):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if not x:
-            continue
-        for j, y in enumerate(b):
-            if y:
-                out[i + j] += x * y
-    return out
-
-
-def _poly_divmod(a, b):
-    # b's leading coefficient must be a Fraction, so that / stays exact
-    a = list(a)
-    db = _poly_degree(b)
-    if db < 0:
-        raise DivisionByZero("polynomial division by zero")
-    lead = b[db]
-    q = [0] * max(len(a) - db, 1)
-    for i in range(_poly_degree(a) - db, -1, -1):
-        c = a[i + db] / lead
-        if not c:
-            continue
-        q[i] = c
-        for j in range(db + 1):
-            a[i + j] -= c * b[j]
-    return q, a
-
-
 # -- public constructors and operations ------------------------------------
 
 
@@ -532,28 +490,32 @@ def from_rational(value, conductor: int = 1) -> CycloNum:
     return _make(conductor, (q.numerator,) + rest, q.denominator)
 
 
+def _root(m: int, k: int, sign: int = 1) -> CycloNum:
+    """sign * z^k at conductor m; the caller has checked the limit."""
+    nums = [0] * euler_phi(m)
+    for idx, c in _reduction_rows(m)[k % m]:
+        nums[idx] = sign * c
+    return _make(m, tuple(nums), 1)
+
+
 def root_of_unity(m: int, k: int) -> CycloNum:
     """The k-th power of the fixed primitive m-th root of unity."""
     m = int(m)
     if m < 1:
         raise BadConductor(f"order must be positive, got {m}")
-    rows = _power_rows(m)  # checks the limit before euler_phi factorises m
-    nums = [0] * euler_phi(m)
-    for idx, c in rows[k % m]:
-        nums[idx] = c
-    return _make(m, tuple(nums), 1)
+    _check_limit(m)  # before euler_phi factorises m
+    return _root(m, k)
 
 
-def _lift_nums(nums, m: int, conductor: int) -> list:
-    """The numerators at a multiple of m of sum(nums[i] z_m^i); the
+def _spread(nums, scale: int, m: int) -> list:
+    """The numerators at conductor m of sum(nums[i] z^(scale * i)); the
     caller has checked the conductor limit."""
-    scale = conductor // m
-    rows = _reduction_rows(conductor)
-    out = [0] * euler_phi(conductor)
+    rows = _reduction_rows(m)
+    out = [0] * euler_phi(m)
     for i, c in enumerate(nums):
         if not c:
             continue
-        for idx, r in rows[(i * scale) % conductor]:
+        for idx, r in rows[(i * scale) % m]:
             out[idx] += c * r
     return out
 
@@ -569,7 +531,7 @@ def lift_conductor(x: CycloNum, conductor: int) -> CycloNum:
     _check_limit(conductor)
     # Z[z_m] is a direct summand of Z[z_M], so the content, and with it
     # the canonical denominator, is unchanged.
-    return _make(conductor, tuple(_lift_nums(x.nums, m, conductor)), x.den)
+    return _make(conductor, tuple(_spread(x.nums, conductor // m, conductor)), x.den)
 
 
 def _common(a: CycloNum, b: CycloNum):
@@ -595,7 +557,7 @@ def _product_conductor(a: int, b: int) -> int:
     """Conductor of x * y for x, y at conductors a and b, raising TooLarge
     where that product does: when it lifts, or reduces modulo Phi_c."""
     c = a if a == b else lcm(a, b)
-    if c > _conductor_limit and (a != b or c > 2):
+    if c > _conductor_limit.get() and (a != b or c > 2):
         _check_limit(c)
     return c
 
@@ -623,7 +585,7 @@ def _fold_conductor(xs, ys) -> int:
 def _operand(x: CycloNum, m: int):
     """x at the conductor m, a multiple of its own, as (its nonzero
     coordinates [(i, c), ...], den).  The caller has checked the limit."""
-    nums = x.nums if x.conductor == m else _lift_nums(x.nums, x.conductor, m)
+    nums = x.nums if x.conductor == m else _spread(x.nums, m // x.conductor, m)
     return [(i, c) for i, c in enumerate(nums) if c], x.den
 
 
@@ -679,15 +641,9 @@ def galois_apply(x: CycloNum, q: int) -> CycloNum:
     q %= m
     if q == 1:
         return x
-    rows = _power_rows(m)
-    out = [0] * len(x.nums)
-    for i, c in enumerate(x.nums):
-        if not c:
-            continue
-        for idx, r in rows[(i * q) % m]:
-            out[idx] += c * r
+    _check_limit(m)
     # an automorphism of Z[z] keeps the content, hence the denominator
-    return _make(m, tuple(out), x.den)
+    return _make(m, tuple(_spread(x.nums, q, m)), x.den)
 
 
 def root_of_unity_order(x: CycloNum):
@@ -696,19 +652,15 @@ def root_of_unity_order(x: CycloNum):
     The roots of unity at conductor m are the lcm(2, m) elements +-z^k,
     looked up in a per-conductor table.
     """
-    if x.den != 1:
-        return None
-    hit = _units(x.conductor).get(x.nums)
+    hit = _unit_entry(x)
     return None if hit is None else hit[0]
 
 
 def root_of_unity_exponent(x: CycloNum):
     """(o, a) with o the order of x and x = root_of_unity(o, a), 0 <= a < o,
     or None if x is not a root of unity."""
-    if x.den != 1:
-        return None
-    hit = _units(x.conductor).get(x.nums)
-    return None if hit is None else (hit[0], hit[2])
+    hit = _unit_entry(x)
+    return None if hit is None else hit[:2]
 
 
 def is_rational(x: CycloNum):
@@ -725,13 +677,22 @@ def is_integer(x: CycloNum):
     return x.nums[0]
 
 
+def gauss_sum(n: int, q: int = 1) -> CycloNum:
+    """The quadratic Gauss sum of z^(q i^2) over i < n, for z the fixed
+    primitive n-th root of unity: the exponents are counted first, then
+    reduced through the table of z^k once."""
+    _check_limit(n)  # before euler_phi factorises n
+    counts = [0] * n
+    for i in range(n):
+        counts[q * i * i % n] += 1
+    return _make(n, tuple(_spread(counts, 1, n)), 1)
+
+
 def _sqrt_prime(p: int) -> CycloNum:
-    """Square root of a prime, built from quadratic Gauss sums."""
+    """Square root of a prime, built from its quadratic Gauss sum."""
     if p == 2:
         return root_of_unity(8, 1) + root_of_unity(8, 7)
-    g = zero(p)
-    for i in range(p):
-        g = g + root_of_unity(p, (i * i) % p)
+    g = gauss_sum(p)
     if p % 4 == 1:
         return g
     return g / root_of_unity(4, 1)
@@ -744,15 +705,14 @@ def sqrt_integer(n: int) -> CycloNum:
     n = int(n)
     if n < 1:
         raise ValueError(f"need a positive integer, got {n}")
+    limit = _conductor_limit.get()
     k = 1
     odd_primes = []
-    for p, e in factorize(n, _conductor_limit):
-        if p > _conductor_limit:
+    for p, e in factorize(n, limit):
+        if p > limit:
             root = isqrt(p)
             if root * root != p:
-                raise TooLarge(
-                    f"a square root needs a conductor over {_conductor_limit}"
-                )
+                raise TooLarge(f"a square root needs a conductor over {limit}")
             k *= root
             continue
         k *= p ** (e // 2)

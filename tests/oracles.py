@@ -131,6 +131,14 @@ def oracle_multiply(x, y, t):
     return out
 
 
+def oracle_gauss_sum(n, q=1):
+    """The quadratic Gauss sum as n separate additions of z^(q i^2)."""
+    acc = root_of_unity(n, 0)
+    for i in range(1, n):
+        acc = acc + root_of_unity(n, (q * i * i) % n)
+    return acc
+
+
 def oracle_lift_search(d, modulus):
     """The extensions of d whose homogeneous matrices factor linearly at
     the modulus, by one exhaustive Cayley-graph check per extension."""
@@ -467,9 +475,12 @@ def _long_division(a, b):
     q = [Fraction(0)] * max(len(a) - len(b) + 1, 1)
     for i in range(len(a) - len(b), -1, -1):
         c = a[i + len(b) - 1] / b[-1]
+        if not c:
+            continue
         q[i] = c
         for j, bj in enumerate(b):
-            a[i + j] -= c * bj
+            if bj:
+                a[i + j] -= c * bj
     return q, a[: len(b) - 1]
 
 

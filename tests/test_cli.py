@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 
 import pytest
 
@@ -174,6 +175,34 @@ def test_main_restores_the_conductor_limit():
     assert run_cli(["gauss-sum", "--n", "7", "--conductor-limit", "5"])[0] == 3
     assert cyclo.get_conductor_limit() == before
     assert run_cli(["gauss-sum", "--n", "7"])[0] == 0
+
+
+def test_conductor_limit_of_main_stays_in_its_thread(monkeypatch):
+    # hold main inside its command, under its limit, while this thread
+    # multiplies at a conductor over that limit
+    entered, release = threading.Event(), threading.Event()
+    compute = constructors.classical_gauss_sum
+
+    def held(n, multiplier=1):
+        entered.set()
+        assert release.wait(30)
+        return compute(n, multiplier)
+
+    monkeypatch.setattr(constructors, "classical_gauss_sum", held)
+    codes = []
+    worker = threading.Thread(target=lambda: codes.append(
+        run_cli(["gauss-sum", "--n", "3", "--conductor-limit", "5"])[0]
+    ))
+    worker.start()
+    try:
+        assert entered.wait(30)
+        product = cyclo.root_of_unity(7, 1) * cyclo.root_of_unity(7, 2)
+    finally:
+        release.set()
+        worker.join(30)
+    assert not worker.is_alive()
+    assert product == cyclo.root_of_unity(7, 3)
+    assert codes == [0]
 
 
 def test_zero_denominator_is_usage_error(tmp_path, capsys):
@@ -514,6 +543,42 @@ def test_huge_conductor_in_datum_file_is_resource_error(tmp_path):
     assert proc.returncode == 3
     assert proc.stdout == ""
     assert proc.stderr == f"error: $.S[0][0]: conductor {_HUGE} exceeds limit 100000\n"
+
+
+def _run_capped(code, timeout):
+    """Run code in a fresh interpreter whose address space is capped at
+    1 GB, so that a table grown past its content fails the test."""
+    pytest.importorskip("resource")
+    cap = "import resource; resource.setrlimit(resource.RLIMIT_AS, (10**9, 10**9))\n"
+    return subprocess.run(
+        [sys.executable, "-c", cap + code],
+        capture_output=True,
+        text=True,
+        timeout=timeout,
+    )
+
+
+def test_square_root_at_a_prime_of_thousands_fits_in_memory():
+    proc = _run_capped(
+        "from moddata import cyclo; print(cyclo.sqrt_integer(2 * 1999).conductor)",
+        timeout=60,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "15992\n", "")
+
+
+def test_validate_at_a_prime_conductor_of_thousands_fits_in_memory(tmp_path):
+    obj = serialize_datum(semion_datum())
+    obj["T"][1] = {"conductor": 9973, "coeffs": ["0", "1"] + ["0"] * 9970}
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(obj))
+    proc = _run_capped(
+        "import sys; from moddata.cli import main; "
+        f"sys.exit(main(['validate', {str(path)!r}]))",
+        timeout=5,
+    )
+    assert proc.returncode == 1
+    assert "FAIL axiom4-proportionality" in proc.stdout
+    assert proc.stderr == ""
 
 
 @pytest.mark.parametrize("command", ["gauss-sum", "cocycle"])

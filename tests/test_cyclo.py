@@ -1,3 +1,4 @@
+import random
 import sys
 from fractions import Fraction
 from math import gcd, lcm
@@ -8,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 import oracles
 
 from moddata import cyclo
+from moddata.constructors import classical_gauss_sum
 from moddata.cyclo import (
     CycloNum,
     galois_apply,
@@ -235,7 +237,9 @@ def test_unit_table_matches_successive_powers(m):
     roots = [s * root_of_unity(m, k) for s in (1, -1) for k in range(m)]
     keys = {(x.den, x.nums) for x in roots}
     assert len(keys) == lcm(2, m)
-    assert set(cyclo._units(m)) == {nums for _, nums in keys}
+    assert set(cyclo._units(m)) == {
+        tuple((i, c) for i, c in enumerate(nums) if c) for _, nums in keys
+    }
     for x in roots:
         order = _brute_force_order(x)
         assert root_of_unity_order(x) == order
@@ -384,3 +388,35 @@ def test_unary_operations_match_dense_oracle(xa, factor, q):
     back = cyclo.from_json(wire)
     assert_canonical(back)
     assert back == x and list(back.coeffs) == a
+
+
+def test_reduction_rows_match_dense_oracle():
+    for m in range(1, 121):
+        phi = cyclo.euler_phi(m)
+        for k, row in enumerate(cyclo._reduction_rows(m)):
+            dense = [0] * phi
+            for i, c in row:
+                dense[i] = c
+            assert dense == oracles.oracle_reduce([0] * k + [1], m), (m, k)
+
+
+def test_gauss_sum_matches_the_addition_loop():
+    for n in range(1, 61):
+        for q in range(1, n + 1):
+            if gcd(q, n) == 1:
+                g = classical_gauss_sum(n, q)
+                expected = oracles.oracle_gauss_sum(n, q)
+                assert_canonical(g)
+                assert (g.conductor, g.den, g.nums) == (
+                    expected.conductor, expected.den, expected.nums
+                ), (n, q)
+
+
+@pytest.mark.parametrize("m", [35, 105, 120])  # phi = 24, 48, 32
+def test_inverse_of_dense_elements_matches_dense_oracle(m):
+    rng = random.Random(m)
+    a = [Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(cyclo.euler_phi(m))]
+    x = CycloNum(m, a)
+    inverse = x.inverse()
+    assert_canonical(inverse)
+    assert list(inverse.coeffs) == oracles.oracle_inverse(a, m)
