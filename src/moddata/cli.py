@@ -52,7 +52,32 @@ def _cyclo_from_node(obj, path: str) -> CycloNum:
         raise SchemaError(path, str(exc)) from exc
 
 
+_PLAIN_COEFFS = frozenset((str, int))
+
+
+def _node_key(obj):
+    """A type-strict key of a scalar node's raw values, or None unless the
+    node is a plain {"conductor": int, "coeffs": [str or int, ...]}.  The
+    types are exact because True == 1 and 1.0 == 1: a looser key would let
+    a bad node pass behind a valid twin."""
+    if type(obj) is not dict or len(obj) != 2:
+        return None
+    m, coeffs = obj.get("conductor"), obj.get("coeffs")
+    if type(m) is not int or type(coeffs) is not list:
+        return None
+    if not _PLAIN_COEFFS.issuperset(map(type, coeffs)):
+        return None
+    return m, tuple(coeffs)
+
+
 def datum_from_obj(obj, path: str = "$") -> ModularDatum:
+    """The datum of a parsed wire object; SchemaError carries the JSON path
+    of the first offending node.
+
+    Each distinct scalar node is read once per call: a repeat of a node
+    with the same _node_key shares the value read from its first
+    occurrence, which has passed cyclo.from_json.  Every other node goes
+    through cyclo.from_json itself."""
     if not isinstance(obj, dict):
         raise SchemaError(path, "datum must be a JSON object")
     for key in ("labels", "unit", "star", "S", "T"):
@@ -89,22 +114,28 @@ def datum_from_obj(obj, path: str = "$") -> ModularDatum:
     s_rows = obj["S"]
     if not isinstance(s_rows, list) or len(s_rows) != m:
         raise SchemaError(f"{path}.S", f"must be a {m}x{m} matrix")
+    read = {}  # _node_key -> CycloNum
+
+    def scalar(x, where, *index):
+        key = _node_key(x)
+        value = read.get(key)
+        if value is None:
+            value = _cyclo_from_node(x, path + where.format(*index))
+            if key is not None:
+                read[key] = value
+        return value
+
     s_matrix = []
     for i, row in enumerate(s_rows):
         if not isinstance(row, list) or len(row) != m:
             raise SchemaError(f"{path}.S[{i}]", f"must have {m} entries")
         s_matrix.append(
-            tuple(
-                _cyclo_from_node(x, f"{path}.S[{i}][{j}]")
-                for j, x in enumerate(row)
-            )
+            tuple(scalar(x, ".S[{}][{}]", i, j) for j, x in enumerate(row))
         )
     t_row = obj["T"]
     if not isinstance(t_row, list) or len(t_row) != m:
         raise SchemaError(f"{path}.T", f"must have {m} entries")
-    t_diag = tuple(
-        _cyclo_from_node(x, f"{path}.T[{i}]") for i, x in enumerate(t_row)
-    )
+    t_diag = tuple(scalar(x, ".T[{}]", i) for i, x in enumerate(t_row))
     return ModularDatum(
         labels=tuple(labels),
         unit=unit,
@@ -121,22 +152,56 @@ def parse_datum(text: str) -> ModularDatum:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaError("$", f"invalid JSON: {exc}") from exc
+    except RecursionError:
+        raise SchemaError("$", "invalid JSON: nested too deeply") from None
     return datum_from_obj(obj)
 
 
-def serialize_datum(d: ModularDatum) -> dict:
+def _datum_head(d: ModularDatum) -> dict:
     return {
         "schema": DATUM_SCHEMA,
         "labels": list(d.labels),
         "unit": d.unit,
         "star": {lab: d.labels[d.star[i]] for i, lab in enumerate(d.labels)},
+    }
+
+
+def serialize_datum(d: ModularDatum) -> dict:
+    return {
+        **_datum_head(d),
         "S": [[cyclo.to_json(x) for x in row] for row in d.s_matrix],
         "T": [cyclo.to_json(x) for x in d.t_diag],
     }
 
 
 def serialize_datum_text(d: ModularDatum) -> str:
-    return json.dumps(serialize_datum(d), indent=2) + "\n"
+    """json.dumps(serialize_datum(d), indent=2) plus a newline, byte for
+    byte, with each distinct entry printed once.  An entry's text is its
+    own json.dumps(..., indent=2), indented to its depth by padding every
+    newline, which is how json nests it."""
+    head = _datum_head(d)  # before any entry, as serialize_datum does it
+    printed = {}  # (conductor, den, nums, pad) -> text
+
+    def entries(xs, pad):
+        texts = []
+        for x in xs:
+            key = (x.conductor, x.den, x.nums, pad)
+            text = printed.get(key)
+            if text is None:
+                text = json.dumps(cyclo.to_json(x), indent=2)
+                text = printed[key] = text.replace("\n", "\n" + pad)
+            texts.append(text)
+        return pad + (",\n" + pad).join(texts)
+
+    rows = ",\n".join(
+        f"    [\n{entries(row, ' ' * 6)}\n    ]" for row in d.s_matrix
+    )
+    t_diag = entries(d.t_diag, " " * 4)
+    # the head without its closing "\n}", then S and T as json nests them
+    return (
+        f'{json.dumps(head, indent=2)[:-2]},\n  "S": [\n{rows}\n  ],\n'
+        f'  "T": [\n{t_diag}\n  ]\n}}\n'
+    )
 
 
 # -- datum references --------------------------------------------------------

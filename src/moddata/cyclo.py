@@ -31,7 +31,7 @@ import sys
 from contextvars import ContextVar
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt, lcm, prod
 from operator import itemgetter
 
 from .errors import (
@@ -105,35 +105,36 @@ def divisors(n: int):
     return sorted(out)
 
 
-def _poly_divexact(num, den):
-    # Exact division of integer polynomials; den must be monic here.
-    num = list(num)
-    deg_d = len(den) - 1
-    quot = [0] * (len(num) - deg_d)
-    for i in range(len(quot) - 1, -1, -1):
-        c = num[i + deg_d]
-        if c == 0:
-            continue
-        quot[i] = c
-        for j, dj in enumerate(den):
-            num[i + j] -= c * dj
-    if any(num):
-        raise ArithmeticError("polynomial division was not exact")
-    return quot
-
-
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(m: int) -> tuple:
     """Integer coefficients of Phi_m, low degree first.
 
-    Computed by exact division of x^m - 1 by Phi_d over all proper
-    divisors d of m.
+    Phi_m(x) = Phi_r(x^(m/r)) for r the radical of m, and Phi_r is the
+    product of (x^d - 1)^mu(r/d) over the divisors d of r.  Each factor
+    is one shift-and-subtract multiply or exact divide, the multiplies
+    first.
     """
-    poly = [-1] + [0] * (m - 1) + [1]
-    for d in divisors(m):
-        if d < m:
-            poly = _poly_divexact(poly, cyclotomic_polynomial(d))
-    return tuple(poly)
+    primes = [p for p, _ in factorize(m)]
+    r = prod(primes)
+    # mu(r/d) = (-1)^k for k the number of primes of r/d
+    up, down = [], []
+    for e in divisors(r):
+        (down if sum(e % p == 0 for p in primes) % 2 else up).append(r // e)
+    poly = [1]
+    for d in up:  # times x^d - 1
+        shifted = [0] * d + poly
+        for i, c in enumerate(poly):
+            shifted[i] -= c
+        poly = shifted
+    for d in down:  # exactly divided by x^d - 1: q[i] = q[i - d] - p[i]
+        quot = []
+        for i in range(len(poly) - d):
+            quot.append(quot[i - d] - poly[i] if i >= d else -poly[i])
+        poly = quot
+    step = m // r
+    out = [0] * ((len(poly) - 1) * step + 1)
+    out[::step] = poly
+    return tuple(out)
 
 
 def _check_limit(m: int) -> None:

@@ -6,14 +6,16 @@ level, the central charges and the fusion-ring and Galois law checks,
 by the exhaustive or dense route that the fast path replaces.
 """
 
+import json
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
-from moddata import cyclo, datum, fusion, galois, linalg
+from moddata import cli, cyclo, datum, fusion, galois, linalg
 from moddata.constructors import radford_datum, semion_datum, su2_datum, trivial_datum
 from moddata.cyclo import root_of_unity
-from moddata.datum import basic_stats, kronecker_product
+from moddata.datum import ModularDatum, basic_stats, kronecker_product
+from moddata.errors import SchemaError
 from moddata.extension import extension_family, factor_check, homogeneous_matrices
 from moddata.report import CheckReport
 
@@ -560,3 +562,72 @@ def oracle_common(a, m, b, n):
     """Both operands at the conductor lcm(m, n)."""
     k = lcm(m, n)
     return oracle_lift(a, m, k), oracle_lift(b, n, k), k
+
+
+def oracle_serialize_datum_text(d):
+    """The wire text as the standard library prints the whole datum."""
+    return json.dumps(cli.serialize_datum(d), indent=2) + "\n"
+
+
+def oracle_datum_from_obj(obj, path="$"):
+    """datum_from_obj with every scalar node read afresh, in document
+    order, by cli._cyclo_from_node."""
+    if not isinstance(obj, dict):
+        raise SchemaError(path, "datum must be a JSON object")
+    for key in ("labels", "unit", "star", "S", "T"):
+        if key not in obj:
+            raise SchemaError(f"{path}.{key}", "missing required field")
+    labels = obj["labels"]
+    if (
+        not isinstance(labels, list)
+        or not labels
+        or any(not isinstance(x, str) for x in labels)
+    ):
+        raise SchemaError(f"{path}.labels", "must be a nonempty list of strings")
+    if len(set(labels)) != len(labels):
+        raise SchemaError(f"{path}.labels", "labels must be distinct")
+    m = len(labels)
+    unit = obj["unit"]
+    if unit not in labels:
+        raise SchemaError(f"{path}.unit", f"unit {unit!r} is not a label")
+    star_map = obj["star"]
+    if not isinstance(star_map, dict):
+        raise SchemaError(f"{path}.star", "must map labels to labels")
+    index = {lab: i for i, lab in enumerate(labels)}
+    star = []
+    for lab in labels:
+        target = star_map.get(lab)
+        if not isinstance(target, str) or target not in index:
+            raise SchemaError(
+                f"{path}.star.{lab}", f"maps to unknown label {target!r}"
+            )
+        star.append(index[target])
+    for i in range(m):
+        if star[star[i]] != i:
+            raise SchemaError(f"{path}.star", "star is not an involution")
+    s_rows = obj["S"]
+    if not isinstance(s_rows, list) or len(s_rows) != m:
+        raise SchemaError(f"{path}.S", f"must be a {m}x{m} matrix")
+    s_matrix = []
+    for i, row in enumerate(s_rows):
+        if not isinstance(row, list) or len(row) != m:
+            raise SchemaError(f"{path}.S[{i}]", f"must have {m} entries")
+        s_matrix.append(
+            tuple(
+                cli._cyclo_from_node(x, f"{path}.S[{i}][{j}]")
+                for j, x in enumerate(row)
+            )
+        )
+    t_row = obj["T"]
+    if not isinstance(t_row, list) or len(t_row) != m:
+        raise SchemaError(f"{path}.T", f"must have {m} entries")
+    t_diag = tuple(
+        cli._cyclo_from_node(x, f"{path}.T[{i}]") for i, x in enumerate(t_row)
+    )
+    return ModularDatum(
+        labels=tuple(labels),
+        unit=unit,
+        star=tuple(star),
+        s_matrix=tuple(s_matrix),
+        t_diag=t_diag,
+    )

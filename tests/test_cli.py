@@ -523,6 +523,16 @@ def test_non_utf8_datum_file_is_usage_error(tmp_path, capsys):
     _one_line_error(capsys, "error: $: not UTF-8 text")
 
 
+@pytest.mark.parametrize("command", [["validate"], ["gen", "product", "gen:semion"]])
+def test_deeply_nested_json_is_usage_error(command, tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 3000)
+    code, text = run_cli(command + [str(path)])
+    assert code == 2
+    assert text == ""
+    _one_line_error(capsys, "error: $: invalid JSON: nested too deeply")
+
+
 _HUGE = 2**61 - 1  # prime: factorising it by trial division never ends
 
 

@@ -390,6 +390,11 @@ def test_unary_operations_match_dense_oracle(xa, factor, q):
     assert back == x and list(back.coeffs) == a
 
 
+def test_cyclotomic_polynomial_matches_the_dense_oracle():
+    for m in range(1, 151):
+        assert cyclo.cyclotomic_polynomial(m) == oracles.oracle_cyclotomic(m), m
+
+
 def test_reduction_rows_match_dense_oracle():
     for m in range(1, 121):
         phi = cyclo.euler_phi(m)
