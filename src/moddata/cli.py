@@ -12,7 +12,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, field
 from functools import lru_cache
 
 # fusion, galois and constructors are imported by the functions that
@@ -29,7 +28,7 @@ from .errors import (
     SchemaError,
     TooLarge,
 )
-from .report import CheckReport, jsonable
+from .report import CheckReport, Record, jsonable
 
 BUNDLE_SCHEMA = "moddata-bundle/1"
 DATUM_SCHEMA = "moddata-datum/1"
@@ -261,13 +260,15 @@ def load_datum(ref: str) -> ModularDatum:
 # -- analysis bundle ---------------------------------------------------------
 
 
-@dataclass
-class AnalysisBundle:
+class AnalysisBundle(Record):
     """Datum, derived report, and one verdict per library operation."""
 
-    datum: ModularDatum
-    report: object
-    verdicts: dict = field(default_factory=dict)
+    __match_args__ = ("datum", "report", "verdicts")
+
+    def __init__(self, datum: ModularDatum, report, verdicts: dict | None = None):
+        self.datum = datum
+        self.report = report
+        self.verdicts = {} if verdicts is None else verdicts
 
     @property
     def passed(self) -> bool:

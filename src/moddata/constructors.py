@@ -9,14 +9,13 @@ checker.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 
 from . import cyclo
 from .cyclo import CycloNum, root_of_unity
 from .datum import ModularDatum
 from .errors import BadLevel, EvenOrder, NotAUnit, TooLarge
-from .report import CheckReport
+from .report import CheckReport, Frozen
 
 # Largest number of labels a constructor builds.  Validating a datum of
 # rank m holds its m^3 Verlinde products at once, so its memory grows as
@@ -157,12 +156,13 @@ def verify_gauss_lemma(n: int) -> CheckReport:
     return rep
 
 
-@dataclass(frozen=True)
-class CocycleFn:
+class CocycleFn(Frozen):
     """Normalized 3-cocycle on the cyclic group of order n, tabulated."""
 
-    n: int
-    table: tuple
+    __match_args__ = ("n", "table")
+
+    def __init__(self, n: int, table: tuple):
+        self.__dict__.update(n=n, table=table)
 
     def value(self, i: int, j: int, k: int) -> CycloNum:
         return self.table[i % self.n][j % self.n][k % self.n]

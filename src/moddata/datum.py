@@ -10,43 +10,40 @@ axioms, and builds Kronecker products.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import wraps
 from math import lcm
 
 from . import cyclo, linalg
 from .cyclo import CycloNum
 from .errors import InvalidDatum
-from .report import CheckReport
+from .report import CheckReport, Frozen
 
 
-@dataclass(frozen=True)
-class ModularDatum:
+class ModularDatum(Frozen):
     """Labels, unit label, star involution (as index permutation),
     Verlinde matrix and Dehn diagonal."""
 
-    labels: tuple
-    unit: str
-    star: tuple
-    s_matrix: tuple
-    t_diag: tuple
-    # values of the @derived functions, filled on first use
-    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    __match_args__ = ("labels", "unit", "star", "s_matrix", "t_diag")
 
-    def __post_init__(self):
-        m = len(self.labels)
+    def __init__(self, labels: tuple, unit: str, star: tuple, s_matrix: tuple,
+                 t_diag: tuple):
+        m = len(labels)
         if m == 0:
             raise ValueError("label set must be nonempty")
-        if len(set(self.labels)) != m:
+        if len(set(labels)) != m:
             raise ValueError("labels must be distinct")
-        if self.unit not in self.labels:
-            raise ValueError(f"unit {self.unit!r} not among labels")
-        if len(self.star) != m or sorted(self.star) != list(range(m)):
+        if unit not in labels:
+            raise ValueError(f"unit {unit!r} not among labels")
+        if len(star) != m or sorted(star) != list(range(m)):
             raise ValueError("star must be a permutation of the label indices")
-        if len(self.s_matrix) != m or any(len(r) != m for r in self.s_matrix):
+        if len(s_matrix) != m or any(len(r) != m for r in s_matrix):
             raise ValueError("S must be a square matrix over the labels")
-        if len(self.t_diag) != m:
+        if len(t_diag) != m:
             raise ValueError("T must have one diagonal entry per label")
+        # _memo holds the values of the @derived functions, filled on
+        # first use; it is not a field
+        self.__dict__.update(labels=labels, unit=unit, star=star,
+                             s_matrix=s_matrix, t_diag=t_diag, _memo={})
 
     @property
     def size(self) -> int:
@@ -91,36 +88,32 @@ def derived(compute):
     return cached
 
 
-@dataclass(frozen=True)
-class DatumStats:
+class DatumStats(Frozen):
     """Cheaply derived quantities; no axiom re-verification."""
 
-    n: CycloNum
-    n_int: int | None
-    dims: tuple
-    dims_int: tuple | None
-    N: int
-    N_o: int
-    g: CycloNum
-    g_rec: CycloNum
-    t_o: CycloNum
-    n_o: CycloNum
-    normalized: bool
-    integral: bool
+    __match_args__ = ("n", "n_int", "dims", "dims_int", "N", "N_o", "g",
+                      "g_rec", "t_o", "n_o", "normalized", "integral")
+
+    def __init__(self, n: CycloNum, n_int: int | None, dims: tuple,
+                 dims_int: tuple | None, N: int, N_o: int, g: CycloNum,
+                 g_rec: CycloNum, t_o: CycloNum, n_o: CycloNum,
+                 normalized: bool, integral: bool):
+        self.__dict__.update(n=n, n_int=n_int, dims=dims, dims_int=dims_int,
+                             N=N, N_o=N_o, g=g, g_rec=g_rec, t_o=t_o, n_o=n_o,
+                             normalized=normalized, integral=integral)
 
 
-@dataclass(frozen=True)
-class DatumReport:
+class DatumReport(Frozen):
     """Derived quantities of a validated datum."""
 
-    n: CycloNum
-    N: int
-    N_o: int
-    dims: tuple
-    g: CycloNum
-    g_rec: CycloNum
-    normalized: bool
-    integral: bool
+    __match_args__ = ("n", "N", "N_o", "dims", "g", "g_rec", "normalized",
+                      "integral")
+
+    def __init__(self, n: CycloNum, N: int, N_o: int, dims: tuple,
+                 g: CycloNum, g_rec: CycloNum, normalized: bool,
+                 integral: bool):
+        self.__dict__.update(n=n, N=N, N_o=N_o, dims=dims, g=g, g_rec=g_rec,
+                             normalized=normalized, integral=integral)
 
 
 @derived

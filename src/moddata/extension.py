@@ -23,7 +23,6 @@ least level.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from functools import lru_cache
 from math import lcm
 
@@ -37,7 +36,7 @@ from .errors import (
     NotIntegral,
     TooLarge,
 )
-from .report import CheckReport
+from .report import CheckReport, Frozen, jsonable
 
 DEFAULT_MAX_GROUP_ORDER = 1_000_000
 
@@ -45,20 +44,22 @@ DEFAULT_MAX_GROUP_ORDER = 1_000_000
 # -- extended data ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ExtendedDatum:
+class ExtendedDatum(Frozen):
     """A datum together with a chosen generalized rank and central charge."""
 
-    datum: ModularDatum
-    rank: CycloNum
-    charge: CycloNum
-    is_rank: bool
+    __match_args__ = ("datum", "rank", "charge", "is_rank")
+
+    def __init__(self, datum: ModularDatum, rank: CycloNum, charge: CycloNum,
+                 is_rank: bool):
+        self.__dict__.update(datum=datum, rank=rank, charge=charge,
+                             is_rank=is_rank)
 
 
-@dataclass(frozen=True)
-class RankOption:
-    value: CycloNum
-    is_rank: bool
+class RankOption(Frozen):
+    __match_args__ = ("value", "is_rank")
+
+    def __init__(self, value: CycloNum, is_rank: bool):
+        self.__dict__.update(value=value, is_rank=is_rank)
 
 
 def enumerate_ranks(d: ModularDatum):
@@ -266,14 +267,15 @@ def _check_group_order(modulus: int, max_group_order: int) -> int:
     return predicted
 
 
-@dataclass(frozen=True)
-class SL2Mod:
+class SL2Mod(Frozen):
     """The special linear group of 2x2 matrices modulo M, enumerated by a
     breadth-first closure from the identity under the generators s and t.
     Elements are flat (a, b, c, d) tuples."""
 
-    modulus: int
-    elements: tuple
+    __match_args__ = ("modulus", "elements")
+
+    def __init__(self, modulus: int, elements: tuple):
+        self.__dict__.update(modulus=modulus, elements=elements)
 
     @property
     def order(self) -> int:
@@ -335,18 +337,17 @@ def _word_of(parents, idx: int) -> str:
     return "".join(reversed(letters))
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(Frozen):
     """First inconsistent edge of the consistency search."""
 
-    element: tuple
-    word: str
-    assigned: tuple
-    computed: tuple
+    __match_args__ = ("element", "word", "assigned", "computed")
+
+    def __init__(self, element: tuple, word: str, assigned: tuple,
+                 computed: tuple):
+        self.__dict__.update(element=element, word=word, assigned=assigned,
+                             computed=computed)
 
     def to_json(self):
-        from .report import jsonable
-
         return {
             "element": [list(self.element[:2]), list(self.element[2:])],
             "word": self.word,
@@ -355,12 +356,16 @@ class Witness:
         }
 
 
-@dataclass(frozen=True)
-class CongruenceReport:
-    modulus: int
-    linear_factors: bool | None
-    projective_factors: bool | None
-    witness: Witness | None = None
+class CongruenceReport(Frozen):
+    __match_args__ = ("modulus", "linear_factors", "projective_factors",
+                      "witness")
+
+    def __init__(self, modulus: int, linear_factors: bool | None,
+                 projective_factors: bool | None,
+                 witness: Witness | None = None):
+        self.__dict__.update(modulus=modulus, linear_factors=linear_factors,
+                             projective_factors=projective_factors,
+                             witness=witness)
 
 
 def _proj_normalize(mat):
@@ -465,12 +470,14 @@ def factor_check(
     )
 
 
-@dataclass(frozen=True)
-class CongruenceClassification:
-    modulus: int
-    projective: bool
-    congruence: bool
-    minimal_level: int | None
+class CongruenceClassification(Frozen):
+    __match_args__ = ("modulus", "projective", "congruence", "minimal_level")
+
+    def __init__(self, modulus: int, projective: bool, congruence: bool,
+                 minimal_level: int | None):
+        self.__dict__.update(modulus=modulus, projective=projective,
+                             congruence=congruence,
+                             minimal_level=minimal_level)
 
 
 def congruence_classify(

@@ -9,18 +9,16 @@ idempotents, each with a full law-verification suite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import product
 
 from . import cyclo, linalg
 from .cyclo import CycloNum
 from .datum import ModularDatum, _global_dimension_from_square, basic_stats, derived
 from .errors import DimensionMismatch, InvalidDatum
-from .report import CheckReport
+from .report import CheckReport, Frozen
 
 
-@dataclass(frozen=True)
-class FusionTable:
+class FusionTable(Frozen):
     """Structure constants N_ij^k as nonnegative integers.
 
     Entries that failed the integrality test are listed in violations as
@@ -29,15 +27,14 @@ class FusionTable:
     (k, N_ij^k) by increasing k.
     """
 
-    size: int
-    coeffs: tuple
-    violations: tuple = ()
-    terms: tuple = field(init=False, repr=False, compare=False)
+    __match_args__ = ("size", "coeffs", "violations")
 
-    def __post_init__(self):
-        object.__setattr__(self, "terms", tuple(tuple(
+    def __init__(self, size: int, coeffs: tuple, violations: tuple = ()):
+        terms = tuple(tuple(
             tuple((k, n) for k, n in enumerate(row) if n) for row in plane
-        ) for plane in self.coeffs))
+        ) for plane in coeffs)
+        self.__dict__.update(size=size, coeffs=coeffs, violations=violations,
+                             terms=terms)
 
     def coeff(self, i: int, j: int, k: int) -> int:
         return self.coeffs[i][j][k]
@@ -97,12 +94,14 @@ def _weighted_sum(terms, values) -> CycloNum:
     )
 
 
-@dataclass(frozen=True)
-class FusionElement:
+class FusionElement(Frozen):
     """Element of the fusion ring over cyclotomic scalars, in the basis
     indexed by the datum labels."""
 
-    coeffs: tuple
+    __match_args__ = ("coeffs",)
+
+    def __init__(self, coeffs: tuple):
+        self.__dict__["coeffs"] = coeffs
 
     @property
     def size(self) -> int:
@@ -128,13 +127,6 @@ class FusionElement:
 
     def scale(self, c) -> "FusionElement":
         return FusionElement(tuple(a * c for a in self.coeffs))
-
-    def __eq__(self, other):
-        if not isinstance(other, FusionElement):
-            return NotImplemented
-        return self.size == other.size and all(
-            a == b for a, b in zip(self.coeffs, other.coeffs)
-        )
 
     def is_zero(self) -> bool:
         return all(c.is_zero() for c in self.coeffs)

@@ -9,7 +9,6 @@ divisibility relations between the exponent and the global dimension.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd, lcm
 
 from . import cyclo, linalg
@@ -25,26 +24,28 @@ from .errors import (
     NoUniqueMatch,
     SignMismatch,
 )
-from .report import CheckReport
+from .report import CheckReport, Frozen
 
 
-@dataclass(frozen=True)
-class GaloisPermutation:
+class GaloisPermutation(Frozen):
     """Index permutation induced by the unit q."""
 
-    q: int
-    perm: tuple
+    __match_args__ = ("q", "perm")
+
+    def __init__(self, q: int, perm: tuple):
+        self.__dict__.update(q=q, perm=perm)
 
     def matrix(self, conductor: int = 1) -> tuple:
         return linalg.perm_matrix(self.perm, conductor)
 
 
-@dataclass(frozen=True)
-class FusionSymbolTable:
+class FusionSymbolTable(Frozen):
     """Values of the fusion symbol per residue class; zero off the units."""
 
-    modulus: int
-    values: dict
+    __match_args__ = ("modulus", "values")
+
+    def __init__(self, modulus: int, values: dict):
+        self.__dict__.update(modulus=modulus, values=values)
 
 
 def units_mod(m: int):

@@ -7,19 +7,60 @@ single run can list every identity that failed together with a witness
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, is_dataclass
 from fractions import Fraction
 
 from . import cyclo
 from .cyclo import CycloNum
 
 
-@dataclass
-class Check:
-    name: str
-    passed: bool
-    witness: object = None
-    value: object = None
+class Record:
+    """Base of the package's value types.
+
+    A subclass names its compared fields, in order, in __match_args__ and
+    assigns every attribute in its own __init__, the compared fields
+    first.  Equality holds only within one class and compares the fields
+    as a tuple; repr is Name(field=value, ...).  A Record is mutable and
+    unhashable; see Frozen for the immutable kind.
+    """
+
+    __match_args__ = ()
+    __hash__ = None
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, f) for f in self.__match_args__])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__match_args__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+
+class Frozen(Record):
+    """A Record that hashes by its fields and refuses assignment.  Its
+    __init__ fills the instance dict directly."""
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Check(Record):
+    __match_args__ = ("name", "passed", "witness", "value")
+
+    def __init__(self, name: str, passed: bool, witness=None, value=None):
+        self.name = name
+        self.passed = passed
+        self.witness = witness
+        self.value = value
 
     def to_json(self):
         out = {"name": self.name, "passed": self.passed}
@@ -30,10 +71,12 @@ class Check:
         return out
 
 
-@dataclass
-class CheckReport:
-    title: str
-    checks: list = field(default_factory=list)
+class CheckReport(Record):
+    __match_args__ = ("title", "checks")
+
+    def __init__(self, title: str, checks: list | None = None):
+        self.title = title
+        self.checks = [] if checks is None else checks
 
     def add(self, name, passed, witness=None, value=None):
         self.checks.append(Check(name, bool(passed), witness, value))
@@ -76,8 +119,7 @@ def jsonable(obj):
         return [jsonable(v) for v in obj]
     if isinstance(obj, (CheckReport, Check)):
         return obj.to_json()
-    if is_dataclass(obj) and not isinstance(obj, type):
-        return jsonable(
-            {k: getattr(obj, k) for k in obj.__dataclass_fields__}
-        )
+    if isinstance(obj, Record):
+        # every attribute, in the order __init__ assigned it
+        return jsonable(vars(obj))
     return repr(obj)

@@ -576,19 +576,42 @@ def test_square_root_at_a_prime_of_thousands_fits_in_memory():
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "15992\n", "")
 
 
-def test_validate_at_a_prime_conductor_of_thousands_fits_in_memory(tmp_path):
+def _semion_at_9973(tmp_path):
+    """The semion with T[1] = z at the prime conductor 9973."""
     obj = serialize_datum(semion_datum())
     obj["T"][1] = {"conductor": 9973, "coeffs": ["0", "1"] + ["0"] * 9970}
     path = tmp_path / "big.json"
     path.write_text(json.dumps(obj))
+    return str(path)
+
+
+def test_validate_at_a_prime_conductor_of_thousands_fits_in_memory(tmp_path):
+    path = _semion_at_9973(tmp_path)
     proc = _run_capped(
         "import sys; from moddata.cli import main; "
-        f"sys.exit(main(['validate', {str(path)!r}]))",
+        f"sys.exit(main(['validate', {path!r}]))",
         timeout=5,
     )
     assert proc.returncode == 1
     assert "FAIL axiom4-proportionality" in proc.stdout
     assert proc.stderr == ""
+
+
+def test_symbols_at_a_prime_conductor_of_thousands_is_too_large(tmp_path):
+    # the fusion symbols divide by the Gauss sum 1 + z, whose inverse at
+    # degree 9972 is over cyclo.MAX_INVERSE_DEGREE
+    path = _semion_at_9973(tmp_path)
+    proc = _run_capped(
+        "import sys; from moddata.cli import main; "
+        f"sys.exit(main(['symbols', {path!r}]))",
+        timeout=10,
+    )
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert proc.stderr == (
+        "error: inverse at conductor 9973 needs 9970 products of degree 9972; "
+        "the bound is degree 224\n"
+    )
 
 
 @pytest.mark.parametrize("command", ["gauss-sum", "cocycle"])

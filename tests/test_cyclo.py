@@ -425,3 +425,31 @@ def test_inverse_of_dense_elements_matches_dense_oracle(m):
     inverse = x.inverse()
     assert_canonical(inverse)
     assert list(inverse.coeffs) == oracles.oracle_inverse(a, m)
+
+
+def test_inverse_over_the_degree_bound_is_refused_before_any_product():
+    bound = cyclo.MAX_INVERSE_DEGREE
+    # 227 is the least prime whose degree 226 is over the bound 224
+    assert bound == 224
+    x = root_of_unity(227, 1) + 2
+    with pytest.raises(TooLarge, match="needs 224 products of degree 226"):
+        x.inverse()
+    # roots of unity and rationals need no product at any degree
+    assert root_of_unity(9973, 5).inverse() == root_of_unity(9973, 9968)
+    third = cyclo.from_rational(Fraction(-3), 9973)
+    assert third.inverse() == Fraction(-1, 3)
+    assert third.inverse().conductor == 9973
+    # at the bound itself the product is still formed
+    m = next(p for p in range(bound + 1, 2 * bound) if cyclo.euler_phi(p) == bound)
+    y = root_of_unity(m, 1) + 2
+    assert y * y.inverse() == 1
+
+
+def test_per_conductor_caches_are_bounded():
+    caches = (
+        cyclo.euler_phi, cyclo.cyclotomic_polynomial, cyclo._reduction_rows,
+        cyclo._unit_table, cyclo.zero, cyclo.one,
+    )
+    # one pass of the cli-mix and wire benchmarks touches 18 conductors
+    assert {c.cache_info().maxsize for c in caches} == {cyclo.CACHE_SIZE}
+    assert cyclo.CACHE_SIZE >= 64

@@ -108,6 +108,20 @@ def test_analyze_loads_fusion_and_galois():
     assert {"moddata.fusion", "moddata.galois"} <= set(loaded)
 
 
+def test_no_command_imports_dataclasses_or_inspect():
+    # the value types are plain classes: dataclasses, and the inspect it
+    # imports, cost more start-up than the package's own modules
+    for argv in (["congruence", SEMION, "--level", "4"], ["analyze", SEMION]):
+        code, loaded = fresh(
+            "import io, json, sys\n"
+            "import moddata.cli\n"
+            f"code = moddata.cli.main({argv!r}, out=io.StringIO())\n"
+            "print(json.dumps([code, sorted({'dataclasses', 'inspect'}"
+            " & set(sys.modules))]))\n"
+        )
+        assert (code, loaded) == (0, []), argv
+
+
 def test_all_is_the_pinned_list():
     names = fresh("import json, moddata; print(json.dumps(moddata.__all__))")
     expected = SUBMODULES + [n for names in PUBLIC.values() for n in names]
