@@ -23,6 +23,7 @@ from .errors import (
     NotRootOfUnity,
     NoUniqueMatch,
     SignMismatch,
+    TooLarge,
 )
 from .report import CheckReport, Frozen
 
@@ -48,8 +49,29 @@ class FusionSymbolTable(Frozen):
         self.__dict__.update(modulus=modulus, values=values)
 
 
+# Most units modulo the exponent for the checks over all pairs (q, r) of
+# units: action-multiplicative in verify_action_laws and cocycle-law in
+# fusion_symbol_analysis.  The cocycle law makes one product per pair, and
+# dense symbols make it grow as the fourth power of the units: on a 2-vCPU
+# Xeon VM (Python 3.11) fusion_symbol_analysis of the semion with
+# T[1] = z_p takes 1.9 s at p = 89 (88 units), 3.2 s at 97 and 4.6 s at
+# 113.  action-multiplicative takes 1.2 s at 1008 units.
+MAX_UNITS = 96
+
+
 def units_mod(m: int):
     return [q for q in range(m) if gcd(q, m) == 1]
+
+
+def _bounded_units(m: int) -> list:
+    """The units modulo m; TooLarge above MAX_UNITS of them."""
+    units = units_mod(m)
+    if len(units) > MAX_UNITS:
+        raise TooLarge(
+            f"{len(units)} units modulo {m} give {len(units) ** 2} pairs to "
+            f"check; the bound is {MAX_UNITS} units"
+        )
+    return units
 
 
 def unit_lift(q: int, n: int, m: int) -> int:
@@ -88,18 +110,37 @@ def _require_integral(d: ModularDatum) -> DatumStats:
     return stats
 
 
-def _normalized_rows(d: ModularDatum, level: int):
-    """Rows s_ik / n_i lifted to one conductor, as coefficient keys."""
-    m = d.size
-    o = d.o
-    conductor = lcm(linalg.common_conductor(d.s_matrix), level)
-    rows = []
-    for i in range(m):
-        inv = d.s(i, o).inverse()
-        rows.append(
-            tuple((d.s(i, k) * inv).lift(conductor) for k in range(m))
-        )
-    return rows, conductor
+def _normalized_keys(d: ModularDatum, s) -> tuple:
+    """Keys of the rows s_ik / n_i of a matrix s whose entries share one
+    conductor; n_i is the integer dimension of label i."""
+    dims = basic_stats(d).dims_int
+    return linalg.mat_key([[x / n for x in row] for row, n in zip(s, dims)])
+
+
+@derived
+def _lifted_s(d: ModularDatum):
+    """(C, S, lookup): S lifted to C, the common conductor of its entries,
+    and the lookup from the key of each normalized row s_ik / n_i to the
+    indices of the rows that have it.  Needs an integral datum."""
+    c = linalg.common_conductor(d.s_matrix)
+    s = linalg.mat_lift(d.s_matrix, c)
+    lookup = {}
+    for i, key in enumerate(_normalized_keys(d, s)):
+        lookup.setdefault(key, []).append(i)
+    return c, s, lookup
+
+
+@derived
+def _s_image(d: ModularDatum, q: int) -> tuple:
+    """S at C under the automorphism z -> z^q of Q(zeta_N_o), for
+    0 <= q < N_o a unit: q lifted to a unit modulo lcm(C, N_o) and read
+    modulo C, the automorphism index_action matches rows by."""
+    n_o = basic_stats(d).N_o
+    c, s, _ = _lifted_s(d)
+    u = unit_lift(q, n_o, lcm(c, n_o)) % c
+    if u == 1 % c:
+        return s
+    return tuple(tuple(cyclo.galois_apply(x, u) for x in row) for row in s)
 
 
 def index_action(d: ModularDatum, q: int) -> GaloisPermutation:
@@ -112,22 +153,15 @@ def index_action(d: ModularDatum, q: int) -> GaloisPermutation:
     n_o = _require_integral(d).N_o
     if gcd(q, n_o) != 1:
         raise NotAUnit(f"{q} is not a unit modulo {n_o}")
-    return _index_action(d, q % n_o, n_o)
+    return _index_action(d, q % n_o)
 
 
 @derived
-def _index_action(d: ModularDatum, q: int, n_o: int) -> GaloisPermutation:
-    rows, conductor = _normalized_rows(d, n_o)
-    lookup = {}
-    for j, key in enumerate(linalg.mat_key(rows)):
-        lookup.setdefault(key, []).append(j)
-    lifted = unit_lift(q, n_o, conductor)
-    images = linalg.mat_key(
-        [[cyclo.galois_apply(x, lifted) for x in row] for row in rows]
-    )
+def _index_action(d: ModularDatum, q: int) -> GaloisPermutation:
+    _, _, lookup = _lifted_s(d)
     perm = []
-    for i, image in enumerate(images):
-        matches = lookup.get(image, [])
+    for i, key in enumerate(_normalized_keys(d, _s_image(d, q))):
+        matches = lookup.get(key, [])
         if len(matches) != 1:
             raise NoUniqueMatch(
                 f"row {i} has {len(matches)} matches under q={q}"
@@ -145,26 +179,17 @@ def verify_action_laws(d: ModularDatum) -> CheckReport:
     commutes with the conjugation matrix; the action of -1 is the
     involution itself."""
     stats = _require_integral(d)
+    n_o = stats.N_o
+    units = _bounded_units(n_o)
     rep = CheckReport("galois-action-laws")
     m = d.size
     o = d.o
-    n_o = stats.N_o
-    s = d.s_matrix
-    perms = {q: index_action(d, q) for q in units_mod(n_o)}
+    _, s, _ = _lifted_s(d)
+    perms = {q: index_action(d, q) for q in units}
 
-    w = None
-    for q, gp in perms.items():
-        p = gp.perm
-        for i in range(m):
-            for j in range(m):
-                img = sigma(d.s(i, j), q, n_o)
-                if img != d.s(p[i], j) or img != d.s(i, p[j]):
-                    w = (q, i, j)
-                    break
-            if w:
-                break
-        if w:
-            break
+    w = next(((q, i, j) for q, gp in perms.items()
+              for i, row in enumerate(_s_image(d, q)) for j, img in enumerate(row)
+              if img != s[gp.perm[i]][j] or img != s[i][gp.perm[j]]), None)
     rep.add("moves-s-entries", w is None, w)
 
     w = next(
@@ -199,23 +224,16 @@ def verify_action_laws(d: ModularDatum) -> CheckReport:
     ), None)
     rep.add("permutation-matrix-relations", w is None, w)
 
-    gamma = perms[(-1) % n_o] if n_o > 1 else perms[0]
+    gamma = perms[(-1) % n_o]
     rep.add(
         "conjugation-is-star",
         gamma.perm == d.star,
         None if gamma.perm == d.star else gamma.perm,
     )
 
-    w = next(
-        (
-            (q, r)
-            for q in perms
-            for r in perms
-            if tuple(perms[q].perm[perms[r].perm[i]] for i in range(m))
-            != perms[(q * r) % n_o if n_o > 1 else 0].perm
-        ),
-        None,
-    )
+    w = next(((q, r) for q in perms for r in perms
+              if tuple(perms[q].perm[perms[r].perm[i]] for i in range(m))
+              != perms[(q * r) % n_o].perm), None)
     rep.add("action-multiplicative", w is None, w)
     return rep
 
@@ -236,36 +254,43 @@ def is_galois_datum(d: ModularDatum):
     failed = next((name for name, ok, *_ in _axioms_1_to_4(d) if not ok), None)
     if failed is not None:
         return False, failed
+    # t_i = z_N^e_i, as basic_stats found every order to divide N; so
+    # t_p(i) = sigma_q^2(t_i) iff e_p(i) = q^2 e_i mod N
     n_exp = stats.N
+    exps = [a * (n_exp // o) for o, a in map(cyclo.root_of_unity_exponent, d.t_diag)]
     for q in units_mod(n_exp):
-        gp = index_action(d, q)
-        qq = (q * q) % n_exp
-        for i in range(d.size):
-            if d.t(gp.perm[i]) != sigma(d.t(i), qq, n_exp):
+        perm = index_action(d, q).perm
+        for i, e in enumerate(exps):
+            if (exps[perm[i]] - q * q * e) % n_exp:
                 return False, (q, i)
     return True, None
+
+
+@derived
+def _fusion_symbols(d: ModularDatum) -> tuple:
+    """sigma_q(g) / g for each residue q modulo the exponent N, zero off
+    the units."""
+    stats = basic_stats(d)
+    n_exp = stats.N
+    g_inv = stats.g.inverse()
+    return tuple(
+        sigma(stats.g, q, n_exp) * g_inv if gcd(q, n_exp) == 1 else cyclo.zero(1)
+        for q in range(n_exp)
+    )
 
 
 def fusion_symbol(d: ModularDatum, q: int) -> CycloNum:
     """sigma_q of the Gaussian sum divided by the Gaussian sum; zero when
     q shares a factor with the exponent."""
-    stats = _require_integral(d)
-    if gcd(q, stats.N) != 1:
+    n_exp = _require_integral(d).N
+    if gcd(q, n_exp) != 1:
         return cyclo.zero(1)
-    return sigma(stats.g, q, stats.N) / stats.g
+    return _fusion_symbols(d)[q % n_exp]
 
 
 def fusion_symbol_table(d: ModularDatum) -> FusionSymbolTable:
-    stats = _require_integral(d)
-    n_exp = stats.N
-    g_inv = stats.g.inverse()
-    values = {}
-    for q in range(n_exp):
-        if gcd(q, n_exp) == 1:
-            values[q] = sigma(stats.g, q, n_exp) * g_inv
-        else:
-            values[q] = cyclo.zero(1)
-    return FusionSymbolTable(modulus=n_exp, values=values)
+    n_exp = _require_integral(d).N
+    return FusionSymbolTable(modulus=n_exp, values=dict(enumerate(_fusion_symbols(d))))
 
 
 def fusion_symbol_analysis(d: ModularDatum) -> CheckReport:
@@ -275,20 +300,11 @@ def fusion_symbol_analysis(d: ModularDatum) -> CheckReport:
     stats = _require_integral(d)
     rep = CheckReport("fusion-symbol-analysis")
     n_exp = stats.N
-    table = fusion_symbol_table(d)
-    f = table.values
-    us = units_mod(n_exp)
+    f = _fusion_symbols(d)
+    us = _bounded_units(n_exp)
 
-    w = next(
-        (
-            (q, r)
-            for q in us
-            for r in us
-            if f[(q * r) % n_exp if n_exp > 1 else 0]
-            != f[q] * sigma(f[r], q, n_exp)
-        ),
-        None,
-    )
+    w = next(((q, r) for q in us for r in us
+              if f[(q * r) % n_exp] != f[q] * sigma(f[r], q, n_exp)), None)
     rep.add("cocycle-law", w is None, w)
     rep.add("value-at-one", f[1 % n_exp] == 1)
     rep.add(
@@ -302,11 +318,7 @@ def fusion_symbol_analysis(d: ModularDatum) -> CheckReport:
         w = next((q for q in us if f[q] ** n_exp != 1), None)
         rep.add("power-N", w is None, w)
 
-    is_character = all(
-        f[(q * r) % n_exp if n_exp > 1 else 0] == f[q] * f[r]
-        for q in us
-        for r in us
-    )
+    is_character = all(f[(q * r) % n_exp] == f[q] * f[r] for q in us for r in us)
     sign_related = stats.g_rec == stats.g or stats.g_rec == -stats.g
     rep.add(
         "character-iff-sign-relation",
@@ -327,17 +339,13 @@ def fusion_symbol_analysis(d: ModularDatum) -> CheckReport:
 
 def definition_of_24_check(x: CycloNum) -> bool:
     """Whether x is fixed by every squared automorphism of its order's
-    cyclotomic field; any such root of unity has 24th power 1, which is
-    verified as a hard invariant."""
-    order = cyclo.root_of_unity_order(x)
-    if order is None:
+    cyclotomic field: x = z_o^a is fixed by z -> z^(q^2) iff
+    a q^2 = a mod o.  Any such root of unity has 24th power 1."""
+    hit = cyclo.root_of_unity_exponent(x)
+    if hit is None:
         raise NotRootOfUnity("input is not a root of unity")
-    fixed = all(x ** ((q * q) % order) == x for q in units_mod(order))
-    if fixed and x ** 24 != 1:
-        raise AssertionError(
-            "square-fixed root of unity with 24th power != 1"
-        )
-    return fixed
+    order, a = hit
+    return all((a * q * q - a) % order == 0 for q in units_mod(order))
 
 
 def verlinde_field_index(d: ModularDatum) -> int:
@@ -351,16 +359,11 @@ def verlinde_field_index(d: ModularDatum) -> int:
     """
     stats = _require_integral(d)
     n_o = stats.N_o
-    m = d.size
+    _, s, _ = _lifted_s(d)
     count = 0
     for q in units_mod(n_o):
-        gp = index_action(d, q)
-        identity_perm = gp.perm == tuple(range(m))
-        fixes_entries = all(
-            sigma(d.s(i, j), q, n_o) == d.s(i, j)
-            for i in range(m)
-            for j in range(m)
-        )
+        identity_perm = index_action(d, q).perm == tuple(range(d.size))
+        fixes_entries = _s_image(d, q) == s
         if identity_perm != fixes_entries:
             raise NoUniqueMatch(
                 f"identity action and entry fixing disagree at q={q}"
@@ -466,15 +469,9 @@ def odd_sign_analysis(d: ModularDatum) -> CheckReport:
             from .constructors import classical_gauss_sum
 
             modulus = stats.N * n_int
-            g_inv = stats.g.inverse()
-            w = None
-            for q in range(1, modulus):
-                if gcd(q, modulus) != 1:
-                    continue
-                symbol = sigma(stats.g, q, stats.N) * g_inv
-                if symbol != cyclo.jacobi_symbol(q, n_int):
-                    w = q
-                    break
+            symbols = _fusion_symbols(d)
+            w = next((q for q in units_mod(modulus)
+                      if symbols[q % stats.N] != cyclo.jacobi_symbol(q, n_int)), None)
             rep.add("fusion-symbol-is-jacobi", w is None, w)
             classical = classical_gauss_sum(n_int)
             rep.add(

@@ -15,7 +15,7 @@ from moddata import cli, cyclo, datum, fusion, galois, linalg
 from moddata.constructors import radford_datum, semion_datum, su2_datum, trivial_datum
 from moddata.cyclo import root_of_unity
 from moddata.datum import ModularDatum, basic_stats, kronecker_product
-from moddata.errors import SchemaError
+from moddata.errors import NoUniqueMatch, NotAUnit, NotGalois, SchemaError
 from moddata.extension import extension_family, factor_check, homogeneous_matrices
 from moddata.report import CheckReport
 
@@ -385,6 +385,82 @@ def oracle_verify_action_laws(d):
     )
     rep.add("action-multiplicative", w is None, w)
     return rep
+
+
+def oracle_index_action(d, q):
+    """galois.index_action with every normalized row lifted to
+    lcm(C, N_o), for C the common conductor of S, and each entry moved
+    there by one lift of q, recomputed on every call."""
+    n_o = galois._require_integral(d).N_o
+    if gcd(q, n_o) != 1:
+        raise NotAUnit(f"{q} is not a unit modulo {n_o}")
+    q %= n_o
+    m = d.size
+    conductor = lcm(linalg.common_conductor(d.s_matrix), n_o)
+    rows = [
+        [(d.s(i, k) * d.s(i, d.o).inverse()).lift(conductor) for k in range(m)]
+        for i in range(m)
+    ]
+    lookup = {}
+    for j, key in enumerate(linalg.mat_key(rows)):
+        lookup.setdefault(key, []).append(j)
+    lifted = galois.unit_lift(q, n_o, conductor)
+    images = linalg.mat_key(
+        [[cyclo.galois_apply(x, lifted) for x in row] for row in rows]
+    )
+    perm = []
+    for i, image in enumerate(images):
+        matches = lookup.get(image, [])
+        if len(matches) != 1:
+            raise NoUniqueMatch(f"row {i} has {len(matches)} matches under q={q}")
+        perm.append(matches[0])
+    if sorted(perm) != list(range(m)):
+        raise NoUniqueMatch("matched rows do not form a permutation")
+    return galois.GaloisPermutation(q=q, perm=tuple(perm))
+
+
+def oracle_is_galois_datum(d):
+    """galois.is_galois_datum with the twist condition checked by
+    galois.sigma on each Dehn entry instead of by exponents; the axioms
+    are galois._axioms_1_to_4, looked up on each call."""
+    stats = galois._require_integral(d)
+    failed = next((name for name, ok, *_ in galois._axioms_1_to_4(d) if not ok), None)
+    if failed is not None:
+        return False, failed
+    n_exp = stats.N
+    for q in galois.units_mod(n_exp):
+        perm = oracle_index_action(d, q).perm
+        for i in range(d.size):
+            if d.t(perm[i]) != galois.sigma(d.t(i), (q * q) % n_exp, n_exp):
+                return False, (q, i)
+    return True, None
+
+
+def oracle_verlinde_field_index(d):
+    """galois.verlinde_field_index with every entry of S moved by
+    galois.sigma on its own, for every unit modulo N_o."""
+    stats = galois._require_integral(d)
+    n_o = stats.N_o
+    m = d.size
+    count = 0
+    for q in galois.units_mod(n_o):
+        identity_perm = oracle_index_action(d, q).perm == tuple(range(m))
+        fixes_entries = all(
+            galois.sigma(d.s(i, j), q, n_o) == d.s(i, j)
+            for i in range(m)
+            for j in range(m)
+        )
+        if identity_perm != fixes_entries:
+            raise NoUniqueMatch(f"identity action and entry fixing disagree at q={q}")
+        count += fixes_entries
+    if oracle_is_galois_datum(d)[0]:
+        if count & (count - 1):
+            raise NotGalois(f"field index {count} is not a power of two")
+        if count == len(galois.units_mod(n_o)) and 24 % stats.N != 0:
+            raise NotGalois(
+                f"rational Verlinde entries but exponent {stats.N} does not divide 24"
+            )
+    return count
 
 
 def oracle_verify_structural_identities(d):

@@ -614,6 +614,23 @@ def test_symbols_at_a_prime_conductor_of_thousands_is_too_large(tmp_path):
     )
 
 
+def test_galois_check_at_a_prime_conductor_of_thousands_is_too_large(tmp_path):
+    # the action laws run over pairs of the 9972 units modulo 9973, over
+    # galois.MAX_UNITS
+    path = _semion_at_9973(tmp_path)
+    proc = _run_capped(
+        "import sys; from moddata.cli import main; "
+        f"sys.exit(main(['galois-check', {path!r}]))",
+        timeout=10,
+    )
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert proc.stderr == (
+        "error: 9972 units modulo 9973 give 99440784 pairs to check; "
+        "the bound is 96 units\n"
+    )
+
+
 @pytest.mark.parametrize("command", ["gauss-sum", "cocycle"])
 def test_huge_order_is_resource_error(command):
     proc = subprocess.run(

@@ -1,6 +1,6 @@
 import pytest
 
-from moddata import cyclo
+from moddata import cyclo, galois
 from moddata.constructors import (
     classical_gauss_sum,
     radford_datum,
@@ -14,6 +14,7 @@ from moddata.errors import (
     EvenExponent,
     NotAUnit,
     NotRootOfUnity,
+    TooLarge,
 )
 from moddata.galois import (
     arithmetic_divisibility_checks,
@@ -97,6 +98,28 @@ def test_galois_predicate():
     assert not ok
 
 
+def _semion_at(p):
+    sem = semion_datum()
+    return ModularDatum(
+        sem.labels, sem.unit, sem.star, sem.s_matrix,
+        (cyclo.one(1), root_of_unity(p, 1)),
+    )
+
+
+def test_pair_checks_are_bounded_by_the_units():
+    # z_97 leaves 96 units, the bound; z_101 leaves 100
+    assert galois.MAX_UNITS == 96
+    # S is rational, so every unit fixes every row
+    assert verify_action_laws(_semion_at(97)).passed
+    big = _semion_at(101)
+    for check in (verify_action_laws, fusion_symbol_analysis):
+        with pytest.raises(TooLarge, match="100 units modulo 101 give 10000 pairs"):
+            check(big)
+    # the checks over single units stay available
+    assert is_galois_datum(big) == (False, "axiom4-proportionality")
+    assert verlinde_field_index(big) == 100
+
+
 def test_fusion_symbols_semion():
     sem = semion_datum()
     i = root_of_unity(4, 1)
@@ -138,6 +161,25 @@ def test_definition_of_24():
     assert definition_of_24_check(root_of_unity(16, 1)) is False
     with pytest.raises(NotRootOfUnity):
         definition_of_24_check(cyclo.from_rational(2))
+
+
+def test_a_square_fixed_root_of_unity_has_24th_power_one():
+    # the theorem behind definition_of_24_check, for every order o up to
+    # 1000: q^2 = 1 modulo o for every unit q iff o divides 24
+    for o in range(1, 1001):
+        square_fixed = all(q * q % o == 1 % o for q in units_mod(o))
+        assert square_fixed == (24 % o == 0), o
+
+
+def test_definition_of_24_decides_by_exponent():
+    # against x^(q^2) == x for every unit q modulo the order of x, for
+    # every root of unity of conductor up to 60
+    for m in range(1, 61):
+        for a in range(m):
+            x = root_of_unity(m, a)
+            order = cyclo.root_of_unity_order(x)
+            fixed = all(x ** (q * q % order) == x for q in units_mod(order))
+            assert definition_of_24_check(x) == fixed == (x ** 24 == 1), (m, a)
 
 
 def test_verlinde_field_index():

@@ -4,7 +4,9 @@ its dense oracle in oracles.py, check by check: names, verdicts,
 witnesses and values, on every built-in datum and on changed tables,
 permutations, involutions and Dehn diagonals.  The counts pin that the
 structural routes do no matrix products and multiply out no idempotents
-on valid data."""
+on valid data.  The readers of the Galois action (index_action,
+is_galois_datum, verlinde_field_index) give the result or exception of
+their per-entry oracles, and apply each unit once to each entry of S."""
 
 import pytest
 
@@ -12,6 +14,7 @@ import oracles
 
 from moddata import cyclo, datum, fusion, galois, linalg
 from moddata.constructors import radford_datum, semion_datum, su2_datum
+from moddata.cyclo import root_of_unity
 from moddata.datum import (
     ModularDatum,
     basic_stats,
@@ -170,6 +173,96 @@ def test_permutation_relations_check_the_involution_apart_from_s(monkeypatch):
     assert got["permutation-matrix-relations"].witness == 0
 
 
+def _result(f, *args):
+    try:
+        return f(*args)
+    except ModdataError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _action_outcomes(d):
+    """(new, oracle) outcome of index_action at every residue modulo N_o,
+    of is_galois_datum and of verlinde_field_index."""
+    stats = basic_stats(d)
+    residues = range(-1, stats.N_o + 1) if stats.integral else [1]
+    pairs = [
+        (_result(galois.index_action, d, q), _result(oracles.oracle_index_action, d, q))
+        for q in residues
+    ]
+    return pairs + [
+        (_result(galois.is_galois_datum, d), _result(oracles.oracle_is_galois_datum, d)),
+        (
+            _result(galois.verlinde_field_index, d),
+            _result(oracles.oracle_verlinde_field_index, d),
+        ),
+    ]
+
+
+@pytest.mark.parametrize("name,d", _BUILT_IN, ids=_IDS)
+def test_action_readers_match_their_oracles(name, d):
+    for got, expected in _action_outcomes(d):
+        assert got == expected
+
+
+def test_twist_condition_matches_the_oracle_on_a_changed_dehn_entry(monkeypatch):
+    # t_1 of radford 7 replaced by t_2 breaks the star invariance, so the
+    # axioms are bypassed to reach the twist condition itself
+    d = radford_datum(7)
+    changed = ModularDatum(d.labels, d.unit, d.star, d.s_matrix,
+                           d.t_diag[:1] + d.t_diag[2:3] + d.t_diag[2:])
+    monkeypatch.setattr(galois, "_axioms_1_to_4", lambda d: ())
+    for got, expected in _action_outcomes(changed):
+        assert got == expected
+    # q = 1 moves nothing; at q = 2, p(1) = 2 and t_2 = z^4 is not
+    # t_1^4 = z^16 = z^2
+    assert galois.is_galois_datum(changed) == (False, (2, 1))
+
+
+def _off_field_datum():
+    """Labels (a, b) in Z_3 x Z_5 with s = z_3^(a a') z_5^(b b'), each
+    entry stored at the conductor of its value (1, 3, 5 or 15), and
+    t = i off the unit, so that N_o = 4 and S's conductor is C = 15.
+    At q = 3, sigma lifts 3 to 3 for an entry stored at 5, and to 7 for
+    one at 15; the images of S lift it once, to 7, at C."""
+    labels = [(a, b) for a in range(3) for b in range(5)]
+
+    def entry(x, y):
+        u, v = x[0] * y[0] % 3, x[1] * y[1] % 5
+        if u and v:
+            return root_of_unity(15, 5 * u + 3 * v)
+        if u:
+            return root_of_unity(3, u)
+        return root_of_unity(5, v) if v else cyclo.one(1)
+
+    return ModularDatum(
+        tuple(f"{a}{b}" for a, b in labels),
+        "00",
+        tuple(labels.index((-a % 3, -b % 5)) for a, b in labels),
+        tuple(tuple(entry(x, y) for y in labels) for x in labels),
+        (cyclo.one(1),) + (root_of_unity(4, 1),) * 14,
+    )
+
+
+def test_action_readers_match_their_oracles_off_the_field_of_n_o():
+    d = _off_field_datum()
+    assert basic_stats(d).N_o == 4
+    for got, expected in _action_outcomes(d):
+        assert got == expected
+    # index_action at q = 3 is (a, b) -> (a, 2b), z_5 -> z_5^2 on all of
+    # S; so is the one automorphism the images apply, and every entry
+    # moves with the rows.  sigma moves z_5 = s_01,01, stored at 5, to
+    # z_5^3 instead, so the oracle finds that entry out of place.
+    assert galois.index_action(d, 3).perm == tuple(
+        5 * (i // 5) + 2 * i % 5 for i in range(15)
+    )
+    got = verify_action_laws(d).to_json()
+    expected = oracles.oracle_verify_action_laws(d).to_json()
+    moves = {"name": "moves-s-entries", "passed": False, "witness": [3, 1, 1]}
+    assert expected["checks"][0] == moves
+    expected["checks"][0] = {"name": "moves-s-entries", "passed": True}
+    assert got == expected
+
+
 def _counting(monkeypatch, module, name):
     calls = []
     real = getattr(module, name)
@@ -186,6 +279,31 @@ def test_action_laws_make_no_matrix_product(monkeypatch):
     calls = _counting(monkeypatch, linalg, "mat_mul")
     assert verify_action_laws(radford_datum(7)).passed
     assert calls == []
+
+
+def test_action_readers_image_each_entry_once_per_unit(monkeypatch):
+    # no law applies sigma per entry: each image of S is made once, for
+    # each unit but 1, so 5 * 49 galois_apply, under |U(7)| 7^2 = 294
+    d = radford_datum(7)
+    sigmas = _counting(monkeypatch, galois, "sigma")
+    applies = _counting(monkeypatch, cyclo, "galois_apply")
+    for q in galois.units_mod(7):
+        galois.index_action(d, q)
+    assert verify_action_laws(d).passed
+    assert galois.is_galois_datum(d) == (True, None)
+    assert galois.verlinde_field_index(d) == 1
+    assert sigmas == []
+    assert len(applies) == 5 * 49
+
+
+def test_analyze_galois_apply_count(monkeypatch):
+    # 245 for the images of S, 42 in sigma for the fusion symbols and
+    # their cocycle law, 15 in the inverses of the Gauss sum
+    from moddata.cli import build_analysis
+
+    applies = _counting(monkeypatch, cyclo, "galois_apply")
+    assert build_analysis(radford_datum(7)).passed
+    assert len(applies) == 302
 
 
 def test_idempotent_laws_multiply_nothing_on_valid_data(monkeypatch):
