@@ -72,10 +72,7 @@ def enumerate_ranks(d: ModularDatum):
     i4 = root_of_unity(4, 1)
     out = []
     for value in (r, -r, i4 * r, -(i4 * r)):
-        sq = value * value
-        if sq * sq != stats.n * stats.n:
-            raise InvalidExtension("candidate rank fails its defining power")
-        out.append(RankOption(value=value, is_rank=sq == stats.n))
+        out.append(RankOption(value=value, is_rank=value * value == stats.n))
     return out
 
 
@@ -525,8 +522,9 @@ def lift_search(
     - an extension whose ord T' does not divide M cannot factor at M,
       because t^M = I modulo M;
     - any two extensions differ by S'_e = x S'_b and T'_e = y T'_b with
-      x = D_b/D_e and y = ell_b/ell_e.  Checking x^4 = 1 and y^3 x = 1
-      shows that (x, y) is a character chi of the modular group, so
+      x = D_b/D_e and y = ell_b/ell_e.  As D_b^4 = D_e^4 = n^2 and
+      ell_b^3 D_b = ell_e^3 D_e, x^4 = 1 and y^3 x = 1 (tests pin both),
+      so (x, y) is a character chi of the modular group and
       rho_e = chi (x) rho_b;
     - among the remaining candidates chi(t) = y has y^M = 1, so y is a
       twelfth root of unity of order dividing M.  Each such character
@@ -550,13 +548,6 @@ def lift_search(
     if not candidates:
         return []
     base = candidates[0]
-    for e in candidates[1:]:
-        x = base.rank / e.rank
-        y = base.charge / e.charge
-        if x ** 4 != 1 or y ** 3 * x != 1:
-            raise InvalidExtension(
-                "extensions are not related by a character of the modular group"
-            )
     s_prime, t_prime = homogeneous_matrices(base)
     outcome = factor_check(
         s_prime, t_prime, _dehn_order(base), "linear", max_group_order

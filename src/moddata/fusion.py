@@ -154,16 +154,16 @@ def fusion_coefficients(d: ModularDatum) -> FusionTable:
     s = d.s_matrix
     if any(s[o][l].is_zero() for l in range(m)):
         raise InvalidDatum("unit row of S has a zero entry")
-    n_inv = n.inverse()
-    # sw[j][l] = s_jl / s_ol, and row (i, j) of partial holds s_il sw[j][l]
-    weights = [s[o][l].inverse() for l in range(m)]
+    # sw[j][l] = s_jl / (s_ol n), and row (i, j) of partial holds
+    # s_il sw[j][l]
+    weights = [(s[o][l] * n).inverse() for l in range(m)]
     sw = [[s[j][l] * weights[l] for l in range(m)] for j in range(m)]
     partial = tuple(
         tuple(s[i][l] * sw[j][l] for l in range(m))
         for i in range(m)
         for j in range(m)
     )
-    # N_ij^k n = sum over l of partial[i m + j][l] s_(k*)l
+    # N_ij^k = sum over l of partial[i m + j][l] s_(k*)l
     dual = tuple(tuple(s[star[k]][l] for k in range(m)) for l in range(m))
     sums = linalg.mat_mul(partial, dual)
     violations = []
@@ -172,8 +172,7 @@ def fusion_coefficients(d: ModularDatum) -> FusionTable:
         plane = []
         for j in range(m):
             row = []
-            for k, acc in enumerate(sums[i * m + j]):
-                value = acc * n_inv
+            for k, value in enumerate(sums[i * m + j]):
                 as_int = cyclo.is_integer(value)
                 if as_int is None or as_int < 0:
                     violations.append((i, j, k, value))

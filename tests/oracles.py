@@ -12,10 +12,25 @@ from functools import lru_cache
 from math import gcd, lcm
 
 from moddata import cli, cyclo, datum, fusion, galois, linalg
-from moddata.constructors import radford_datum, semion_datum, su2_datum, trivial_datum
+from moddata.constructors import (
+    classical_gauss_sum,
+    radford_datum,
+    semion_datum,
+    su2_datum,
+    trivial_datum,
+)
 from moddata.cyclo import root_of_unity
 from moddata.datum import ModularDatum, basic_stats, kronecker_product
-from moddata.errors import NoUniqueMatch, NotAUnit, NotGalois, SchemaError
+from moddata.errors import (
+    BadInversePair,
+    EvenExponent,
+    InvalidDatum,
+    NoUniqueMatch,
+    NotAUnit,
+    NotGalois,
+    SchemaError,
+    SignMismatch,
+)
 from moddata.extension import extension_family, factor_check, homogeneous_matrices
 from moddata.report import CheckReport
 
@@ -204,6 +219,41 @@ def oracle_enumerate_charges(d, rank):
 # laws by products over the full table, the homomorphisms by one matrix
 # product per basis element, and the permutation-matrix relations on the
 # permutation matrices themselves.
+
+
+def oracle_fusion_coefficients(d):
+    """fusion.fusion_coefficients with each N_ij^k folded on its own from
+    the Verlinde formula, sum over l of s_il s_jl s_k*l / s_ol, and then
+    divided by the global dimension n."""
+    n, witness = fusion._global_dimension_from_square(d)
+    if n is None:
+        raise InvalidDatum(f"no global dimension: witness {witness}")
+    m = d.size
+    s = d.s_matrix
+    o = d.o
+    if any(s[o][l].is_zero() for l in range(m)):
+        raise InvalidDatum("unit row of S has a zero entry")
+    n_inv = n.inverse()
+    weights = [s[o][l].inverse() for l in range(m)]
+    violations = []
+    coeffs = tuple(
+        tuple(tuple(_verlinde_entry(s, weights, n_inv, d.star, i, j, k, violations)
+                    for k in range(m)) for j in range(m))
+        for i in range(m)
+    )
+    return fusion.FusionTable(size=m, coeffs=coeffs, violations=tuple(violations))
+
+
+def _verlinde_entry(s, weights, n_inv, star, i, j, k, violations):
+    acc = cyclo.zero(1)
+    for l in range(len(s)):
+        acc = acc + s[i][l] * (s[j][l] * weights[l]) * s[star[k]][l]
+    value = acc * n_inv
+    as_int = cyclo.is_integer(value)
+    if as_int is None or as_int < 0:
+        violations.append((i, j, k, value))
+        return 0
+    return as_int
 
 
 def oracle_verify_invariants(t):
@@ -461,6 +511,121 @@ def oracle_verlinde_field_index(d):
                 f"rational Verlinde entries but exponent {stats.N} does not divide 24"
             )
     return count
+
+
+def oracle_fusion_symbol_analysis(d):
+    """galois.fusion_symbol_analysis with the cocycle law checked as
+    f(qr) = f(q) sigma_q(f(r)), one product per pair of units; the
+    inverse value as f(-1) = g' / g; and the character test as
+    f(qr) = f(q) f(r) over all pairs.  The symbols come from
+    galois._fusion_symbols, looked up on each call."""
+    stats = galois._require_integral(d)
+    rep = CheckReport("fusion-symbol-analysis")
+    n_exp = stats.N
+    f = galois._fusion_symbols(d)
+    us = galois._bounded_units(n_exp)
+    w = next(((q, r) for q in us for r in us
+              if f[(q * r) % n_exp] != f[q] * galois.sigma(f[r], q, n_exp)), None)
+    rep.add("cocycle-law", w is None, w)
+    rep.add("value-at-one", f[1 % n_exp] == 1)
+    rep.add("inverse-value", f[(-1) % n_exp] == stats.g_rec / stats.g)
+    w = next((q for q in us if f[q] ** (2 * n_exp) != 1), None)
+    rep.add("power-2N", w is None, w)
+    if n_exp % 2 == 0:
+        w = next((q for q in us if f[q] ** n_exp != 1), None)
+        rep.add("power-N", w is None, w)
+    is_character = all(f[(q * r) % n_exp] == f[q] * f[r] for q in us for r in us)
+    sign_related = stats.g_rec == stats.g or stats.g_rec == -stats.g
+    rep.add(
+        "character-iff-sign-relation",
+        is_character == sign_related,
+        value=is_character,
+    )
+    if is_character:
+        w = next((q for q in us if f[q] != 1 and f[q] != -1), None)
+        rep.add("character-values-are-signs", w is None, w)
+    if galois.is_galois_datum(d)[0]:
+        w = next((q for q in us if f[q] ** 12 != 1), None)
+        rep.add("twelfth-power", w is None, w)
+        rep.add("t_o-24th-power", stats.t_o ** 24 == 1)
+    return rep
+
+
+def oracle_relact_check(d, q, q_prime):
+    """galois.relact_check with the twisted sums folded entry by entry,
+    a triple loop over (i, j, k); galois.is_galois_datum is looked up on
+    each call."""
+    stats = galois._require_integral(d)
+    n_exp = stats.N
+    galois_ok, witness = galois.is_galois_datum(d)
+    if not galois_ok:
+        raise NotGalois(f"datum is not Galois: witness {witness}")
+    if (q * q_prime) % n_exp != 1 % n_exp:
+        raise BadInversePair(f"{q} * {q_prime} is not 1 modulo the exponent {n_exp}")
+    rep = CheckReport("inverse-pair-word-identity")
+    m = d.size
+    s = d.s_matrix
+    t_q = linalg.diag_matrix([d.t(i) ** q for i in range(m)])
+    t_qp = linalg.diag_matrix([d.t(i) ** q_prime for i in range(m)])
+    s_inv = linalg.mat_scale(oracle_mat_mul(s, d.conjugation_matrix()), stats.n.inverse())
+    word = t_qp
+    for factor in (s, t_q, s_inv, t_qp, s):
+        word = oracle_mat_mul(factor, word)
+    scalar = stats.t_o ** (2 * q) * galois.sigma(stats.g, q, n_exp) / stats.n_o
+    rhs = linalg.mat_scale(galois.index_action(d, q_prime).matrix(), scalar)
+    rep.add("word-equals-scaled-permutation", linalg.mat_eq(word, rhs))
+    t_sq = [d.t(k) ** 2 for k in range(m)]
+    t_negsq = [x.inverse() for x in t_sq]
+    t_o4 = stats.t_o ** 4
+    w = None
+    for i in range(m):
+        for j in range(m):
+            lhs = cyclo.zero(1)
+            rhs = cyclo.zero(1)
+            for k in range(m):
+                lhs = lhs + s[d.star[i]][k] * s[j][k] * t_negsq[k]
+                rhs = rhs + s[i][k] * s[j][k] * t_sq[k]
+            if stats.g * lhs * t_o4 != stats.g_rec * d.t(i) * d.t(j) * rhs:
+                w = (i, j)
+                break
+        if w:
+            break
+    rep.add("twisted-sum-identity", w is None, w)
+    return rep
+
+
+def oracle_odd_sign_analysis(d):
+    """galois.odd_sign_analysis with the fusion symbol compared with the
+    Jacobi symbol over every unit modulo N n, and the Gauss sum with
+    constructors.classical_gauss_sum; the symbols come from
+    galois._fusion_symbols, looked up on each call."""
+    stats = galois._require_integral(d)
+    if stats.N % 2 == 0:
+        raise EvenExponent(f"exponent {stats.N} is even")
+    rep = CheckReport("odd-exponent-sign")
+    rhs = stats.t_o * stats.t_o * stats.g_rec
+    if stats.g == rhs:
+        v = 1
+    elif stats.g == -rhs:
+        v = -1
+    else:
+        raise SignMismatch("Gaussian sum is not +- t_o^2 times the reciprocal sum")
+    rep.add("sign-determined", True, value=v)
+    n_int = stats.n_int
+    if n_int is not None and n_int % 2 == 1:
+        expected = 1 if n_int % 4 == 1 else -1
+        rep.add("sign-matches-dimension-residue", v == expected, value=v)
+        if stats.normalized:
+            symbols = galois._fusion_symbols(d)
+            w = next((q for q in galois.units_mod(stats.N * n_int)
+                      if symbols[q % stats.N] != cyclo.jacobi_symbol(q, n_int)), None)
+            rep.add("fusion-symbol-is-jacobi", w is None, w)
+            classical = classical_gauss_sum(n_int)
+            rep.add(
+                "gauss-sum-is-classical-up-to-sign",
+                stats.g == classical or stats.g == -classical,
+            )
+    return rep
 
 
 def oracle_verify_structural_identities(d):

@@ -542,6 +542,26 @@ def test_characters_factor_at_the_order_of_their_twist(k):
     assert outcome.linear_factors is True
 
 
+@pytest.mark.parametrize("name,d", built_in_data(), ids=[n for n, _ in built_in_data()])
+def test_family_members_differ_by_a_character(name, d):
+    # lift_search and enumerate_ranks rely on these, and no longer check
+    # them at run time: r^2 = n, and any two members differ by
+    # x = D_b / D_e and y = ell_b / ell_e with x^4 = 1 and y^3 x = 1
+    n_int = basic_stats(d).n_int
+    if n_int is None:
+        return  # SU(2)_k for k > 1: no extension family
+    r = sqrt_integer(n_int)
+    assert r * r == basic_stats(d).n
+    family = extension_family(d)
+    assert len(family) == 12
+    for b in family:
+        for e in family:
+            x = b.rank / e.rank
+            y = b.charge / e.charge
+            assert x ** 4 == 1
+            assert y ** 3 * x == 1
+
+
 def test_lift_search_runs_one_search_and_obeys_it(monkeypatch):
     levels = []
     real = extension.factor_check

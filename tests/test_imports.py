@@ -108,6 +108,14 @@ def test_analyze_loads_fusion_and_galois():
     assert {"moddata.fusion", "moddata.galois"} <= set(loaded)
 
 
+def test_analyze_on_a_datum_file_does_not_load_constructors():
+    # ten of the eleven modules: the Gauss sums of galois come from cyclo
+    code, loaded = modules_after_command(["analyze", SEMION])
+    assert code == 0
+    assert "moddata.constructors" not in loaded
+    assert len(loaded) == 10
+
+
 def test_no_command_imports_dataclasses_or_inspect():
     # the value types are plain classes: dataclasses, and the inspect it
     # imports, cost more start-up than the package's own modules

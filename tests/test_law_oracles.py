@@ -30,6 +30,7 @@ from moddata.fusion import (
     verify_ring_homomorphisms,
 )
 from moddata.galois import GaloisPermutation, verify_action_laws
+from moddata.report import jsonable
 
 _BUILT_IN = oracles.built_in_data()
 _IDS = [name for name, _ in _BUILT_IN]
@@ -297,13 +298,13 @@ def test_action_readers_image_each_entry_once_per_unit(monkeypatch):
 
 
 def test_analyze_galois_apply_count(monkeypatch):
-    # 245 for the images of S, 42 in sigma for the fusion symbols and
-    # their cocycle law, 15 in the inverses of the Gauss sum
+    # 245 for the images of S, 42 in sigma for the images of the Gauss
+    # sum and their cocycle law, 10 in one inverse each of g and g'
     from moddata.cli import build_analysis
 
     applies = _counting(monkeypatch, cyclo, "galois_apply")
     assert build_analysis(radford_datum(7)).passed
-    assert len(applies) == 302
+    assert len(applies) == 297
 
 
 def test_idempotent_laws_multiply_nothing_on_valid_data(monkeypatch):
@@ -359,3 +360,189 @@ def test_structural_identities_make_no_matrix_product(monkeypatch):
     for name, d in _BUILT_IN:
         assert verify_structural_identities(d).passed, name
     assert calls == []
+
+
+def _dehn_changed(d, i, t_i):
+    return ModularDatum(d.labels, d.unit, d.star, d.s_matrix,
+                        d.t_diag[:i] + (t_i,) + d.t_diag[i + 1:])
+
+
+# The built-in data; the semion with T[1] = z_p^k, dense Gauss sums when
+# z_p^k is not a fourth root of unity, up to p = 113, whose 112 units are
+# over the bound; and radford 3, 5, 7 with t_1 replaced by t_2, which are
+# not modular data
+_SYMBOL_DATA = _BUILT_IN + [
+    (f"semion-z{p}^{k}", _dehn_changed(semion_datum(), 1, root_of_unity(p, k % p)))
+    for p in list(range(2, 25)) + [31, 60, 89, 97, 113]
+    for k in (1, 2)
+] + [
+    (f"radford{n}-t1=t2", _dehn_changed(radford_datum(n), 1, radford_datum(n).t_diag[2]))
+    for n in (3, 5, 7)
+]
+
+
+def _inverse_pairs(d):
+    """Up to three pairs (q, q') of units inverse modulo the exponent,
+    and one pair that is not."""
+    n_exp = basic_stats(d).N
+    units = galois.units_mod(n_exp)
+    return [(q, pow(q, -1, n_exp)) for q in units[-3:]] + [(units[-1], 1)]
+
+
+@pytest.mark.parametrize("name,d", _SYMBOL_DATA, ids=[n for n, _ in _SYMBOL_DATA])
+def test_symbol_laws_match_their_oracles(name, d):
+    assert _outcome(galois.fusion_symbol_analysis, d) == _outcome(
+        oracles.oracle_fusion_symbol_analysis, d
+    )
+    assert _outcome(galois.odd_sign_analysis, d) == _outcome(
+        oracles.oracle_odd_sign_analysis, d
+    )
+    for q, q_prime in _inverse_pairs(d):
+        assert _outcome(galois.relact_check, d, q, q_prime) == _outcome(
+            oracles.oracle_relact_check, d, q, q_prime
+        )
+
+
+def test_symbol_laws_fail_on_changed_data():
+    # the oracles above are compared where the checks fail or raise too
+    data = dict(_SYMBOL_DATA)
+    report = galois.fusion_symbol_analysis(data["semion-z97^1"])
+    assert report["power-2N"].witness == 2
+    assert report["character-iff-sign-relation"].value is False
+    assert _outcome(galois.fusion_symbol_analysis, data["semion-z113^1"])[0] == "TooLarge"
+    outcome = _outcome(galois.odd_sign_analysis, data["radford7-t1=t2"])
+    assert outcome[0] == "SignMismatch"
+
+
+def _star_changed(n, star):
+    d = radford_datum(n)
+    return ModularDatum(d.labels, d.unit, star, d.s_matrix, d.t_diag)
+
+
+# none of these is Galois; taken as Galois, relact_check reaches the
+# twisted sums.  A changed Dehn entry breaks them at (0, 0); a changed
+# involution only at rows i with a changed i*
+_TWISTED_SUM_DATA = _SYMBOL_DATA[len(_BUILT_IN):] + [
+    ("radford5-star=id", _star_changed(5, (0, 1, 2, 3, 4))),
+    ("radford7-star-1-6", _star_changed(7, (0, 6, 2, 3, 4, 5, 1))),
+    ("radford7-star-1-6-2-5", _star_changed(7, (0, 6, 5, 3, 4, 2, 1))),
+    ("radford9-star=id", _star_changed(9, tuple(range(9)))),
+    # first failure (1, 1) by rows, (3, 0) by columns
+    ("radford5-star-3-4", _star_changed(5, (0, 1, 2, 4, 3))),
+]
+
+
+def test_twisted_sum_matches_the_oracle_past_the_galois_test(monkeypatch):
+    monkeypatch.setattr(galois, "is_galois_datum", lambda d: (True, None))
+    witnesses = set()
+    for name, d in _TWISTED_SUM_DATA:
+        for q, q_prime in _inverse_pairs(d):
+            got = _outcome(galois.relact_check, d, q, q_prime)
+            assert got == _outcome(oracles.oracle_relact_check, d, q, q_prime), name
+            if isinstance(got, dict):
+                witnesses.add(tuple(got["checks"][1].get("witness", ())))
+    assert {(0, 0), (1, 1), (2, 1), (3, 1)} <= witnesses
+
+
+def test_jacobi_check_matches_the_oracle_on_changed_symbols(monkeypatch):
+    # each odd normalized datum with f(q0) negated, and radford 9 with the
+    # symbol (q|3) in place of (q|9) = 1
+    real = galois._fusion_symbols
+    cases = []
+    for name, d in _BUILT_IN:
+        stats = basic_stats(d)
+        if stats.N % 2 and stats.normalized and stats.integral:
+            for q0 in galois.units_mod(stats.N)[1:]:
+                f = list(real(d))
+                f[q0] = -f[q0]
+                cases.append((d, tuple(f)))
+    d9 = radford_datum(9)
+    cases.append((d9, tuple(cyclo.rational(cyclo.jacobi_symbol(q, 3)) for q in range(9))))
+    witnesses = set()
+    for d, symbols in cases:
+        monkeypatch.setattr(galois, "_fusion_symbols", lambda d, symbols=symbols: symbols)
+        got = galois.odd_sign_analysis(d).to_json()
+        assert got == oracles.oracle_odd_sign_analysis(d).to_json()
+        witnesses.add(got["checks"][2].get("witness"))
+    assert None not in witnesses and len(witnesses) > 5
+
+
+@pytest.mark.parametrize("n,witness", [(3, 2), (5, 2), (7, 3), (9, None), (15, 7)])
+def test_jacobi_check_matches_the_oracle_past_the_exponent(n, witness):
+    # n labels of dimension 1 with S and T all ones: N = 1, so the first
+    # unit q with (q|n) != 1 lies past the exponent.  Not modular data.
+    one = cyclo.one(1)
+    d = ModularDatum(tuple(map(str, range(n))), "0", tuple(range(n)),
+                     ((one,) * n,) * n, (one,) * n)
+    got = galois.odd_sign_analysis(d).to_json()
+    assert got == oracles.oracle_odd_sign_analysis(d).to_json()
+    assert got["checks"][2].get("witness") == witness
+
+
+def _counting_method(monkeypatch, cls, name):
+    calls = []
+    real = getattr(cls, name)
+
+    def counted(self, *args):
+        calls.append(self)
+        return real(self, *args)
+
+    monkeypatch.setattr(cls, name, counted)
+    return calls
+
+
+def test_symbol_analysis_makes_no_product_per_pair(monkeypatch):
+    d = _dehn_changed(semion_datum(), 1, root_of_unity(97, 1))
+    galois.fusion_symbol_analysis(d)  # derives g, its images and the symbols
+    products = _counting_method(monkeypatch, cyclo.CycloNum, "__mul__")
+    inverses = _counting_method(monkeypatch, cyclo.CycloNum, "inverse")
+    assert not galois.fusion_symbol_analysis(d).passed
+    assert len(products) <= 96 + 25
+    assert inverses == []
+
+
+def test_analyze_inverts_the_gauss_sum_once(monkeypatch):
+    from moddata.cli import build_analysis
+
+    d = radford_datum(7)
+    g = basic_stats(d).g
+    inverses = _counting_method(monkeypatch, cyclo.CycloNum, "inverse")
+    assert build_analysis(d).passed
+    assert sum(x == g for x in inverses) == 1
+
+
+def test_twisted_sum_uses_matrix_products(monkeypatch):
+    d = radford_datum(7)
+    galois.is_galois_datum(d)  # its axioms make matrix products of their own
+    calls = _counting(monkeypatch, linalg, "mat_mul")
+    assert galois.relact_check(d, 3, 5).passed
+    # the word makes two, the twisted sums two
+    assert len(calls) == 4
+
+
+def _sign_twisted(d, k):
+    """d with row and column k of S negated, which keeps S symmetric and
+    negates the fusion coefficients with exactly one index k."""
+    sign = [-1 if i == k else 1 for i in range(d.size)]
+    s = tuple(tuple(x * (sign[i] * sign[j]) for j, x in enumerate(row))
+              for i, row in enumerate(d.s_matrix))
+    return ModularDatum(d.labels, d.unit, d.star, s, d.t_diag)
+
+
+def test_fusion_coefficients_match_the_verlinde_fold():
+    # each built-in datum, and its twin for each label k but the unit;
+    # most twins have no global dimension, the rest have violations
+    data = [d for _, d in _BUILT_IN]
+    data += [_sign_twisted(d, k) for d in data for k in range(1, d.size)]
+    violations = 0
+    for d in data:
+        got = _result(fusion.fusion_coefficients.__wrapped__, d)
+        expected = _result(oracles.oracle_fusion_coefficients, d)
+        if isinstance(got, tuple):
+            assert got == expected
+            continue
+        # through the wire form, so that conductors are compared too
+        assert jsonable(got.coeffs) == jsonable(expected.coeffs)
+        assert jsonable(got.violations) == jsonable(expected.violations)
+        violations += len(got.violations)
+    assert violations == 338
