@@ -277,10 +277,11 @@ def _gauss_images(d: ModularDatum) -> dict:
 @derived
 def _fusion_symbols(d: ModularDatum) -> tuple:
     """sigma_q(g) / g for each residue q modulo the exponent N, zero off
-    the units.  The one inverse of g per datum."""
+    the units.  The one inverse of g per datum, taken before the images,
+    so that a g over the degree bound raises before any sigma_q runs."""
     stats = basic_stats(d)
-    images = _gauss_images(d)
     g_inv = stats.g.inverse()
+    images = _gauss_images(d)
     return tuple(
         images[q] * g_inv if q in images else cyclo.zero(1)
         for q in range(stats.N)

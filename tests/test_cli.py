@@ -576,10 +576,11 @@ def test_square_root_at_a_prime_of_thousands_fits_in_memory():
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "15992\n", "")
 
 
-def _semion_at_9973(tmp_path):
-    """The semion with T[1] = z at the prime conductor 9973."""
+def _semion_at_9973(tmp_path, p=9973):
+    """The semion with T[1] = z at the prime conductor p, 9973 unless
+    given."""
     obj = serialize_datum(semion_datum())
-    obj["T"][1] = {"conductor": 9973, "coeffs": ["0", "1"] + ["0"] * 9970}
+    obj["T"][1] = {"conductor": p, "coeffs": ["0", "1"] + ["0"] * (p - 3)}
     path = tmp_path / "big.json"
     path.write_text(json.dumps(obj))
     return str(path)
@@ -610,6 +611,23 @@ def test_symbols_at_a_prime_conductor_of_thousands_is_too_large(tmp_path):
     assert proc.stdout == ""
     assert proc.stderr == (
         "error: inverse at conductor 9973 needs 9970 products of degree 9972; "
+        "the bound is degree 224\n"
+    )
+
+
+def test_symbols_refuse_before_taking_the_galois_images(tmp_path):
+    # the 19996 images sigma_q(1 + z), of 19996 coefficients each, would
+    # alone pass the 1 GB cap; the inverse of 1 + z is refused first
+    path = _semion_at_9973(tmp_path, p=19997)
+    proc = _run_capped(
+        "import sys; from moddata.cli import main; "
+        f"sys.exit(main(['symbols', {path!r}]))",
+        timeout=20,
+    )
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert proc.stderr == (
+        "error: inverse at conductor 19997 needs 19994 products of degree 19996; "
         "the bound is degree 224\n"
     )
 

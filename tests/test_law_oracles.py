@@ -368,12 +368,12 @@ def _dehn_changed(d, i, t_i):
 
 
 # The built-in data; the semion with T[1] = z_p^k, dense Gauss sums when
-# z_p^k is not a fourth root of unity, up to p = 113, whose 112 units are
-# over the bound; and radford 3, 5, 7 with t_1 replaced by t_2, which are
-# not modular data
+# z_p^k is not a fourth root of unity, up to p = 60, and at p = 113, whose
+# 112 units are over the bound; and radford 3, 5, 7 with t_1 replaced by
+# t_2, which are not modular data
 _SYMBOL_DATA = _BUILT_IN + [
     (f"semion-z{p}^{k}", _dehn_changed(semion_datum(), 1, root_of_unity(p, k % p)))
-    for p in list(range(2, 25)) + [31, 60, 89, 97, 113]
+    for p in list(range(2, 25)) + [31, 60, 113]
     for k in (1, 2)
 ] + [
     (f"radford{n}-t1=t2", _dehn_changed(radford_datum(n), 1, radford_datum(n).t_diag[2]))
@@ -406,7 +406,7 @@ def test_symbol_laws_match_their_oracles(name, d):
 def test_symbol_laws_fail_on_changed_data():
     # the oracles above are compared where the checks fail or raise too
     data = dict(_SYMBOL_DATA)
-    report = galois.fusion_symbol_analysis(data["semion-z97^1"])
+    report = galois.fusion_symbol_analysis(data["semion-z31^1"])
     assert report["power-2N"].witness == 2
     assert report["character-iff-sign-relation"].value is False
     assert _outcome(galois.fusion_symbol_analysis, data["semion-z113^1"])[0] == "TooLarge"
