@@ -266,14 +266,6 @@ def _settle(conductor, acc, den):
     return _reduced(conductor, acc, den)
 
 
-def _from_rationals(conductor, values):
-    """Element with the given rational coordinates (ints or Fractions)."""
-    den = lcm(*[q.denominator for q in values])
-    return _reduced(
-        conductor, [q.numerator * (den // q.denominator) for q in values], den
-    )
-
-
 class CycloNum:
     """Element of the cyclotomic field of the given conductor."""
 
@@ -292,7 +284,9 @@ class CycloNum:
                 f"need {phi} coefficients at conductor {conductor}, "
                 f"got {len(values)}"
             )
-        x = _from_rationals(conductor, values)
+        den = lcm(*[q.denominator for q in values])
+        nums = [q.numerator * (den // q.denominator) for q in values]
+        x = _reduced(conductor, nums, den)
         self.conductor = conductor
         self.nums = x.nums
         self.den = x.den
@@ -424,10 +418,13 @@ class CycloNum:
 
     def __truediv__(self, other):
         if isinstance(other, _RAT_TYPES):
-            q = Fraction(other)
-            if q == 0:
+            if not other:
                 raise DivisionByZero("division by zero")
-            return self.__mul__(1 / q)
+            # times r / p for other = p / r: r and the sign of p go to nums
+            p, r = other.numerator, other.denominator
+            r = r if p > 0 else -r
+            nums = [c * r for c in self.nums]
+            return _reduced(self.conductor, nums, self.den * abs(p))
         if not isinstance(other, CycloNum):
             return NotImplemented
         return self.__mul__(other.inverse())
@@ -443,7 +440,14 @@ class CycloNum:
             return NotImplemented
         if k < 0:
             return self.inverse() ** (-k)
-        result = one(self.conductor)
+        m = self.conductor
+        if len(self.nums) == 1:  # a rational, at conductor 1 or 2
+            return _make(m, (self.nums[0] ** k,), self.den ** k)
+        # w^j to the k is w^(jk); the table checks the limit as squaring does
+        hit = _unit_entry(self) if k else None
+        if hit is not None:
+            return _root(m, *_root_power(m, -hit[2] * k))
+        result = one(m)
         base = self
         while k:
             if k & 1:

@@ -196,15 +196,9 @@ def _axioms_1_to_4(d: ModularDatum) -> tuple:
     rep.add("structure-star-involution", involutive)
 
     # axiom 1: S symmetric, T of finite order
-    sym_witness = None
-    for i in range(m):
-        for j in range(i + 1, m):
-            if d.s(i, j) != d.s(j, i):
-                sym_witness = (i, j)
-                break
-        if sym_witness:
-            break
-    rep.add("axiom1-s-symmetric", sym_witness is None, sym_witness)
+    w = next(((i, j) for i in range(m) for j in range(i + 1, m)
+              if d.s(i, j) != d.s(j, i)), None)
+    rep.add("axiom1-s-symmetric", w is None, w)
     t_orders = [cyclo.root_of_unity_order(t) for t in d.t_diag]
     bad_t = next((i for i, r in enumerate(t_orders) if r is None), None)
     rep.add("axiom1-t-finite-order", bad_t is None, bad_t)
@@ -221,30 +215,34 @@ def _axioms_1_to_4(d: ModularDatum) -> tuple:
     rep.add("axiom3-s-squared", n is not None, witness3, value=n)
 
     # axiom 4, constant form: g * T^-1 S T^-1 = (n_o / t_o^2) * S T S,
-    # cleared of denominators to avoid inversions (valid iff every t_i != 0)
+    # cleared of denominators to avoid inversions (valid iff every t_i != 0),
+    # as c s_ij = (A S T)_ij for c = g t_o^2 and A = diag(n_o t) S T.  Each
+    # conductor met divides the lcm of g's and those of S T; over the limit
+    # the sides are formed as S T S and then entry by entry, so that
+    # TooLarge is raised where those products raise it.
     evaluable = all(not t.is_zero() for t in d.t_diag)
     if not evaluable:
         rep.add("axiom4-proportionality", False, "T is not invertible")
     else:
-        dims = [d.s(i, o) for i in range(m)]
         g = cyclo.zero(1)
         for i in range(m):
-            g = g + dims[i] * dims[i] * d.t(i)
-        n_o = dims[o]
-        t_o2 = d.t(o) * d.t(o)
-        sts = linalg.mat_mul(
-            linalg.mat_mul_diag(d.s_matrix, d.t_diag), d.s_matrix
+            g = g + d.dim(i) * d.dim(i) * d.t(i)
+        n_o, t = d.dim(o), d.t_diag
+        t_o2 = t[o] * t[o]
+        st = linalg.mat_mul_diag(d.s_matrix, t)
+        conductors = [x.conductor for row in st for x in row]
+        if lcm(g.conductor, *conductors) > cyclo.get_conductor_limit():
+            sts = linalg.mat_mul(st, d.s_matrix)
+            rhs = (n_o * t[i] * t[j] * sts[i][j]
+                   for i in range(m) for j in range(m))
+        else:
+            a = [[u * x for x in row] for u, row in zip([n_o * x for x in t], st)]
+            rhs = (x for row in linalg.mat_mul(a, st) for x in row)
+        c = g * t_o2
+        lhs = (c * x for row in d.s_matrix for x in row)
+        witness4 = next(
+            (divmod(k, m) for k, (x, y) in enumerate(zip(lhs, rhs)) if x != y), None
         )
-        witness4 = None
-        for i in range(m):
-            for j in range(m):
-                lhs = g * d.s(i, j) * t_o2
-                rhs = n_o * d.t(i) * d.t(j) * sts[i][j]
-                if lhs != rhs:
-                    witness4 = (i, j)
-                    break
-            if witness4:
-                break
         rep.add("axiom4-proportionality", witness4 is None, witness4, value=g)
     return tuple((c.name, c.passed, c.witness, c.value) for c in rep.checks)
 
@@ -368,6 +366,7 @@ def verify_structural_identities(d: ModularDatum) -> CheckReport:
     rep.add("unit-row-and-duality", w is None, w)
 
     # s_ij = (t_o / (t_i t_j)) * sum_k N_ik^j n_k t_k
+    nt = [n_k * t_k for n_k, t_k in zip(stats.dims, d.t_diag)]
     w = None
     for i in range(m):
         for j in range(m):
@@ -375,7 +374,7 @@ def verify_structural_identities(d: ModularDatum) -> CheckReport:
             for k in range(m):
                 nijk = table.coeff(i, k, j)
                 if nijk:
-                    acc = acc + nijk * stats.dims[k] * d.t(k)
+                    acc = acc + nijk * nt[k]
             if d.s(i, j) * d.t(i) * d.t(j) != stats.t_o * acc:
                 w = (i, j)
                 break

@@ -10,8 +10,9 @@ idempotents, each with a full law-verification suite.
 from __future__ import annotations
 
 from itertools import product
+from math import lcm
 
-from . import cyclo, linalg
+from . import cyclo
 from .cyclo import CycloNum
 from .datum import ModularDatum, _global_dimension_from_square, basic_stats, derived
 from .errors import DimensionMismatch, InvalidDatum
@@ -154,25 +155,32 @@ def fusion_coefficients(d: ModularDatum) -> FusionTable:
     s = d.s_matrix
     if any(s[o][l].is_zero() for l in range(m)):
         raise InvalidDatum("unit row of S has a zero entry")
-    # sw[j][l] = s_jl / (s_ol n), and row (i, j) of partial holds
-    # s_il sw[j][l]
+    # N_ij^k = F(i, j, k*) for F(a, b, c) = sum over l of s_al s_bl s_cl
+    # / (s_ol n), which is symmetric in a, b, c and so is made once for
+    # each a <= b <= c, as one sum over l of p[a, b][l] s_cl, where
+    # p[a, b][l] = s_al sw[b][l] and sw[b][l] = s_bl / (s_ol n).  Its
+    # conductor, the lcm of those of rows a, b and c of S and of the
+    # weights, is symmetric too.
     weights = [(s[o][l] * n).inverse() for l in range(m)]
     sw = [[s[j][l] * weights[l] for l in range(m)] for j in range(m)]
-    partial = tuple(
-        tuple(s[i][l] * sw[j][l] for l in range(m))
-        for i in range(m)
-        for j in range(m)
-    )
-    # N_ij^k = sum over l of partial[i m + j][l] s_(k*)l
-    dual = tuple(tuple(s[star[k]][l] for k in range(m)) for l in range(m))
-    sums = linalg.mat_mul(partial, dual)
+    p = {(a, b): [s[a][l] * sw[b][l] for l in range(m)]
+         for a in range(m) for b in range(a, m)}
+    if lcm(*[w.conductor for w in weights],
+           *[x.conductor for row in s for x in row]) > cyclo.get_conductor_limit():
+        # raise TooLarge at the first entry, in (i, j, k) order, whose sum
+        # would raise it
+        for i, j, k in product(range(m), repeat=3):
+            cyclo._fold_conductor(p[min(i, j), max(i, j)], s[star[k]])
+    sums = {(a, b, c): cyclo.dot(p[a, b], s[c])
+            for a, b in p for c in range(b, m)}
     violations = []
     coeffs = []
     for i in range(m):
         plane = []
         for j in range(m):
             row = []
-            for k, value in enumerate(sums[i * m + j]):
+            for k in range(m):
+                value = sums[tuple(sorted((i, j, star[k])))]
                 as_int = cyclo.is_integer(value)
                 if as_int is None or as_int < 0:
                     violations.append((i, j, k, value))

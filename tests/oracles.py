@@ -221,6 +221,95 @@ def oracle_enumerate_charges(d, rank):
 # permutation matrices themselves.
 
 
+def oracle_axioms_1_to_4(d):
+    """datum._axioms_1_to_4 with axiom 4 checked entry by entry: S T S by
+    one matrix product, then g s_ij t_o^2 against n_o t_i t_j (S T S)_ij
+    for each (i, j) in turn, five products per entry."""
+    rep = CheckReport("axioms")
+    m = d.size
+    o = d.o
+    rep.add("structure-star-involution",
+            all(d.star[d.star[i]] == i for i in range(m)))
+    w = next(((i, j) for i in range(m) for j in range(i + 1, m)
+              if d.s(i, j) != d.s(j, i)), None)
+    rep.add("axiom1-s-symmetric", w is None, w)
+    w = next((i for i, t in enumerate(d.t_diag)
+              if cyclo.root_of_unity_order(t) is None), None)
+    rep.add("axiom1-t-finite-order", w is None, w)
+    w = next((i for i in range(m) if d.t(d.star[i]) != d.t(i)), None)
+    rep.add("axiom2-t-star-invariant", w is None, w)
+    w = next((i for i in range(m) if d.s(i, o).is_zero()), None)
+    rep.add("axiom2-dimensions-nonzero", w is None, w)
+    rep.add("axiom2-unit-self-dual", d.star[o] == o)
+    n, witness3 = datum._global_dimension_from_square.__wrapped__(d)
+    rep.add("axiom3-s-squared", n is not None, witness3, value=n)
+    if any(t.is_zero() for t in d.t_diag):
+        rep.add("axiom4-proportionality", False, "T is not invertible")
+    else:
+        dims = [d.s(i, o) for i in range(m)]
+        g = cyclo.zero(1)
+        for i in range(m):
+            g = g + dims[i] * dims[i] * d.t(i)
+        n_o = dims[o]
+        t_o2 = d.t(o) * d.t(o)
+        sts = linalg.mat_mul(linalg.mat_mul_diag(d.s_matrix, d.t_diag), d.s_matrix)
+        w = next(((i, j) for i in range(m) for j in range(m)
+                  if g * d.s(i, j) * t_o2 != n_o * d.t(i) * d.t(j) * sts[i][j]),
+                 None)
+        rep.add("axiom4-proportionality", w is None, w, value=g)
+    return tuple((c.name, c.passed, c.witness, c.value) for c in rep.checks)
+
+
+def oracle_pow(x, k):
+    """x ** k by repeated squaring, through the inverse for k < 0."""
+    if k < 0:
+        return oracle_pow(x.inverse(), -k)
+    result = cyclo.one(x.conductor)
+    base = x
+    while k:
+        if k & 1:
+            result = result * base
+        base = base * base if k > 1 else base
+        k >>= 1
+    return result
+
+
+def oracle_verlinde_rows(d):
+    """fusion.fusion_coefficients with all m^3 sums made as one matrix
+    product: row (i, j) holds s_il s_jl / (s_ol n) over l, and column k
+    holds s_k*l.  Its TooLarge names the first (i, j, k) whose sum would
+    raise it."""
+    n, witness = datum._global_dimension_from_square.__wrapped__(d)
+    if n is None:
+        raise InvalidDatum(f"no global dimension: witness {witness}")
+    m = d.size
+    s = d.s_matrix
+    o = d.o
+    if any(s[o][l].is_zero() for l in range(m)):
+        raise InvalidDatum("unit row of S has a zero entry")
+    weights = [(s[o][l] * n).inverse() for l in range(m)]
+    sw = [[s[j][l] * weights[l] for l in range(m)] for j in range(m)]
+    partial = tuple(tuple(s[i][l] * sw[j][l] for l in range(m))
+                    for i in range(m) for j in range(m))
+    dual = tuple(tuple(s[d.star[k]][l] for k in range(m)) for l in range(m))
+    sums = linalg.mat_mul(partial, dual)
+    violations = []
+    coeffs = tuple(
+        tuple(tuple(_as_coefficient(sums[i * m + j][k], (i, j, k), violations)
+                    for k in range(m)) for j in range(m))
+        for i in range(m)
+    )
+    return fusion.FusionTable(size=m, coeffs=coeffs, violations=tuple(violations))
+
+
+def _as_coefficient(value, entry, violations):
+    as_int = cyclo.is_integer(value)
+    if as_int is None or as_int < 0:
+        violations.append((*entry, value))
+        return 0
+    return as_int
+
+
 def oracle_fusion_coefficients(d):
     """fusion.fusion_coefficients with each N_ij^k folded on its own from
     the Verlinde formula, sum over l of s_il s_jl s_k*l / s_ol, and then

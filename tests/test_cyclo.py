@@ -453,3 +453,58 @@ def test_per_conductor_caches_are_bounded():
     # one pass of the cli-mix and wire benchmarks touches 18 conductors
     assert {c.cache_info().maxsize for c in caches} == {cyclo.CACHE_SIZE}
     assert cyclo.CACHE_SIZE >= 64
+
+
+# -- division by a rational and powers against their old routes ------------
+
+
+def _raw(x):
+    return (x.conductor, x.den, x.nums)
+
+
+@settings(max_examples=120, deadline=None)
+@given(cyclo_numbers(), st.integers(-50, 50).filter(bool), st.integers(1, 7))
+def test_division_by_a_rational_is_the_product_by_its_inverse(x, n, r):
+    assert _raw(x / n) == _raw(x * Fraction(1, n))
+    assert _raw(x / Fraction(n, r)) == _raw(x * Fraction(r, n))
+    assert _raw(x / True) == _raw(x)
+    for zero in (0, Fraction(0), False):
+        with pytest.raises(DivisionByZero):
+            x / zero
+
+
+def _roots(m):
+    return [s * root_of_unity(m, k) for s in (1, -1) for k in range(m)]
+
+
+@pytest.mark.parametrize("m", list(range(1, 31)))
+def test_powers_of_roots_of_unity_match_repeated_squaring(m):
+    for x in _roots(m):
+        for k in range(-40, 41):
+            assert _raw(x ** k) == _raw(oracles.oracle_pow(x, k))
+        big = 10**12 + 1
+        assert _raw(x ** big) == _raw(oracles.oracle_pow(x, big))
+
+
+def _pow_outcome(f, x, k):
+    try:
+        return "value", _raw(f(x, k))
+    except (TooLarge, DivisionByZero) as exc:
+        return type(exc).__name__, str(exc)
+
+
+@pytest.mark.parametrize("limit", [0, 1, 2, 3, 6])
+def test_powers_raise_where_repeated_squaring_does(limit):
+    # built under the default limit; k = 0 and conductors 1 and 2 check no
+    # limit, a root of unity at m > 2 over the limit raises for k != 0
+    xs = [x for m in (1, 2, 3, 4, 7, 8) for x in _roots(m)[:3]]
+    xs += [cyclo.from_rational(rational(3, 2), 2), cyclo.zero(2), cyclo.zero(5),
+           2 * root_of_unity(5, 1), root_of_unity(4, 1) / 3]
+    token = cyclo.set_conductor_limit(limit)
+    try:
+        for x in xs:
+            for k in (-3, -1, 0, 1, 2, 5):
+                got = _pow_outcome(pow, x, k)
+                assert got == _pow_outcome(oracles.oracle_pow, x, k), (x, k)
+    finally:
+        cyclo.reset_conductor_limit(token)

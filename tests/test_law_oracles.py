@@ -6,7 +6,12 @@ permutations, involutions and Dehn diagonals.  The counts pin that the
 structural routes do no matrix products and multiply out no idempotents
 on valid data.  The readers of the Galois action (index_action,
 is_galois_datum, verlinde_field_index) give the result or exception of
-their per-entry oracles, and apply each unit once to each entry of S."""
+their per-entry oracles, and apply each unit once to each entry of S.
+Axiom 4 and the Verlinde sums give the reports, tables and TooLarge of
+their entry-by-entry and ordered-sum oracles, under every conductor
+limit up to the lcm of a datum's conductors."""
+
+from math import lcm
 
 import pytest
 
@@ -546,3 +551,158 @@ def test_fusion_coefficients_match_the_verlinde_fold():
         assert jsonable(got.violations) == jsonable(expected.violations)
         violations += len(got.violations)
     assert violations == 338
+
+
+# -- axiom 4 and the Verlinde sums against their entry-by-entry routes -------
+
+
+def _axiom_outcome(f, d):
+    """The (name, passed, witness, wire value) of each check, or the
+    exception, of f on a copy of d that has nothing derived yet."""
+    fresh = ModularDatum(d.labels, d.unit, d.star, d.s_matrix, d.t_diag)
+    try:
+        return [(n, p, w, jsonable(v)) for n, p, w, v in f(fresh)]
+    except ModdataError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _verlinde_outcome(f, d):
+    fresh = ModularDatum(d.labels, d.unit, d.star, d.s_matrix, d.t_diag)
+    try:
+        t = f(fresh)
+    except ModdataError as exc:
+        return type(exc).__name__, str(exc)
+    return jsonable(t.coeffs), jsonable(t.violations)
+
+
+def _axiom4_variants(d):
+    """d with its last Dehn entry negated and multiplied by z_3 and z_5,
+    in turn; the products gain conductors 3 and 5."""
+    t = d.t_diag[-1]
+    return [_dehn_changed(d, d.size - 1, x)
+            for x in (-t, t * root_of_unity(3, 1), t * root_of_unity(5, 2))]
+
+
+@pytest.mark.parametrize("name,d", _BUILT_IN, ids=_IDS)
+def test_axioms_match_the_entry_by_entry_oracle(name, d):
+    got = _axiom_outcome(datum._axioms_1_to_4.__wrapped__, d)
+    assert got == _axiom_outcome(oracles.oracle_axioms_1_to_4, d)
+    assert all(passed for _, passed, _, _ in got)
+    witnesses = []
+    for changed in _axiom4_variants(d):
+        got = _axiom_outcome(datum._axioms_1_to_4.__wrapped__, changed)
+        assert got == _axiom_outcome(oracles.oracle_axioms_1_to_4, changed)
+        assert got[-1][0] == "axiom4-proportionality"
+        witnesses.append(got[-1][2])
+    # the semion with -t_1 is the anti-semion, whose axiom 4 holds
+    assert d.size == 1 or witnesses[1] is not None
+
+
+def _lifted(d, conductors):
+    """d with each diagonal entry s_ii, for i in conductors, stored at a
+    multiple of its conductor: the same values, mixed conductors."""
+    s = [list(row) for row in d.s_matrix]
+    for i, c in conductors.items():
+        s[i][i] = s[i][i].lift(c)
+    return ModularDatum(d.labels, d.unit, d.star, tuple(map(tuple, s)), d.t_diag)
+
+
+def _ones_datum(entries):
+    """Three labels, T = 1 and S all ones but for the given entries, with
+    s_00, s_11 and s_22 stored at conductors 3, 5 and 7.  S^2 is not nC,
+    so only axiom 4 decides; every pair of rows of S lies within 35."""
+    s = [[cyclo.one(1)] * 3 for _ in range(3)]
+    for i, c in enumerate((3, 5, 7)):
+        s[i][i] = cyclo.one(c)
+    for (i, j), x in entries.items():
+        s[i][j] = s[j][i] = x
+    one = cyclo.one(1)
+    return ModularDatum(("0", "1", "2"), "0", (0, 1, 2), tuple(map(tuple, s)),
+                        (one,) * 3)
+
+
+# (name, datum, largest limit tried, or None for the lcm of its conductors)
+_LIMIT_DATA = [
+    # S at 3, 15 and 21, T at 3: the Verlinde sums reach 105
+    ("radford3-lifted", _lifted(radford_datum(3), {1: 15, 2: 21}), None),
+    ("radford3*semion-lifted",
+     _lifted(kronecker_product(radford_datum(3), semion_datum()), {1: 15, 4: 21}),
+     None),
+    ("su2_2-lifted", _lifted(su2_datum(2), {0: 24, 2: 40}), None),
+    # rows 1 to 4 at 3 times 5, 7, 11 and 13: every two rows lie within
+    # 429 and every three past it, and 2* = 4, so the first sum over the
+    # limit in (i, j, k) order, N_12^2, is F(1, 2, 4) at 1365, not the
+    # first unordered triple F(1, 2, 3) at 1155
+    ("radford3*semion-four-primes",
+     _lifted(kronecker_product(radford_datum(3), semion_datum()),
+             {1: 15, 2: 21, 3: 33, 4: 39}),
+     1365),
+    # axiom 4 holds on every entry, and the sides of (1, 2) reach 105
+    ("ones", _ones_datum({}), None),
+    # axiom 4 fails at (0, 1), before any entry reaches past 35
+    ("ones-twos", _ones_datum({(0, 1): cyclo.from_rational(2)}), None),
+]
+
+
+@pytest.mark.parametrize("name,d,top", _LIMIT_DATA, ids=[c[0] for c in _LIMIT_DATA])
+def test_axiom4_and_verlinde_raise_where_their_oracles_do(name, d, top):
+    conductors = {x.conductor for row in d.s_matrix for x in row}
+    conductors |= {t.conductor for t in d.t_diag}
+    # every conductor met divides their lcm, so each limit between two
+    # divisors of it acts as the lower one
+    limits = {e for c in cyclo.divisors(lcm(*conductors)) for e in (c - 1, c)}
+    outcomes = set()
+    for limit in sorted(e for e in limits if top is None or e <= top):
+        token = cyclo.set_conductor_limit(limit)
+        try:
+            got = _axiom_outcome(datum._axioms_1_to_4.__wrapped__, d)
+            expected = _axiom_outcome(oracles.oracle_axioms_1_to_4, d)
+            got_f = _verlinde_outcome(fusion.fusion_coefficients.__wrapped__, d)
+            expected_f = _verlinde_outcome(oracles.oracle_verlinde_rows, d)
+        finally:
+            cyclo.reset_conductor_limit(token)
+        assert got == expected, limit
+        assert got_f == expected_f, limit
+        outcomes.add(got if isinstance(got, tuple) else got[-1][1:3])
+        outcomes.add(got_f if isinstance(got_f[0], str) else "table")
+    assert len(outcomes) > 2
+    if top is None:  # decided at the lcm
+        assert isinstance(got, list) and got_f[0] != "TooLarge"
+
+
+def test_fusion_coefficients_make_one_sum_per_unordered_triple(monkeypatch):
+    dots = _counting(monkeypatch, cyclo, "dot")
+    for name, d in _BUILT_IN:
+        del dots[:]
+        fusion_coefficients.__wrapped__(d)
+        m = d.size
+        assert len(dots) == m * (m + 1) * (m + 2) // 6, name
+
+
+def test_power_identities_make_no_product_but_the_ratio(monkeypatch):
+    # the powers of g / g' are read off the table of roots of unity; the
+    # one division inverts g' by its conjugates unless g' is rational
+    one_product = set()
+    for name, d in _BUILT_IN:
+        stats = basic_stats(d)
+        products = _counting_method(monkeypatch, cyclo.CycloNum, "__mul__")
+        stats.g / stats.g_rec
+        ratio = len(products)
+        del products[:]
+        assert datum.power_identity_check(d).passed, name
+        assert len(products) == ratio, name
+        monkeypatch.undo()
+        if ratio == 1:
+            one_product.add(name)
+    assert {"trivial", "radford9^1"} <= one_product
+
+
+def test_validate_axioms_product_counts(monkeypatch):
+    # 197 products as measured; S^2 and A S T of axiom 4 are the only
+    # matrix products, the Verlinde sums being one dot per unordered triple
+    d = radford_datum(5)
+    products = _counting_method(monkeypatch, cyclo.CycloNum, "__mul__")
+    mat_muls = _counting(monkeypatch, linalg, "mat_mul")
+    assert validate_axioms(d).passed
+    assert len(products) <= 197
+    assert len(mat_muls) == 2  # S^2 and A S T
