@@ -167,6 +167,12 @@ def basic_stats(d: ModularDatum) -> DatumStats:
 
 
 @derived
+def _gauss_sum_inverse(d: ModularDatum) -> CycloNum:
+    """The inverse of the Gaussian sum g, the one taken per datum."""
+    return basic_stats(d).g.inverse()
+
+
+@derived
 def _global_dimension_from_square(d: ModularDatum):
     """The constant n with S^2 = nC, or (None, witness) when no such
     constant exists."""
@@ -432,7 +438,8 @@ def power_identity_check(d: ModularDatum) -> CheckReport:
     integral data of even exponent."""
     stats = basic_stats(d)
     rep = CheckReport("power-identities")
-    ratio = stats.g / stats.g_rec
+    # (g'/g)^K = 1 iff (g/g')^K = 1; for real dimensions g' = conj(g)
+    ratio = stats.g_rec * _gauss_sum_inverse(d)
     m = d.size
     rep.add("ratio-power-2Nm", ratio ** (2 * stats.N * m) == 1)
     if stats.integral:

@@ -13,7 +13,8 @@ from math import gcd, lcm
 
 from . import cyclo, linalg
 from .cyclo import CycloNum
-from .datum import DatumStats, ModularDatum, _axioms_1_to_4, basic_stats, derived
+from .datum import (DatumStats, ModularDatum, _axioms_1_to_4, _gauss_sum_inverse,
+                    basic_stats, derived)
 from .errors import (
     BadInversePair,
     EvenExponent,
@@ -49,30 +50,46 @@ class FusionSymbolTable(Frozen):
         self.__dict__.update(modulus=modulus, values=values)
 
 
-# Most units modulo the exponent for the checks over all pairs (q, r) of
-# units: action-multiplicative in verify_action_laws and cocycle-law in
-# fusion_symbol_analysis.  The cocycle law applies one automorphism per
-# pair to an image of g, of degree up to phi(N), so it grows as the cube
-# of the units: on a 2-vCPU Xeon VM (Python 3.11) fusion_symbol_analysis
-# of the semion with T[1] = z_p takes 0.13 s at p = 97 (96 units) and at
-# 113, 0.41 s at 151 and 1.06 s at 211.  action-multiplicative takes 1.2 s
-# at 1008 units.
-MAX_UNITS = 96
+# Most coefficients that the images of S or of the Gauss sum under all
+# units may hold, checked before the first image is made: radford 49,
+# the largest generated datum, needs 4.2 * 10^6 for S.
+MAX_IMAGE_COEFFICIENTS = 10**7
 
 
 def units_mod(m: int):
     return [q for q in range(m) if gcd(q, m) == 1]
 
 
-def _bounded_units(m: int) -> list:
-    """The units modulo m; TooLarge above MAX_UNITS of them."""
-    units = units_mod(m)
-    if len(units) > MAX_UNITS:
+def _bounded_images(what: str, n: int, per_unit: int) -> list:
+    """The units modulo n, for a walk that makes an image of what, of
+    per_unit coefficients, under each; TooLarge over
+    MAX_IMAGE_COEFFICIENTS in all."""
+    units = units_mod(n)
+    total = len(units) * per_unit
+    if total > MAX_IMAGE_COEFFICIENTS:
         raise TooLarge(
-            f"{len(units)} units modulo {m} give {len(units) ** 2} pairs to "
-            f"check; the bound is {MAX_UNITS} units"
+            f"the images of {what} under the {len(units)} units modulo {n} "
+            f"hold {total} coefficients; the bound is {MAX_IMAGE_COEFFICIENTS}"
         )
     return units
+
+
+def _unit_generators(n: int) -> list:
+    """1 % n, then each unit modulo n, in increasing order, outside the
+    subgroup generated by those before it.  A law f(qr) = f(q) o f(r)
+    that holds for each generator q and every r holds for every q, by
+    induction on q as a word in them; as each unit is a word in the
+    generators up to it, the first pair (q, r) of units in row-major
+    order at which such a law fails has a generator q."""
+    gens, group = [1 % n], {1 % n}
+    for u in units_mod(n):
+        if u not in group:
+            gens.append(u)
+            frontier = group
+            while frontier:
+                frontier = {x * u % n for x in frontier} - group
+                group |= frontier
+    return gens
 
 
 def unit_lift(q: int, n: int, m: int) -> int:
@@ -144,6 +161,15 @@ def _s_image(d: ModularDatum, q: int) -> tuple:
     return tuple(tuple(cyclo.galois_apply(x, u) for x in row) for row in s)
 
 
+def _action_units(d: ModularDatum) -> list:
+    """The units modulo N_o, for a walk that makes the image of S under
+    each: m^2 phi(C) coefficients, none when C <= 2 and every unit fixes
+    S."""
+    c, _, _ = _lifted_s(d)
+    per_unit = d.size ** 2 * cyclo.euler_phi(c) if c > 2 else 0
+    return _bounded_images("S", basic_stats(d).N_o, per_unit)
+
+
 def index_action(d: ModularDatum, q: int) -> GaloisPermutation:
     """The permutation sending each row of the normalized Verlinde matrix
     to its image under the automorphism z -> z^q.
@@ -181,7 +207,7 @@ def verify_action_laws(d: ModularDatum) -> CheckReport:
     involution itself."""
     stats = _require_integral(d)
     n_o = stats.N_o
-    units = _bounded_units(n_o)
+    units = _action_units(d)
     rep = CheckReport("galois-action-laws")
     m = d.size
     o = d.o
@@ -232,7 +258,7 @@ def verify_action_laws(d: ModularDatum) -> CheckReport:
         None if gamma.perm == d.star else gamma.perm,
     )
 
-    w = next(((q, r) for q in perms for r in perms
+    w = next(((q, r) for q in _unit_generators(n_o) for r in perms
               if tuple(perms[q].perm[perms[r].perm[i]] for i in range(m))
               != perms[(q * r) % n_o].perm), None)
     rep.add("action-multiplicative", w is None, w)
@@ -259,6 +285,7 @@ def is_galois_datum(d: ModularDatum):
     # t_p(i) = sigma_q^2(t_i) iff e_p(i) = q^2 e_i mod N
     n_exp = stats.N
     exps = [a * (n_exp // o) for o, a in map(cyclo.root_of_unity_exponent, d.t_diag)]
+    _action_units(d)  # index_action below makes one image per unit mod N_o
     for q in units_mod(n_exp):
         perm = index_action(d, q).perm
         for i, e in enumerate(exps):
@@ -269,9 +296,12 @@ def is_galois_datum(d: ModularDatum):
 
 @derived
 def _gauss_images(d: ModularDatum) -> dict:
-    """sigma_q(g) for each unit q modulo the exponent N."""
+    """sigma_q(g) for each unit q modulo the exponent N, of phi(lcm(c_g, N))
+    coefficients each."""
     stats = basic_stats(d)
-    return {q: sigma(stats.g, q, stats.N) for q in units_mod(stats.N)}
+    phi = cyclo.euler_phi(lcm(stats.g.conductor, stats.N))
+    units = _bounded_images("the Gauss sum", stats.N, phi)
+    return {q: sigma(stats.g, q, stats.N) for q in units}
 
 
 @derived
@@ -280,7 +310,7 @@ def _fusion_symbols(d: ModularDatum) -> tuple:
     the units.  The one inverse of g per datum, taken before the images,
     so that a g over the degree bound raises before any sigma_q runs."""
     stats = basic_stats(d)
-    g_inv = stats.g.inverse()
+    g_inv = _gauss_sum_inverse(d)
     images = _gauss_images(d)
     return tuple(
         images[q] * g_inv if q in images else cyclo.zero(1)
@@ -310,14 +340,14 @@ def fusion_symbol_analysis(d: ModularDatum) -> CheckReport:
     rep = CheckReport("fusion-symbol-analysis")
     n_exp = stats.N
     f = _fusion_symbols(d)
-    us = _bounded_units(n_exp)
+    us = units_mod(n_exp)
     # f(q) = h_q / g for h_q = sigma_q(g); as g lies in Q(zeta_N), where
     # sigma_q is one automorphism whatever lift of q it takes,
     # f(qr) = f(q) sigma_q(f(r)) iff h_qr = sigma_q(h_r), and
     # f(-1) = g' / g iff h_-1 = g'
     h = _gauss_images(d)
 
-    w = next(((q, r) for q in us for r in us
+    w = next(((q, r) for q in _unit_generators(n_exp) for r in us
               if h[(q * r) % n_exp] != sigma(h[r], q, n_exp)), None)
     rep.add("cocycle-law", w is None, w)
     rep.add("value-at-one", f[1 % n_exp] == 1)
@@ -367,30 +397,21 @@ def verlinde_field_index(d: ModularDatum) -> int:
     fixes every Verlinde entry; equals the degree of the cyclotomic field
     over the field the entries generate.
 
-    Asserts that fixing all entries coincides with inducing the identity
-    permutation, that the count is a power of two in the Galois case, and
+    Asserts that the count is a power of two in the Galois case, and
     that the exponent divides 24 when the entries are all rational.
     """
     stats = _require_integral(d)
-    n_o = stats.N_o
-    _, s, _ = _lifted_s(d)
-    count = 0
-    for q in units_mod(n_o):
-        identity_perm = index_action(d, q).perm == tuple(range(d.size))
-        fixes_entries = _s_image(d, q) == s
-        if identity_perm != fixes_entries:
-            raise NoUniqueMatch(
-                f"identity action and entry fixing disagree at q={q}"
-            )
-        if fixes_entries:
-            count += 1
+    units = _action_units(d)
+    # index_action matches each row of the image of S with the row of S
+    # of the same normalized key, so it is the identity iff the image is S
+    count = sum(index_action(d, q).perm == tuple(range(d.size)) for q in units)
     galois_ok, _ = is_galois_datum(d)
     if galois_ok:
         if count & (count - 1):
             raise NotGalois(
                 f"field index {count} is not a power of two"
             )
-        if count == len(units_mod(n_o)) and stats.N and 24 % stats.N != 0:
+        if count == len(units) and stats.N and 24 % stats.N != 0:
             raise NotGalois(
                 f"rational Verlinde entries but exponent {stats.N} "
                 "does not divide 24"

@@ -612,7 +612,7 @@ def oracle_fusion_symbol_analysis(d):
     rep = CheckReport("fusion-symbol-analysis")
     n_exp = stats.N
     f = galois._fusion_symbols(d)
-    us = galois._bounded_units(n_exp)
+    us = galois.units_mod(n_exp)
     w = next(((q, r) for q in us for r in us
               if f[(q * r) % n_exp] != f[q] * galois.sigma(f[r], q, n_exp)), None)
     rep.add("cocycle-law", w is None, w)
@@ -714,6 +714,20 @@ def oracle_odd_sign_analysis(d):
                 "gauss-sum-is-classical-up-to-sign",
                 stats.g == classical or stats.g == -classical,
             )
+    return rep
+
+
+def oracle_power_identity_check(d):
+    """datum.power_identity_check with the powers taken of g / g', g'
+    inverted on each call."""
+    stats = basic_stats(d)
+    rep = CheckReport("power-identities")
+    ratio = stats.g / stats.g_rec
+    rep.add("ratio-power-2Nm", ratio ** (2 * stats.N * d.size) == 1)
+    if stats.integral:
+        rep.add("ratio-power-2N", ratio ** (2 * stats.N) == 1)
+        if stats.N % 2 == 0:
+            rep.add("ratio-power-N", ratio ** stats.N == 1)
     return rep
 
 

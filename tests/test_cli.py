@@ -17,6 +17,7 @@ from moddata.cli import (
     serialize_datum_text,
 )
 from moddata.constructors import radford_datum, semion_datum
+from moddata.datum import ModularDatum
 from moddata.errors import SchemaError
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "data", "semion.json")
@@ -632,21 +633,85 @@ def test_symbols_refuse_before_taking_the_galois_images(tmp_path):
     )
 
 
-def test_galois_check_at_a_prime_conductor_of_thousands_is_too_large(tmp_path):
-    # the action laws run over pairs of the 9972 units modulo 9973, over
-    # galois.MAX_UNITS
+def test_galois_check_at_a_prime_conductor_of_thousands_fails_its_checks(tmp_path):
+    # S is rational, so the 9972 units make no image of it and the action
+    # laws pass; the datum is not Galois, as its axiom 4 fails
     path = _semion_at_9973(tmp_path)
     proc = _run_capped(
         "import sys; from moddata.cli import main; "
         f"sys.exit(main(['galois-check', {path!r}]))",
         timeout=10,
     )
+    assert proc.returncode == 1
+    assert "[PASS] galois-action-laws\n" in proc.stdout
+    assert "FAIL twist-condition ; witness: axiom4-proportionality" in proc.stdout
+    assert proc.stderr == ""
+
+
+def _three_labels(tmp_path, s_matrix, t_diag):
+    """A file of the three labels 0, 1, 2, each its own dual, with unit 0."""
+    d = ModularDatum(("0", "1", "2"), "0", (0, 1, 2), s_matrix, t_diag)
+    path = tmp_path / "three.json"
+    path.write_text(json.dumps(serialize_datum(d)))
+    return str(path)
+
+
+def test_symbols_refuse_gauss_images_past_the_coefficient_bound(tmp_path):
+    # T = (z, z, -z) for z of order 9973 and S all ones: g = z inverts at
+    # no cost, but its 9972 images modulo N = 19946 would hold 9972^2
+    # coefficients
+    one, z = cyclo.one(1), cyclo.root_of_unity(9973, 1)
+    path = _three_labels(tmp_path, ((one,) * 3,) * 3, (z, z, -z))
+    proc = _run_capped(
+        "import sys; from moddata.cli import main; "
+        f"sys.exit(main(['symbols', {path!r}]))",
+        timeout=10,
+    )
     assert proc.returncode == 3
     assert proc.stdout == ""
     assert proc.stderr == (
-        "error: 9972 units modulo 9973 give 99440784 pairs to check; "
-        "the bound is 96 units\n"
+        "error: the images of the Gauss sum under the 9972 units modulo 19946 "
+        "hold 99440784 coefficients; the bound is 10000000\n"
     )
+
+
+def test_field_index_refuses_images_of_s_past_the_coefficient_bound(tmp_path):
+    # S = [[1, 1, 1], [1, a, b], [1, b, a]] for the two quadratic Gauss
+    # periods a, b at 9973, and T = (1, z, z): each of the 9972 units
+    # modulo N_o = 9973 would make an image of 9 * 9972 coefficients
+    p = 9973
+    one, z = cyclo.one(1), cyclo.root_of_unity(p, 1)
+    # a = sum of z^k over the squares k, in the basis 1, z, ..., z^(p-2),
+    # where z^(p-1) = -(1 + ... + z^(p-2)) and p - 1 is a square
+    squares = {k * k % p for k in range(1, p)}
+    a = cyclo.from_json(
+        {"conductor": p, "coeffs": [str((k in squares) - 1) for k in range(p - 1)]}
+    )
+    b = -1 - a
+    path = _three_labels(tmp_path, ((one, one, one), (one, a, b), (one, b, a)),
+                         (one, z, z))
+    message = (
+        "error: the images of S under the 9972 units modulo 9973 hold "
+        "894967056 coefficients; the bound is 10000000\n"
+    )
+    proc = _run_capped(
+        "import sys; from moddata import cli, galois\n"
+        "from moddata.errors import TooLarge\n"
+        "try:\n"
+        f"    galois.verlinde_field_index(cli.load_datum({path!r}))\n"
+        "except TooLarge as exc:\n"
+        "    print(f'error: {exc}', file=sys.stderr)\n"
+        "    sys.exit(3)\n",
+        timeout=10,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (3, "", message)
+    # galois-check meets the same bound first in the action laws
+    proc = _run_capped(
+        "import sys; from moddata.cli import main; "
+        f"sys.exit(main(['galois-check', {path!r}]))",
+        timeout=10,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (3, "", message)
 
 
 @pytest.mark.parametrize("command", ["gauss-sum", "cocycle"])

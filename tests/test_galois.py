@@ -1,4 +1,8 @@
+import math
+
 import pytest
+
+import oracles
 
 from moddata import cyclo, galois
 from moddata.constructors import (
@@ -12,6 +16,7 @@ from moddata.datum import ModularDatum, kronecker_product
 from moddata.errors import (
     BadInversePair,
     EvenExponent,
+    ModdataError,
     NotAUnit,
     NotRootOfUnity,
     TooLarge,
@@ -106,18 +111,72 @@ def _semion_at(p):
     )
 
 
+def _outcome(check, d):
+    try:
+        return check(d).to_json()
+    except ModdataError as exc:
+        return type(exc).__name__, str(exc)
+
+
 def test_pair_checks_are_bounded_by_the_units():
-    # z_97 leaves 96 units, the bound; z_101 leaves 100
-    assert galois.MAX_UNITS == 96
-    # S is rational, so every unit fixes every row
-    assert verify_action_laws(_semion_at(97)).passed
-    big = _semion_at(101)
-    for check in (verify_action_laws, fusion_symbol_analysis):
-        with pytest.raises(TooLarge, match="100 units modulo 101 give 10000 pairs"):
-            check(big)
-    # the checks over single units stay available
-    assert is_galois_datum(big) == (False, "axiom4-proportionality")
-    assert verlinde_field_index(big) == 100
+    # z_101 leaves 100 units, over the 96 that once bounded the pair
+    # checks, and z_1009 leaves 1008.  S is rational, so no image of S
+    # is made; at z_1009 the inverse of g = 1 + z is over its degree bound
+    for p in (101, 1009):
+        d = _semion_at(p)
+        assert _outcome(verify_action_laws, d) == _outcome(
+            oracles.oracle_verify_action_laws, d
+        )
+        assert _outcome(fusion_symbol_analysis, d) == _outcome(
+            oracles.oracle_fusion_symbol_analysis, d
+        )
+        assert verify_action_laws(d).passed
+        assert is_galois_datum(d) == (False, "axiom4-proportionality")
+        assert verlinde_field_index(d) == p - 1
+    with pytest.raises(TooLarge, match="inverse at conductor 1009"):
+        fusion_symbol_analysis(_semion_at(1009))
+
+
+def test_unit_generators_generate_the_units():
+    for n in range(1, 1001):
+        units = set(units_mod(n))
+        gens = galois._unit_generators(n)
+        assert gens[0] == 1 % n
+        assert set(gens) <= units and len(gens) <= 1 + math.log2(len(units))
+        group = frontier = {1 % n}
+        while frontier:
+            frontier = {x * u % n for x in frontier for u in gens} - group
+            group = group | frontier
+        assert group == units, n
+
+
+@pytest.mark.parametrize("bound", [1763, 1764])
+def test_image_bounds_count_the_coefficients(monkeypatch, bound):
+    # radford 7 makes its 6 images of S at 7^2 phi(7) = 294 coefficients
+    # each, 1764 in all, and its 6 images of g at 6 each
+    monkeypatch.setattr(galois, "MAX_IMAGE_COEFFICIENTS", bound)
+    d = radford_datum(7)
+    walks = (verify_action_laws, is_galois_datum, verlinde_field_index)
+    if bound < 1764:
+        for walk in walks:
+            with pytest.raises(TooLarge, match="the images of S under the 6 "
+                               "units modulo 7 hold 1764 coefficients; the "
+                               "bound is 1763"):
+                walk(d)
+    else:
+        assert verify_action_laws(d).passed
+        assert is_galois_datum(d) == (True, None)
+        assert verlinde_field_index(d) == 1
+    monkeypatch.setattr(galois, "MAX_IMAGE_COEFFICIENTS", 35)
+    with pytest.raises(TooLarge, match="the images of the Gauss sum under "
+                       "the 6 units modulo 7 hold 36 coefficients"):
+        fusion_symbol_table(radford_datum(7))
+
+
+def test_the_largest_generated_datum_is_within_the_image_bound():
+    # 42 units modulo 49, each making 49^2 phi(49) coefficients
+    assert 42 * 49**2 * 42 <= galois.MAX_IMAGE_COEFFICIENTS
+    assert galois._action_units(radford_datum(49)) == units_mod(49)
 
 
 def test_fusion_symbols_semion():

@@ -179,6 +179,29 @@ def test_permutation_relations_check_the_involution_apart_from_s(monkeypatch):
     assert got["permutation-matrix-relations"].witness == 0
 
 
+@pytest.mark.parametrize("q0", [4, 5, 6])
+def test_multiplicativity_matches_the_oracle_off_the_generators(monkeypatch, q0):
+    # the units modulo 7 are generated by 1, 2 and 3; a permutation
+    # changed at another unit fails the law at a generator too, and the
+    # witness is the oracle's first failing pair
+    assert galois._unit_generators(7) == [1, 2, 3]
+    d = radford_datum(7)
+    real = galois.index_action
+
+    def swapped(d, q):
+        gp = real(d, q)
+        if q % 7 != q0:
+            return gp
+        perm = list(gp.perm)
+        perm[1], perm[2] = perm[2], perm[1]
+        return GaloisPermutation(q=gp.q, perm=tuple(perm))
+
+    monkeypatch.setattr(galois, "index_action", swapped)
+    got = verify_action_laws(d)
+    assert got.to_json() == oracles.oracle_verify_action_laws(d).to_json()
+    assert got["action-multiplicative"].witness[0] == 2
+
+
 def _result(f, *args):
     try:
         return f(*args)
@@ -303,13 +326,14 @@ def test_action_readers_image_each_entry_once_per_unit(monkeypatch):
 
 
 def test_analyze_galois_apply_count(monkeypatch):
-    # 245 for the images of S, 42 in sigma for the images of the Gauss
-    # sum and their cocycle law, 10 in one inverse each of g and g'
+    # 245 for the images of S; 24 in sigma for the 6 images of the Gauss
+    # sum and the cocycle law at the 3 generators 1, 2, 3 of the units
+    # times the 6 units; 5 in the one inverse of g
     from moddata.cli import build_analysis
 
     applies = _counting(monkeypatch, cyclo, "galois_apply")
     assert build_analysis(radford_datum(7)).passed
-    assert len(applies) == 297
+    assert len(applies) == 274
 
 
 def test_idempotent_laws_multiply_nothing_on_valid_data(monkeypatch):
@@ -374,8 +398,8 @@ def _dehn_changed(d, i, t_i):
 
 # The built-in data; the semion with T[1] = z_p^k, dense Gauss sums when
 # z_p^k is not a fourth root of unity, up to p = 60, and at p = 113, whose
-# 112 units are over the bound; and radford 3, 5, 7 with t_1 replaced by
-# t_2, which are not modular data
+# 112 units take the oracle's pair scan past a second; and radford 3, 5,
+# 7 with t_1 replaced by t_2, which are not modular data
 _SYMBOL_DATA = _BUILT_IN + [
     (f"semion-z{p}^{k}", _dehn_changed(semion_datum(), 1, root_of_unity(p, k % p)))
     for p in list(range(2, 25)) + [31, 60, 113]
@@ -414,9 +438,40 @@ def test_symbol_laws_fail_on_changed_data():
     report = galois.fusion_symbol_analysis(data["semion-z31^1"])
     assert report["power-2N"].witness == 2
     assert report["character-iff-sign-relation"].value is False
-    assert _outcome(galois.fusion_symbol_analysis, data["semion-z113^1"])[0] == "TooLarge"
     outcome = _outcome(galois.odd_sign_analysis, data["radford7-t1=t2"])
     assert outcome[0] == "SignMismatch"
+
+
+def test_power_identities_match_the_oracle_on_changed_data():
+    # the powers of g' / g against those of g / g'; some changed semions
+    # fail them, and at z_2 and z_4^2 both g and g' are zero
+    outcomes = set()
+    for name, d in _SYMBOL_DATA:
+        got = _outcome(datum.power_identity_check, d)
+        assert got == _outcome(oracles.oracle_power_identity_check, d), name
+        outcomes.add(got[0] if isinstance(got, tuple) else got["passed"])
+    assert outcomes == {True, False, "DivisionByZero"}
+
+
+@pytest.mark.parametrize("q0", [4, 5, 6])
+def test_cocycle_law_matches_the_oracle_off_the_generators(monkeypatch, q0):
+    # sigma_q0(g) of radford 7 times z_7, at a unit past the generators
+    # 1, 2, 3: f(q0) is no longer rational, and the cocycle law fails at
+    # a generator too
+    d = radford_datum(7)
+    d = ModularDatum(d.labels, d.unit, d.star, d.s_matrix, d.t_diag)
+    real = galois._gauss_images
+
+    def changed(d):
+        h = dict(real(d))
+        h[q0] = h[q0] * root_of_unity(7, 1)
+        return h
+
+    monkeypatch.setattr(galois, "_gauss_images", changed)
+    got = _outcome(galois.fusion_symbol_analysis, d)
+    assert got == _outcome(oracles.oracle_fusion_symbol_analysis, d)
+    assert got["checks"][0]["name"] == "cocycle-law"
+    assert got["checks"][0]["witness"][0] == 2
 
 
 def _star_changed(n, star):
@@ -511,9 +566,11 @@ def test_analyze_inverts_the_gauss_sum_once(monkeypatch):
 
     d = radford_datum(7)
     g = basic_stats(d).g
+    g_rec = basic_stats(d).g_rec
     inverses = _counting_method(monkeypatch, cyclo.CycloNum, "inverse")
     assert build_analysis(d).passed
     assert sum(x == g for x in inverses) == 1
+    assert sum(x == g_rec for x in inverses) == 0
 
 
 def test_twisted_sum_uses_matrix_products(monkeypatch):
@@ -680,21 +737,15 @@ def test_fusion_coefficients_make_one_sum_per_unordered_triple(monkeypatch):
 
 
 def test_power_identities_make_no_product_but_the_ratio(monkeypatch):
-    # the powers of g / g' are read off the table of roots of unity; the
-    # one division inverts g' by its conjugates unless g' is rational
-    one_product = set()
+    # the powers of g' / g are read off the table of roots of unity, and
+    # the ratio is one product with the inverse of g kept on the datum
     for name, d in _BUILT_IN:
-        stats = basic_stats(d)
+        datum._gauss_sum_inverse(d)
         products = _counting_method(monkeypatch, cyclo.CycloNum, "__mul__")
-        stats.g / stats.g_rec
-        ratio = len(products)
-        del products[:]
+        inverses = _counting_method(monkeypatch, cyclo.CycloNum, "inverse")
         assert datum.power_identity_check(d).passed, name
-        assert len(products) == ratio, name
+        assert (len(products), inverses) == (1, []), name
         monkeypatch.undo()
-        if ratio == 1:
-            one_product.add(name)
-    assert {"trivial", "radford9^1"} <= one_product
 
 
 def test_validate_axioms_product_counts(monkeypatch):
