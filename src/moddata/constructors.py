@@ -18,10 +18,11 @@ from .errors import BadLevel, EvenOrder, NotAUnit, TooLarge
 from .report import CheckReport, Frozen
 
 # Largest number of labels a constructor builds.  Validating a datum of
-# rank m holds its m^2 (m+1)/2 Verlinde products and m(m+1)(m+2)/6 sums
-# at once, so its memory grows as m^3 phi(conductor): the cyclic datum of
-# order 45 peaks at about 40 MiB (5 s on a 2-core Xeon VM, Python 3.11),
-# and the one of order 49 validates within a 600 MB address-space cap.
+# rank m holds its m(m+1)(m+2)/6 Verlinde sums at once, and m of their
+# partial products at a time, so its memory grows as m^3 phi(conductor):
+# on a 2-core Xeon VM (Python 3.11), `validate` of the cyclic datum of
+# order 45 peaks at 26 MiB (1.4 s), and of order 49 at 32 MiB (1.7 s),
+# also within a 600 MB address-space cap.
 MAX_RANK = 50
 
 

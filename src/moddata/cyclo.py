@@ -575,9 +575,11 @@ def _common(a: CycloNum, b: CycloNum):
 # once and made canonical with one gcd.  The canonical form of a value at a
 # given conductor is unique, so the result is exactly what the left fold of
 # * and + returns as long as the conductor is the fold's: the lcm of the
-# conductors of all operands, zeros included.  linalg.mat_mul and
-# fusion.multiply call _operand and _sum_terms themselves, so that an
-# operand shared by many sums is lifted once.
+# conductors of all operands, zeros included.  Operands are lifted by one
+# helper, Lifted, which keeps a vector's lift to each conductor: dot lifts
+# its two vectors per call, and linalg.mat_mul, fusion.multiply, the
+# Verlinde sums and the fusion-ring laws keep a vector shared by many sums
+# and lift it once per conductor.
 
 
 def _product_conductor(a: int, b: int) -> int:
@@ -609,43 +611,79 @@ def _fold_conductor(xs, ys) -> int:
     return m
 
 
-def _operand(x: CycloNum, m: int):
-    """x at the conductor m, a multiple of its own, as (its nonzero
-    coordinates [(i, c), ...], den).  The caller has checked the limit."""
-    nums = x.nums if x.conductor == m else _spread(x.nums, m // x.conductor, m)
-    return [(i, c) for i, c in enumerate(nums) if c], x.den
+# 1 as an operand of _sum_terms, at every conductor
+_ONE = ([(0, 1)], 1)
+
+
+class Lifted:
+    """A vector of CycloNum lifted once to each conductor it is summed at.
+    conductor is the lcm of its entries' conductors, zeros included, and
+    uniform whether every entry is at it.  at(m), for m a multiple of
+    conductor, is the vector at m as operands of _sum_terms: for each
+    entry (its nonzero coordinates [(i, c), ...], den), or None for a
+    zero; it is made on first use and kept.  The caller has checked the
+    limit."""
+
+    __slots__ = ("xs", "conductor", "uniform", "_at")
+
+    def __init__(self, xs):
+        self.xs = xs
+        conductors = {x.conductor for x in xs}
+        self.conductor = lcm(*conductors)
+        self.uniform = len(conductors) < 2
+        self._at = {}
+
+    def at(self, m: int) -> list:
+        ops = self._at.get(m)
+        if ops is None:
+            ops = self._at[m] = []
+            for x in self.xs:
+                nums = x.nums
+                if x.conductor != m:
+                    nums = _spread(nums, m // x.conductor, m)
+                nonzero = [(i, c) for i, c in enumerate(nums) if c]
+                ops.append((nonzero, x.den) if nonzero else None)
+        return ops
 
 
 def _sum_terms(m: int, terms) -> CycloNum:
     """The sum of w * x * y over the terms (x, y, w): x and y operands at
-    conductor m (see _operand), w an integer.  One reduction modulo Phi_m
+    conductor m (see Lifted), w an integer.  One reduction modulo Phi_m
     and one gcd for the whole sum."""
     acc = [0] * (2 * euler_phi(m) - 1)
-    den = 1
+    den = 0  # none before the first term, whose own it takes
     for (xs, dx), (ys, dy), w in terms:
         d = dx * dy
         if d != den:
-            if den % d:
-                # bring the sum so far to the lcm of the denominators
-                f = d // gcd(den, d)
-                acc = [c * f for c in acc]
-                den *= f
-            w *= den // d
+            if not den:
+                den = d
+            else:
+                if den % d:
+                    # bring the sum so far to the lcm of the denominators
+                    f = d // gcd(den, d)
+                    acc = [c * f for c in acc]
+                    den *= f
+                w *= den // d
         if len(xs) > len(ys):
             xs, ys = ys, xs
         for i, a in xs:
             a *= w
             for j, b in ys:
                 acc[i + j] += a * b
-    return _settle(m, acc, den)
+    return _settle(m, acc, den or 1)
+
+
+def _lifted_dot(m: int, xs, ys) -> CycloNum:
+    """x0 * y0 + x1 * y1 + ... over vectors lifted to the conductor m."""
+    return _sum_terms(m, [(x, y, 1) for x, y in zip(xs, ys) if x and y])
 
 
 def dot(xs, ys) -> CycloNum:
     """x0 * y0 + x1 * y1 + ..., exactly the value, conductor and canonical
     form the left fold of * and + returns, raising TooLarge where that
-    fold would; the empty sum is zero(1).  Each operand is lifted to the
-    common conductor once, and the whole sum costs one reduction modulo
-    the cyclotomic polynomial and one gcd."""
+    fold would; the empty sum is zero(1).  Each nonzero term's operands
+    are lifted to the common conductor once, and the whole sum costs one
+    reduction modulo the cyclotomic polynomial and one gcd."""
     xs = list(xs)
     ys = list(ys)
     if len(xs) != len(ys):
@@ -653,11 +691,9 @@ def dot(xs, ys) -> CycloNum:
     if not xs:
         return zero(1)
     m = _fold_conductor(xs, ys)
-    terms = []
-    for x, y in zip(xs, ys):
-        if x and y:
-            terms.append((_operand(x, m), _operand(y, m), 1))
-    return _sum_terms(m, terms)
+    nonzero = [k for k, (x, y) in enumerate(zip(xs, ys)) if x and y]
+    return _lifted_dot(m, Lifted([xs[k] for k in nonzero]).at(m),
+                       Lifted([ys[k] for k in nonzero]).at(m))
 
 
 def galois_apply(x: CycloNum, q: int) -> CycloNum:

@@ -86,13 +86,33 @@ class FusionTable(Frozen):
         return rep
 
 
-def _weighted_sum(terms, values) -> CycloNum:
-    """The sum of n * values[k] over the sparse terms (k, n)."""
-    if len(terms) == 1 and terms[0][1] == 1:
-        return values[terms[0][0]]
-    return cyclo.dot(
-        [values[k] for k, _ in terms], [cyclo.from_rational(n) for _, n in terms]
-    )
+def _law_conductor(u: cyclo.Lifted, v: cyclo.Lifted):
+    """The lcm conductor of u and v, if each has all its entries at its
+    own conductor and the lcm is within the limit, else None.  Then the
+    folds of * and + over their entries meet that conductor and no other,
+    so a sum made there raises no TooLarge that they would not."""
+    m = lcm(u.conductor, v.conductor)
+    return m if u.uniform and v.uniform and m <= cyclo.get_conductor_limit() else None
+
+
+def _sum_is_product(terms, u: cyclo.Lifted, v: cyclo.Lifted, a: int, b: int,
+                    m) -> bool:
+    """Whether the sum of n u_k over the sparse terms (k, n) is v_a u_b:
+    one kernel sum of the difference at m = _law_conductor(u, v), over the
+    vectors lifted once.  Where m is None, both sides are the left folds
+    of * and +, which raise TooLarge where they would."""
+    if m is None:
+        if len(terms) == 1 and terms[0][1] == 1:
+            lhs = u.xs[terms[0][0]]
+        else:
+            lhs = cyclo.dot([u.xs[k] for k, _ in terms],
+                            [cyclo.from_rational(n) for _, n in terms])
+        return lhs == v.xs[a] * u.xs[b]
+    us, vs = u.at(m), v.at(m)
+    diff = [(us[k], cyclo._ONE, n) for k, n in terms if us[k]]
+    if vs[a] and us[b]:
+        diff.append((vs[a], us[b], -1))
+    return not cyclo._sum_terms(m, diff)
 
 
 class FusionElement(Frozen):
@@ -160,19 +180,29 @@ def fusion_coefficients(d: ModularDatum) -> FusionTable:
     # each a <= b <= c, as one sum over l of p[a, b][l] s_cl, where
     # p[a, b][l] = s_al sw[b][l] and sw[b][l] = s_bl / (s_ol n).  Its
     # conductor, the lcm of those of rows a, b and c of S and of the
-    # weights, is symmetric too.
+    # weights, is symmetric too, and is the lcm of the conductors of
+    # p[a, b] and of row c of S.
     weights = [(s[o][l] * n).inverse() for l in range(m)]
     sw = [[s[j][l] * weights[l] for l in range(m)] for j in range(m)]
-    p = {(a, b): [s[a][l] * sw[b][l] for l in range(m)]
-         for a in range(m) for b in range(a, m)}
+    pairs = [(a, b) for a in range(m) for b in range(a, m)]
+    p = {}
     if lcm(*[w.conductor for w in weights],
            *[x.conductor for row in s for x in row]) > cyclo.get_conductor_limit():
-        # raise TooLarge at the first entry, in (i, j, k) order, whose sum
-        # would raise it
+        # raise TooLarge at the first product p[a, b][l], then at the first
+        # entry in (i, j, k) order whose sum would raise it
+        p = {(a, b): [s[a][l] * sw[b][l] for l in range(m)] for a, b in pairs}
         for i, j, k in product(range(m), repeat=3):
             cyclo._fold_conductor(p[min(i, j), max(i, j)], s[star[k]])
-    sums = {(a, b, c): cyclo.dot(p[a, b], s[c])
-            for a, b in p for c in range(b, m)}
+    rows = [cyclo.Lifted(row) for row in s]
+    sums = {}
+    for a, b in pairs:
+        # each p[a, b] is lifted once per conductor and dropped after its
+        # last sum, each row of S once per conductor in all
+        pab = p.pop((a, b), None) or [s[a][l] * sw[b][l] for l in range(m)]
+        pab = cyclo.Lifted(pab)
+        for c in range(b, m):
+            mc = lcm(pab.conductor, rows[c].conductor)
+            sums[a, b, c] = cyclo._lifted_dot(mc, pab.at(mc), rows[c].at(mc))
     violations = []
     coeffs = []
     for i in range(m):
@@ -215,23 +245,15 @@ def multiply(x: FusionElement, y: FusionElement, t: FusionTable) -> FusionElemen
             for k, nijk in t.terms[i][j]:
                 conductors[k] = cyclo._sum_conductor(conductors[k], c)
                 terms[k].append((i, j, nijk))
-    sides = (x.coeffs, y.coeffs)
-    operands = {}  # (side, index, conductor) -> operand
-
-    def operand(side, idx, mk):
-        key = (side, idx, mk)
-        op = operands.get(key)
-        if op is None:
-            op = operands[key] = cyclo._operand(sides[side][idx], mk)
-        return op
-
-    out = []
-    for k, mk in enumerate(conductors):
-        out.append(cyclo._sum_terms(mk, [
-            (operand(0, i, mk), operand(1, j, mk), nijk)
-            for i, j, nijk in terms[k]
-        ]))
-    return FusionElement(tuple(out))
+    # each coefficient on its own, lifted once to each conductor it meets
+    xl = [cyclo.Lifted((c,)) for c in x.coeffs]
+    yl = [cyclo.Lifted((c,)) for c in y.coeffs]
+    return FusionElement(tuple(
+        cyclo._sum_terms(mk, [
+            (xl[i].at(mk)[0], yl[j].at(mk)[0], nijk) for i, j, nijk in terms[k]
+        ])
+        for k, mk in enumerate(conductors)
+    ))
 
 
 def xi_evaluate(d: ModularDatum, q: int, x: FusionElement) -> CycloNum:
@@ -265,17 +287,17 @@ def verify_ring_homomorphisms(d: ModularDatum, t: FusionTable) -> CheckReport:
     rep = CheckReport("fusion-homomorphisms")
     m = d.size
     xi = _xi_matrix(d)
-    # xi_q(b_i b_j) is the sum over the nonzero N_ij^k of N_ij^k xi_q(b_k)
-    w = next(
-        (
-            (q, i, j)
-            for q in range(m)
-            for i in range(m)
-            for j in range(m)
-            if _weighted_sum(t.terms[i][j], xi[q]) != xi[q][i] * xi[q][j]
-        ),
-        None,
-    )
+    rows = [cyclo.Lifted(row) for row in xi]
+    terms = t.terms
+    # xi_q(b_i b_j) is the sum over the nonzero N_ij^k of N_ij^k xi_q(b_k);
+    # where b_i b_j = b_j b_i, the law at (q, i, j) for j < i is the one
+    # at (q, j, i), already checked
+    conductors = [_law_conductor(row, row) for row in rows]
+    w = next(((q, i, j) for q, row in enumerate(rows)
+              for i in range(m) for j in range(m)
+              if (j >= i or terms[i][j] != terms[j][i])
+              and not _sum_is_product(terms[i][j], row, row, i, j, conductors[q])),
+             None)
     rep.add("multiplicative", w is None, w)
     w = next(
         (
@@ -352,15 +374,24 @@ def verify_idempotent_laws(d: ModularDatum, t: FusionTable) -> CheckReport:
     for k, j in product(range(m), repeat=2):
         for l, n in t.terms[k][j]:
             by_output[k][l].append((j, n))
+    rows = [cyclo.Lifted(row) for row in xi]
+    lifted = [cyclo.Lifted(p.coeffs) for p in ps]
     # unabsorbed[i]: the first k with b_k p_i != xi_i(b_k) p_i, or None
-    unabsorbed = [
-        next((k for k in range(m) if any(
-            _weighted_sum(by_output[k][l], p.coeffs) != xi[i][k] * p.coeffs[l]
+    unabsorbed = []
+    for i, p in enumerate(lifted):
+        mi = _law_conductor(p, rows[i])
+        unabsorbed.append(next((k for k in range(m) if not all(
+            _sum_is_product(by_output[k][l], p, rows[i], k, l, mi)
             for l in range(m)
-        )), None)
-        for i, p in enumerate(ps)
-    ]
-    values = [[xi_evaluate(d, j, p) for j in range(m)] for p in ps]
+        )), None))
+
+    def value(i, j):  # xi_j(p_i), compared by value only
+        mij = _law_conductor(lifted[i], rows[j])
+        if mij is None:  # xi_evaluate raises TooLarge where it would
+            return xi_evaluate(d, j, ps[i])
+        return cyclo._lifted_dot(mij, lifted[i].at(mij), rows[j].at(mij))
+
+    values = [[value(i, j) for j in range(m)] for i in range(m)]
 
     def product_is(i, j, c):  # whether p_i p_j == c p_j
         if unabsorbed[j] is None:

@@ -231,23 +231,23 @@ def verify_action_laws(d: ModularDatum) -> CheckReport:
     rep.add("preserves-dimensions", w is None, w)
     w = next((q for q, gp in perms.items() if gp.perm[o] != o), None)
     rep.add("fixes-unit", w is None, w)
-    w = next(
-        (
-            (q, i)
-            for q, gp in perms.items()
-            for i in range(m)
-            if gp.perm[d.star[i]] != d.star[gp.perm[i]]
-        ),
-        None,
-    )
+    # each unit whose action does not commute with star, with the first
+    # label where it fails
+    unstarred = {}
+    for q, gp in perms.items():
+        i = next((i for i in range(m) if gp.perm[d.star[i]] != d.star[gp.perm[i]]),
+                 None)
+        if i is not None:
+            unstarred[q] = i
+    w = next(iter(unstarred.items()), None)
     rep.add("commutes-with-star", w is None, w)
 
     # P[i][j] = 1 iff i = p(j), so S P = P^T S iff s_i,p(j) = s_p(i),j; and
     # P C = C P iff p^-1 star = star p^-1, that is iff p commutes with star
     w = next((
         q for q, gp in perms.items()
-        if any(s[i][gp.perm[j]] != s[gp.perm[i]][j] for i in range(m) for j in range(m))
-        or any(gp.perm[d.star[i]] != d.star[gp.perm[i]] for i in range(m))
+        if q in unstarred
+        or any(s[i][gp.perm[j]] != s[gp.perm[i]][j] for i in range(m) for j in range(m))
     ), None)
     rep.add("permutation-matrix-relations", w is None, w)
 

@@ -28,36 +28,19 @@ def mat_mul(a, b) -> tuple:
     row i of a and column j of b.  It is one sum-of-products call over
     that row and column, each lifted to that conductor once with its
     zero entries dropped; for a matrix of one conductor, once in all."""
-    cols = tuple(zip(*b))
-    row_conductors = [lcm(*{x.conductor for x in row}) for row in a]
-    col_conductors = [lcm(*{y.conductor for y in col}) for col in cols]
-    if lcm(*row_conductors, *col_conductors) > cyclo.get_conductor_limit():
-        for row in a:
+    rows = [cyclo.Lifted(row) for row in a]
+    cols = [cyclo.Lifted(col) for col in zip(*b)]
+    if lcm(*[r.conductor for r in rows + cols]) > cyclo.get_conductor_limit():
+        for row in rows:
             for col in cols:
-                cyclo._fold_conductor(row, col)  # raises where the fold does
-    rows_at = {}  # (i, conductor) -> [(k, operand), ...] over nonzero a_ik
-    cols_at = {}  # (j, conductor) -> [operand or None, ...] over k
+                cyclo._fold_conductor(row.xs, col.xs)  # raises where the fold does
     out = []
-    for i, row in enumerate(a):
-        ri = row_conductors[i]
+    for row in rows:
         out_row = []
-        for j, cj in enumerate(col_conductors):
+        for col in cols:
+            ri, cj = row.conductor, col.conductor
             m = ri if ri == cj else lcm(ri, cj)
-            row_ops = rows_at.get((i, m))
-            if row_ops is None:
-                row_ops = rows_at[i, m] = [
-                    (k, cyclo._operand(x, m)) for k, x in enumerate(row) if x
-                ]
-            col_ops = cols_at.get((j, m))
-            if col_ops is None:
-                col_ops = cols_at[j, m] = [
-                    cyclo._operand(y, m) if y else None for y in cols[j]
-                ]
-            out_row.append(cyclo._sum_terms(m, [
-                (x, col_ops[k], 1)
-                for k, x in row_ops
-                if col_ops[k] is not None
-            ]))
+            out_row.append(cyclo._lifted_dot(m, row.at(m), col.at(m)))
         out.append(tuple(out_row))
     return tuple(out)
 

@@ -1,7 +1,10 @@
-"""The fused sum-of-products kernel (cyclo.dot, linalg.mat_mul and
-fusion.multiply) against the left folds of * and + in tests/oracles.py:
-the same conductor, numerators and denominator, element by element, and
-TooLarge in the same places with the same message."""
+"""The fused sum-of-products kernel (cyclo.dot, sums over vectors lifted
+once, linalg.mat_mul and fusion.multiply) against the left folds of *
+and + in tests/oracles.py: the same conductor, numerators and
+denominator, element by element, and TooLarge in the same places with
+the same message."""
+
+from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -72,6 +75,26 @@ def matrix_pairs(draw):
 def test_dot_matches_the_fold(pair):
     xs, ys = pair
     assert raw(cyclo.dot(xs, ys)) == raw(oracles.oracle_dot(xs, ys))
+
+
+@settings(max_examples=150, deadline=None)
+@given(vectors(), st.integers(1, 3))
+def test_sums_over_lifted_vectors_match_the_fold(pair, k):
+    # at the lcm of the two vectors' conductors, zeros included, the sum
+    # is the fold's to the last numerator; at a multiple of it, the same
+    # value there; each lift is made once and kept
+    xs, ys = pair
+    lx, ly = cyclo.Lifted(xs), cyclo.Lifted(ys)
+    m = lcm(lx.conductor, ly.conductor)
+    got = cyclo._lifted_dot(m, lx.at(m), ly.at(m))
+    if xs:
+        assert raw(got) == raw(oracles.oracle_dot(xs, ys))
+    else:
+        assert raw(got) == raw(cyclo.zero(1))
+    wider = cyclo._lifted_dot(k * m, lx.at(k * m), ly.at(k * m))
+    assert wider.conductor == k * m and wider == got
+    assert lx.at(m) is lx.at(m)
+    assert [op is None for op in lx.at(m)] == [x.is_zero() for x in xs]
 
 
 @settings(max_examples=60, deadline=None)

@@ -108,6 +108,9 @@ _CHANGED = [
     # N_12^3 = 1 becomes 2; in the noncommutative change p_1 and p_3
     # still absorb every b_k, the others do not
     ("su2_4", su2_datum(4), (1, 2, 3)),
+    # below the diagonal: in the noncommutative change the multiplicative
+    # law first fails at (q, 4, 2), where b_4 b_2 != b_2 b_4
+    ("radford5-below", radford_datum(5), (4, 2, 3)),
 ]
 
 
@@ -727,13 +730,123 @@ def test_axiom4_and_verlinde_raise_where_their_oracles_do(name, d, top):
         assert isinstance(got, list) and got_f[0] != "TooLarge"
 
 
+def _fresh(d):
+    return ModularDatum(d.labels, d.unit, d.star, d.s_matrix, d.t_diag)
+
+
+def _lifted_route_outcomes(d):
+    """(lifted route, oracle) outcomes on d: the Verlinde sums, then, if
+    they give a table, the ring-homomorphism and idempotent laws and the
+    fusion products of the first idempotents.  Each check runs on a copy
+    of d that has nothing derived yet."""
+    table = _verlinde_outcome(fusion.fusion_coefficients.__wrapped__, d)
+    pairs = [(table, _verlinde_outcome(oracles.oracle_verlinde_rows, d))]
+    if isinstance(table[0], str):  # an exception: no table
+        return pairs
+    for check, oracle in (
+        (verify_ring_homomorphisms, oracles.oracle_verify_ring_homomorphisms),
+        (verify_idempotent_laws, oracles.oracle_verify_idempotent_laws),
+    ):
+        got, expected = _fresh(d), _fresh(d)
+        pairs.append((_outcome(check, got, fusion_coefficients(got)),
+                      _outcome(oracle, expected, fusion_coefficients(expected))))
+    fresh = _fresh(d)
+    t = fusion_coefficients(fresh)
+    ps = _result(fusion.idempotents, fresh, t)
+    for x in ps[:2] if isinstance(ps, list) else []:
+        for y in ps[:2]:
+            pairs.append((_result(lambda: jsonable(fusion.multiply(x, y, t).coeffs)),
+                          _result(lambda: jsonable(oracles.oracle_multiply(x, y, t)))))
+    return pairs
+
+
+def _recording_conductors(monkeypatch):
+    """The set that the conductors of kernel sums are added to from now."""
+    conductors = set()
+    real = cyclo._sum_terms
+
+    def recording(m, terms):
+        conductors.add(m)
+        return real(m, terms)
+
+    monkeypatch.setattr(cyclo, "_sum_terms", recording)
+    return conductors
+
+
+@pytest.mark.parametrize("name,d,top", _LIMIT_DATA, ids=[c[0] for c in _LIMIT_DATA])
+def test_lifted_routes_match_their_oracles_under_every_limit(monkeypatch, name, d, top):
+    if name == "radford3-lifted":
+        # the Verlinde triples do not share one conductor, so each row is
+        # lifted to more than one
+        conductors = _recording_conductors(monkeypatch)
+        fusion_coefficients.__wrapped__(_fresh(d))
+        monkeypatch.undo()
+        assert conductors == {3, 15, 21, 105}
+    conductors = {x.conductor for row in d.s_matrix for x in row}
+    conductors |= {t.conductor for t in d.t_diag}
+    limits = {e for c in cyclo.divisors(lcm(*conductors)) for e in (c - 1, c)}
+    reached = set()
+    for limit in sorted(e for e in limits if top is None or e <= top):
+        token = cyclo.set_conductor_limit(limit)
+        try:
+            pairs = _lifted_route_outcomes(d)
+        finally:
+            cyclo.reset_conductor_limit(token)
+        for got, expected in pairs:
+            assert got == expected, limit
+        reached.add(len(pairs))
+    if name != "radford3*semion-four-primes" and name[:4] != "ones":
+        # some limits stop at the table; at the lcm every route runs
+        assert len(reached) > 1 and len(pairs) == 7
+
+
+_LOWERED = [(name, d) for name, d in _BUILT_IN
+            if name in ("radford3^1", "radford5^2", "radford3*semion", "su2_2", "su2_3")]
+
+
+@pytest.mark.parametrize("name,d", _LOWERED, ids=[name for name, _ in _LOWERED])
+def test_law_checks_under_a_lower_limit_than_their_derivation(name, d):
+    # the table and xi kept on the datum from the default limit, the laws
+    # checked under every lower one: rows over the limit are folded with *
+    # and +, which raise where the oracles do
+    d = _fresh(d)
+    t = fusion_coefficients(d)
+    top = lcm(*[x.conductor for row in fusion._xi_matrix(d) for x in row])
+    raised = 0
+    for limit in range(1, top):
+        token = cyclo.set_conductor_limit(limit)
+        try:
+            for check, oracle in (
+                (verify_ring_homomorphisms, oracles.oracle_verify_ring_homomorphisms),
+                (verify_idempotent_laws, oracles.oracle_verify_idempotent_laws),
+            ):
+                got = _outcome(check, d, t)
+                assert got == _outcome(oracle, d, t), (check, limit)
+                raised += got[0] == "TooLarge"
+        finally:
+            cyclo.reset_conductor_limit(token)
+    assert raised == 2 * (top - 1)
+
+
+def test_law_rows_that_mix_conductors_are_folded(monkeypatch):
+    # rows 1 and 2 of xi on radford3-lifted mix 3 with 15 and 21, so only
+    # row 0, at 3 throughout, is summed in the kernel
+    d = _fresh(_LIMIT_DATA[0][1])
+    t = fusion_coefficients(d)
+    assert [len({x.conductor for x in row}) for row in fusion._xi_matrix(d)] == [1, 2, 2]
+    sums = _recording_conductors(monkeypatch)
+    assert verify_ring_homomorphisms(d, t).passed
+    assert sums == {3}
+
+
 def test_fusion_coefficients_make_one_sum_per_unordered_triple(monkeypatch):
-    dots = _counting(monkeypatch, cyclo, "dot")
+    # counted in the kernel, under every route to it
+    sums = _counting(monkeypatch, cyclo, "_sum_terms")
     for name, d in _BUILT_IN:
-        del dots[:]
+        del sums[:]
         fusion_coefficients.__wrapped__(d)
         m = d.size
-        assert len(dots) == m * (m + 1) * (m + 2) // 6, name
+        assert len(sums) == m * (m + 1) * (m + 2) // 6, name
 
 
 def test_power_identities_make_no_product_but_the_ratio(monkeypatch):
@@ -750,7 +863,8 @@ def test_power_identities_make_no_product_but_the_ratio(monkeypatch):
 
 def test_validate_axioms_product_counts(monkeypatch):
     # 197 products as measured; S^2 and A S T of axiom 4 are the only
-    # matrix products, the Verlinde sums being one dot per unordered triple
+    # matrix products, the Verlinde sums being one kernel sum per
+    # unordered triple
     d = radford_datum(5)
     products = _counting_method(monkeypatch, cyclo.CycloNum, "__mul__")
     mat_muls = _counting(monkeypatch, linalg, "mat_mul")
