@@ -687,6 +687,8 @@ def _cmd_cocycle(args, out) -> int:
 
     _positive("--n", args.n)
     c = constructors.cocycle_omega(args.n, args.zeta)
+    if args.check:  # refused, if at all, before the table is printed
+        ok, witness = constructors.verify_3cocycle(c)
     payload = {
         "n": args.n,
         "zeta_exponent": args.zeta,
@@ -697,7 +699,6 @@ def _cmd_cocycle(args, out) -> int:
         ],
     }
     if args.check:
-        ok, witness = constructors.verify_3cocycle(c)
         payload["cocycle_identity"] = ok
         payload["witness"] = jsonable(witness)
         payload["passed"] = ok
@@ -713,9 +714,10 @@ def _int_env(name: str, fallback: int) -> int:
     if raw is None:
         return fallback
     try:
-        return int(raw)
+        value = int(raw)
     except ValueError:
         raise SchemaError(f"${name}", f"must be an integer, got {raw!r}") from None
+    return _positive(f"${name}", value)
 
 
 def _add_conductor_limit(parser):
@@ -833,6 +835,7 @@ def main(argv=None, out=None) -> int:
             args.max_group_order = max_group_order
         if args.conductor_limit is None:
             args.conductor_limit = conductor_limit
+        _positive("--max-group-order", args.max_group_order)
         token = cyclo.set_conductor_limit(
             _positive("--conductor-limit", args.conductor_limit)
         )

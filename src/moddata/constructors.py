@@ -25,6 +25,13 @@ from .report import CheckReport, Frozen
 # also within a 600 MB address-space cap.
 MAX_RANK = 50
 
+# Most coefficients of a 3-cocycle on Z_n: its table holds n^3 values of
+# phi(n) coefficients, and verify_3cocycle multiplies such values in n^4
+# identities.  On a 2-core Xeon VM (Python 3.11), `cocycle --n 40 --json`
+# (1.0e6) took 1.8 s and 252 MiB, --n 60 (3.5e6) 5.1 s and 814 MiB, and
+# `cocycle --n 16 --check` (5.2e5) 1.0 s, --n 20 (1.3e6) 2.4 s.
+MAX_COCYCLE_COEFFICIENTS = 10**6
+
 
 def _check_size(rank: int, conductor: int) -> None:
     """Refuse a datum over the conductor limit, then one of more than
@@ -32,6 +39,14 @@ def _check_size(rank: int, conductor: int) -> None:
     cyclo._check_limit(conductor)
     if rank > MAX_RANK:
         raise TooLarge(f"rank {rank} exceeds limit {MAX_RANK}")
+
+
+def _check_cocycle_size(n: int, power: int) -> None:
+    """Refuse n^power values of phi(n) coefficients over the bound."""
+    size = n**power * cyclo.euler_phi(n)
+    if size > MAX_COCYCLE_COEFFICIENTS:
+        raise TooLarge(f"cocycle of order {n} needs {size} coefficients; "
+                       f"the bound is {MAX_COCYCLE_COEFFICIENTS}")
 
 
 def radford_datum(n: int, zeta_exponent: int = 1) -> ModularDatum:
@@ -173,9 +188,11 @@ def verify_3cocycle(c: CocycleFn):
     """Generic checker: normalization and the 3-cocycle identity.
 
     Returns (True, None) or (False, witness) where the witness is the
-    first failing index tuple.
+    first failing index tuple.  Its n^4 identities are refused over
+    MAX_COCYCLE_COEFFICIENTS before the first is checked.
     """
     n = c.n
+    _check_cocycle_size(n, 4)
     one = cyclo.one(1)
     for i in range(n):
         for j in range(n):
@@ -202,11 +219,13 @@ def cocycle_omega(n: int, zeta_exponent: int = 1) -> CocycleFn:
     the carry 2-cocycle valued at the chosen n-th root of unity:
     sigma(i, j) = z^e when the representatives i + j wrap past n, else 1.
     The identity holds by construction; verify_3cocycle checks a table.
+    A table over MAX_COCYCLE_COEFFICIENTS is refused before it is built.
     """
     n = int(n)
     if n < 1:
         raise ValueError(f"need a positive order, got {n}")
-    zeta = root_of_unity(n, zeta_exponent)
+    zeta = root_of_unity(n, zeta_exponent)  # checks the conductor limit
+    _check_cocycle_size(n, 3)
     one = cyclo.one(n)
     table = tuple(
         tuple(

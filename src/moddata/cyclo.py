@@ -580,36 +580,12 @@ def _common(a: CycloNum, b: CycloNum):
 # its two vectors per call, and linalg.mat_mul, fusion.multiply, the
 # Verlinde sums and the fusion-ring laws keep a vector shared by many sums
 # and lift it once per conductor.
-
-
-def _product_conductor(a: int, b: int) -> int:
-    """Conductor of x * y for x, y at conductors a and b, raising TooLarge
-    where that product does: when it lifts, or reduces modulo Phi_c."""
-    c = a if a == b else lcm(a, b)
-    if c > _conductor_limit.get() and (a != b or c > 2):
-        _check_limit(c)
-    return c
-
-
-def _sum_conductor(a: int, b: int) -> int:
-    """Conductor of x + y for x, y at conductors a and b, raising TooLarge
-    where that sum does: when it lifts."""
-    if a == b:
-        return a
-    c = lcm(a, b)
-    _check_limit(c)
-    return c
-
-
-def _fold_conductor(xs, ys) -> int:
-    """Conductor of the left fold x0 * y0 + x1 * y1 + ... of a nonempty
-    sum, raising TooLarge where that fold would."""
-    m = None
-    for x, y in zip(xs, ys):
-        c = _product_conductor(x.conductor, y.conductor)
-        m = c if m is None else _sum_conductor(m, c)
-    return m
-
+#
+# One rule limits every such sum, checked where Lifted.at lifts a vector
+# for it: a sum at a conductor over the limit raises TooLarge naming it.
+# The fold raises at the same sums, though it may name a partial sum's
+# conductor.  As in the fold, a sum at 1 or 2 over operands all at it
+# neither lifts nor reduces, and is made under any limit.
 
 # 1 as an operand of _sum_terms, at every conductor
 _ONE = ([(0, 1)], 1)
@@ -617,30 +593,35 @@ _ONE = ([(0, 1)], 1)
 
 class Lifted:
     """A vector of CycloNum lifted once to each conductor it is summed at.
-    conductor is the lcm of its entries' conductors, zeros included, and
-    uniform whether every entry is at it.  at(m), for m a multiple of
-    conductor, is the vector at m as operands of _sum_terms: for each
-    entry (its nonzero coordinates [(i, c), ...], den), or None for a
-    zero; it is made on first use and kept.  The caller has checked the
-    limit."""
+    conductor is the lcm of its entries' conductors, zeros included,
+    uniform whether every entry is at it, and low the least of them.
+    at(m) is the vector at m as operands of _sum_terms: for each entry,
+    (its nonzero coordinates [(i, c), ...], den), or None for a zero or
+    for an entry whose conductor does not divide m, which a sum at m
+    must not involve.  It checks the limit on a sum at m, then makes the
+    lift on first use and keeps it."""
 
-    __slots__ = ("xs", "conductor", "uniform", "_at")
+    __slots__ = ("xs", "conductor", "uniform", "low", "_at")
 
     def __init__(self, xs):
         self.xs = xs
         conductors = {x.conductor for x in xs}
         self.conductor = lcm(*conductors)
         self.uniform = len(conductors) < 2
+        self.low = min(conductors, default=1)
         self._at = {}
 
     def at(self, m: int) -> list:
+        if m > 2 or m > self.low:  # the sum lifts an entry or reduces
+            _check_limit(m)
         ops = self._at.get(m)
         if ops is None:
             ops = self._at[m] = []
             for x in self.xs:
                 nums = x.nums
                 if x.conductor != m:
-                    nums = _spread(nums, m // x.conductor, m)
+                    scale, rest = divmod(m, x.conductor)
+                    nums = () if rest else _spread(nums, scale, m)
                 nonzero = [(i, c) for i, c in enumerate(nums) if c]
                 ops.append((nonzero, x.den) if nonzero else None)
         return ops
@@ -680,20 +661,20 @@ def _lifted_dot(m: int, xs, ys) -> CycloNum:
 
 def dot(xs, ys) -> CycloNum:
     """x0 * y0 + x1 * y1 + ..., exactly the value, conductor and canonical
-    form the left fold of * and + returns, raising TooLarge where that
-    fold would; the empty sum is zero(1).  Each nonzero term's operands
-    are lifted to the common conductor once, and the whole sum costs one
-    reduction modulo the cyclotomic polynomial and one gcd."""
+    form the left fold of * and + returns; the empty sum is zero(1).  It
+    is one kernel sum at the lcm of the conductors of all the operands,
+    zeros included, and raises TooLarge naming that conductor when it is
+    over the limit (see Lifted).  It costs one reduction modulo the
+    cyclotomic polynomial and one gcd."""
     xs = list(xs)
     ys = list(ys)
     if len(xs) != len(ys):
         raise DimensionMismatch(f"sum of products over {len(xs)} and {len(ys)} terms")
     if not xs:
         return zero(1)
-    m = _fold_conductor(xs, ys)
-    nonzero = [k for k, (x, y) in enumerate(zip(xs, ys)) if x and y]
-    return _lifted_dot(m, Lifted([xs[k] for k in nonzero]).at(m),
-                       Lifted([ys[k] for k in nonzero]).at(m))
+    lx, ly = Lifted(xs), Lifted(ys)
+    m = lcm(lx.conductor, ly.conductor)
+    return _lifted_dot(m, lx.at(m), ly.at(m))
 
 
 def galois_apply(x: CycloNum, q: int) -> CycloNum:

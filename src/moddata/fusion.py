@@ -9,7 +9,7 @@ idempotents, each with a full law-verification suite.
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import combinations_with_replacement, product
 from math import lcm
 
 from . import cyclo
@@ -86,28 +86,16 @@ class FusionTable(Frozen):
         return rep
 
 
-def _law_conductor(u: cyclo.Lifted, v: cyclo.Lifted):
-    """The lcm conductor of u and v, if each has all its entries at its
-    own conductor and the lcm is within the limit, else None.  Then the
-    folds of * and + over their entries meet that conductor and no other,
-    so a sum made there raises no TooLarge that they would not."""
-    m = lcm(u.conductor, v.conductor)
-    return m if u.uniform and v.uniform and m <= cyclo.get_conductor_limit() else None
-
-
-def _sum_is_product(terms, u: cyclo.Lifted, v: cyclo.Lifted, a: int, b: int,
-                    m) -> bool:
+def _sum_is_product(terms, u: cyclo.Lifted, v: cyclo.Lifted, a: int, b: int) -> bool:
     """Whether the sum of n u_k over the sparse terms (k, n) is v_a u_b:
-    one kernel sum of the difference at m = _law_conductor(u, v), over the
-    vectors lifted once.  Where m is None, both sides are the left folds
-    of * and +, which raise TooLarge where they would."""
-    if m is None:
-        if len(terms) == 1 and terms[0][1] == 1:
-            lhs = u.xs[terms[0][0]]
-        else:
-            lhs = cyclo.dot([u.xs[k] for k, _ in terms],
-                            [cyclo.from_rational(n) for _, n in terms])
-        return lhs == v.xs[a] * u.xs[b]
+    one kernel sum of the difference, over the vectors lifted once, at
+    the lcm conductor of the entries it involves; for two vectors each
+    of one conductor, the lcm of those."""
+    if u.uniform and v.uniform:
+        m = lcm(u.conductor, v.conductor)
+    else:
+        m = lcm(v.xs[a].conductor, u.xs[b].conductor,
+                *[u.xs[k].conductor for k, _ in terms])
     us, vs = u.at(m), v.at(m)
     diff = [(us[k], cyclo._ONE, n) for k, n in terms if us[k]]
     if vs[a] and us[b]:
@@ -181,25 +169,16 @@ def fusion_coefficients(d: ModularDatum) -> FusionTable:
     # p[a, b][l] = s_al sw[b][l] and sw[b][l] = s_bl / (s_ol n).  Its
     # conductor, the lcm of those of rows a, b and c of S and of the
     # weights, is symmetric too, and is the lcm of the conductors of
-    # p[a, b] and of row c of S.
+    # p[a, b] and of row c of S.  TooLarge names the first of these
+    # conductors over the limit, in the order the sums are made.
     weights = [(s[o][l] * n).inverse() for l in range(m)]
     sw = [[s[j][l] * weights[l] for l in range(m)] for j in range(m)]
-    pairs = [(a, b) for a in range(m) for b in range(a, m)]
-    p = {}
-    if lcm(*[w.conductor for w in weights],
-           *[x.conductor for row in s for x in row]) > cyclo.get_conductor_limit():
-        # raise TooLarge at the first product p[a, b][l], then at the first
-        # entry in (i, j, k) order whose sum would raise it
-        p = {(a, b): [s[a][l] * sw[b][l] for l in range(m)] for a, b in pairs}
-        for i, j, k in product(range(m), repeat=3):
-            cyclo._fold_conductor(p[min(i, j), max(i, j)], s[star[k]])
     rows = [cyclo.Lifted(row) for row in s]
     sums = {}
-    for a, b in pairs:
+    for a, b in combinations_with_replacement(range(m), 2):
         # each p[a, b] is lifted once per conductor and dropped after its
         # last sum, each row of S once per conductor in all
-        pab = p.pop((a, b), None) or [s[a][l] * sw[b][l] for l in range(m)]
-        pab = cyclo.Lifted(pab)
+        pab = cyclo.Lifted([s[a][l] * sw[b][l] for l in range(m)])
         for c in range(b, m):
             mc = lcm(pab.conductor, rows[c].conductor)
             sums[a, b, c] = cyclo._lifted_dot(mc, pab.at(mc), rows[c].at(mc))
@@ -228,32 +207,30 @@ def multiply(x: FusionElement, y: FusionElement, t: FusionTable) -> FusionElemen
     """Bilinear extension of the basis product given by the table.
 
     Coefficient k is the sum of N_ij^k x_i y_j over the nonzero x_i and
-    y_j, one sum-of-products call each.  It is exactly what adding
-    (x_i y_j) N_ij^k to zero(1) in (i, j) order returns, at the conductor
-    and with the TooLarge that this fold would give.
+    y_j, one kernel sum each.  It is exactly what adding (x_i y_j) N_ij^k
+    to zero(1) in (i, j) order returns, at the lcm conductor of those x_i
+    and y_j, which TooLarge names when it is over the limit.
     """
     m = t.size
     if x.size != m or y.size != m:
         raise DimensionMismatch("element size does not match the table")
-    xs = [(i, c) for i, c in enumerate(x.coeffs) if c]
-    ys = [(j, c) for j, c in enumerate(y.coeffs) if c]
-    conductors = [1] * m
     terms = [[] for _ in range(m)]  # terms[k] = [(i, j, N_ij^k), ...]
-    for i, xi in xs:
-        for j, yj in ys:
-            c = cyclo._product_conductor(xi.conductor, yj.conductor)
-            for k, nijk in t.terms[i][j]:
-                conductors[k] = cyclo._sum_conductor(conductors[k], c)
-                terms[k].append((i, j, nijk))
-    # each coefficient on its own, lifted once to each conductor it meets
-    xl = [cyclo.Lifted((c,)) for c in x.coeffs]
-    yl = [cyclo.Lifted((c,)) for c in y.coeffs]
-    return FusionElement(tuple(
-        cyclo._sum_terms(mk, [
-            (xl[i].at(mk)[0], yl[j].at(mk)[0], nijk) for i, j, nijk in terms[k]
-        ])
-        for k, mk in enumerate(conductors)
-    ))
+    for i, xi in enumerate(x.coeffs):
+        for j, yj in enumerate(y.coeffs):
+            if xi and yj:
+                for k, nijk in t.terms[i][j]:
+                    terms[k].append((i, j, nijk))
+    # x beside the zero(1) that the fold adds to, so a sum at 2 lifts, as
+    # the fold's does; each vector is lifted once to each conductor
+    xl = cyclo.Lifted(x.coeffs + (cyclo.zero(1),))
+    yl = cyclo.Lifted(y.coeffs)
+    out = []
+    for tk in terms:
+        mk = lcm(*[x.coeffs[i].conductor for i, _, _ in tk],
+                 *[y.coeffs[j].conductor for _, j, _ in tk])
+        xs, ys = xl.at(mk), yl.at(mk)
+        out.append(cyclo._sum_terms(mk, [(xs[i], ys[j], n) for i, j, n in tk]))
+    return FusionElement(tuple(out))
 
 
 def xi_evaluate(d: ModularDatum, q: int, x: FusionElement) -> CycloNum:
@@ -292,11 +269,10 @@ def verify_ring_homomorphisms(d: ModularDatum, t: FusionTable) -> CheckReport:
     # xi_q(b_i b_j) is the sum over the nonzero N_ij^k of N_ij^k xi_q(b_k);
     # where b_i b_j = b_j b_i, the law at (q, i, j) for j < i is the one
     # at (q, j, i), already checked
-    conductors = [_law_conductor(row, row) for row in rows]
     w = next(((q, i, j) for q, row in enumerate(rows)
               for i in range(m) for j in range(m)
               if (j >= i or terms[i][j] != terms[j][i])
-              and not _sum_is_product(terms[i][j], row, row, i, j, conductors[q])),
+              and not _sum_is_product(terms[i][j], row, row, i, j)),
              None)
     rep.add("multiplicative", w is None, w)
     w = next(
@@ -379,16 +355,13 @@ def verify_idempotent_laws(d: ModularDatum, t: FusionTable) -> CheckReport:
     # unabsorbed[i]: the first k with b_k p_i != xi_i(b_k) p_i, or None
     unabsorbed = []
     for i, p in enumerate(lifted):
-        mi = _law_conductor(p, rows[i])
         unabsorbed.append(next((k for k in range(m) if not all(
-            _sum_is_product(by_output[k][l], p, rows[i], k, l, mi)
+            _sum_is_product(by_output[k][l], p, rows[i], k, l)
             for l in range(m)
         )), None))
 
     def value(i, j):  # xi_j(p_i), compared by value only
-        mij = _law_conductor(lifted[i], rows[j])
-        if mij is None:  # xi_evaluate raises TooLarge where it would
-            return xi_evaluate(d, j, ps[i])
+        mij = lcm(lifted[i].conductor, rows[j].conductor)
         return cyclo._lifted_dot(mij, lifted[i].at(mij), rows[j].at(mij))
 
     values = [[value(i, j) for j in range(m)] for i in range(m)]

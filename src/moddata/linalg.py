@@ -25,15 +25,12 @@ def mat_identity(m: int, conductor: int = 1) -> tuple:
 def mat_mul(a, b) -> tuple:
     """The product a b.  Entry (i, j) is exactly what the left fold of
     a_ik * b_kj over k returns (see cyclo.dot), at the lcm conductor of
-    row i of a and column j of b.  It is one sum-of-products call over
-    that row and column, each lifted to that conductor once with its
-    zero entries dropped; for a matrix of one conductor, once in all."""
+    row i of a and column j of b, which TooLarge names when it is over
+    the limit.  It is one sum-of-products call over that row and column,
+    each lifted to that conductor once with its zero entries dropped;
+    for a matrix of one conductor, once in all."""
     rows = [cyclo.Lifted(row) for row in a]
     cols = [cyclo.Lifted(col) for col in zip(*b)]
-    if lcm(*[r.conductor for r in rows + cols]) > cyclo.get_conductor_limit():
-        for row in rows:
-            for col in cols:
-                cyclo._fold_conductor(row.xs, col.xs)  # raises where the fold does
     out = []
     for row in rows:
         out_row = []
@@ -57,15 +54,7 @@ def mat_scale(a, c) -> tuple:
 
 
 def mat_eq(a, b) -> bool:
-    if len(a) != len(b):
-        return False
-    for ra, rb in zip(a, b):
-        if len(ra) != len(rb):
-            return False
-        for x, y in zip(ra, rb):
-            if x != y:
-                return False
-    return True
+    return tuple(map(tuple, a)) == tuple(map(tuple, b))
 
 
 def mat_transpose(a) -> tuple:
@@ -91,12 +80,7 @@ def perm_matrix(perm, conductor: int = 1) -> tuple:
 
 
 def common_conductor(*matrices) -> int:
-    m = 1
-    for a in matrices:
-        for row in a:
-            for x in row:
-                m = lcm(m, x.conductor)
-    return m
+    return lcm(*[x.conductor for a in matrices for row in a for x in row])
 
 
 def mat_lift(a, conductor: int) -> tuple:

@@ -414,12 +414,14 @@ _EVERY_COMMAND = [
 @pytest.mark.parametrize("argv", _EVERY_COMMAND, ids=[a[0] for a in _EVERY_COMMAND])
 @pytest.mark.parametrize("name", [cli.ENV_MAX_GROUP_ORDER, cli.ENV_CONDUCTOR_LIMIT])
 def test_malformed_env_is_usage_error_for_every_command(name, argv, monkeypatch, capsys):
-    monkeypatch.setenv(name, "12k")
-    code, text = run_cli(argv)
-    assert code == 2
-    assert text == ""
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1 and name in err
+    # not an integer, or a bound below 1
+    for value in ("12k", "0", "-5"):
+        monkeypatch.setenv(name, value)
+        code, text = run_cli(argv)
+        assert code == 2, value
+        assert text == ""
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and name in err, value
 
 
 def test_env_is_read_on_every_call(monkeypatch):
@@ -474,6 +476,13 @@ def _one_line_error(capsys, prefix):
         (["validate", "gen:semion:7"], "error: $: gen:semion takes no parameter"),
         (["validate", "gen:radford:5:9"], "error: $: gen:radford takes one integer order"),
         (["validate", "gen:trivial:x"], "error: $: gen:trivial takes no parameter"),
+        # a bound below 1, as --conductor-limit 0 is
+        (["validate", "gen:semion", "--max-group-order", "0"],
+         "error: --max-group-order: must be positive, got 0"),
+        (["congruence", "gen:semion", "--level", "4", "--max-group-order", "-1"],
+         "error: --max-group-order: must be positive, got -1"),
+        (["validate", "gen:semion", "--conductor-limit", "0"],
+         "error: --conductor-limit: must be positive, got 0"),
     ],
 )
 def test_bad_arguments_are_usage_errors(argv, prefix, capsys):
@@ -712,6 +721,25 @@ def test_field_index_refuses_images_of_s_past_the_coefficient_bound(tmp_path):
         timeout=10,
     )
     assert (proc.returncode, proc.stdout, proc.stderr) == (3, "", message)
+
+
+@pytest.mark.parametrize("argv,size", [
+    (["--n", "100", "--json"], 100**3 * 40),  # the table
+    (["--n", "20", "--check"], 20**4 * 8),  # the identities, table printed or not
+])
+def test_cocycle_over_its_bound_is_refused_before_it_is_built(argv, size):
+    # unrefused, the table of order 100 ends in a MemoryError traceback
+    # under a 1 GB cap
+    proc = _run_capped(
+        "import sys; from moddata.cli import main; "
+        f"sys.exit(main(['cocycle', *{argv!r}]))",
+        timeout=10,
+    )
+    assert (proc.returncode, proc.stdout) == (3, "")
+    bound = constructors.MAX_COCYCLE_COEFFICIENTS
+    assert proc.stderr == (
+        f"error: cocycle of order {argv[1]} needs {size} coefficients; the bound is {bound}\n"
+    )
 
 
 @pytest.mark.parametrize("command", ["gauss-sum", "cocycle"])

@@ -12,7 +12,7 @@ import pytest
 
 from oracles import oracle_cyclic_datum
 
-from moddata import cyclo
+from moddata import constructors, cyclo
 from moddata.constructors import (
     classical_gauss_sum,
     cocycle_omega,
@@ -25,7 +25,7 @@ from moddata.constructors import (
 )
 from moddata.cyclo import galois_apply, jacobi_symbol, root_of_unity
 from moddata.datum import derive_report, validate_axioms
-from moddata.errors import BadLevel, EvenOrder, NotAUnit
+from moddata.errors import BadLevel, EvenOrder, NotAUnit, TooLarge
 from moddata.fusion import fusion_coefficients
 
 
@@ -148,6 +148,18 @@ def test_cocycle_identity_for_every_unit(n):
     for e in range(n):
         if gcd(e, n) == 1:
             assert verify_3cocycle(cocycle_omega(n, e)) == (True, None)
+
+
+def test_cocycle_work_over_the_bound_is_refused():
+    # the table holds n^3 values and the check has n^4 identities, of
+    # phi(n) coefficients each
+    assert 40**3 * 16 > constructors.MAX_COCYCLE_COEFFICIENTS >= 36**3 * 12
+    with pytest.raises(TooLarge):
+        cocycle_omega(40)
+    c = cocycle_omega(20)
+    assert 20**4 * 8 > constructors.MAX_COCYCLE_COEFFICIENTS >= 18**4 * 6
+    with pytest.raises(TooLarge):
+        verify_3cocycle(c)
 
 
 def test_constant_table_is_cocycle():

@@ -1,8 +1,10 @@
 """The fused sum-of-products kernel (cyclo.dot, sums over vectors lifted
 once, linalg.mat_mul and fusion.multiply) against the left folds of *
 and + in tests/oracles.py: the same conductor, numerators and
-denominator, element by element, and TooLarge in the same places with
-the same message."""
+denominator, element by element, and TooLarge in the same places.  Its
+message names the conductor of a sum the route makes, over the limit:
+for dot and for an entry of mat_mul, the lcm of the conductors of its
+operands, zeros included."""
 
 from math import lcm
 
@@ -146,6 +148,17 @@ def _outcome(f, *args):
         return "TooLarge", str(exc)
 
 
+def _names_a_sum(outcome, limit, conductors):
+    """Whether outcome is a TooLarge that names one of the conductors of
+    sums, over the limit."""
+    return outcome in {("TooLarge", f"conductor {c} exceeds limit {limit}")
+                       for c in conductors if c > limit}
+
+
+def _lcm_of(xs):
+    return lcm(*[x.conductor for x in xs])
+
+
 @pytest.fixture
 def restore_limit():
     limit = cyclo.get_conductor_limit()
@@ -186,12 +199,13 @@ def test_any_limit_gives_the_fold_outcome(pair, mats, limit):
     if got[0] == "value":
         assert raw(got[1]) == raw(expected[1])
     else:
-        assert got == expected
+        assert _names_a_sum(got, limit, [_lcm_of(xs + ys)])
     assert got_m[0] == expected_m[0]
     if got_m[0] == "value":
         assert raw_matrix(got_m[1]) == raw_matrix(expected_m[1])
     else:
-        assert got_m == expected_m
+        entries = [_lcm_of(row + [r[j] for r in b]) for row in a for j in range(len(b[0]))]
+        assert _names_a_sum(got_m, limit, entries)
 
 
 def test_limit_two_with_every_operand_at_two(restore_limit):
@@ -209,6 +223,18 @@ def test_limit_two_with_every_operand_at_two(restore_limit):
 
 
 _BUILT_IN = oracles.built_in_data()
+
+
+def test_multiply_lifts_the_zero_it_adds_to_as_the_fold_does(restore_limit):
+    # every operand is at 2, but each coefficient is added to zero(1),
+    # which the fold lifts to 2
+    d = _BUILT_IN[0][1]
+    t = fusion_coefficients(d)
+    x = FusionElement((-cyclo.one(2),) * d.size)
+    cyclo.set_conductor_limit(1)
+    expected = _outcome(oracles.oracle_multiply, x, x, t)
+    assert expected == ("TooLarge", "conductor 2 exceeds limit 1")
+    assert _outcome(multiply, x, x, t) == expected
 
 
 def _assert_multiply_matches(x, y, t):
@@ -258,4 +284,10 @@ def test_multiply_matches_the_fold_on_random_elements(d, limit, data):
     if got[0] == "value":
         assert [raw(c) for c in got[1].coeffs] == [raw(c) for c in expected[1]]
     else:
-        assert got == expected
+        # coefficient k sums over the nonzero x_i and y_j with N_ij^k != 0
+        pairs = [(i, j) for i in range(d.size) for j in range(d.size)
+                 if x.coeffs[i] and y.coeffs[j]]
+        sums = [_lcm_of([c for i, j in pairs if t.coeffs[i][j][k]
+                         for c in (x.coeffs[i], y.coeffs[j])])
+                for k in range(d.size)]
+        assert _names_a_sum(got, limit, sums)

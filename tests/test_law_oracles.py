@@ -9,8 +9,12 @@ is_galois_datum, verlinde_field_index) give the result or exception of
 their per-entry oracles, and apply each unit once to each entry of S.
 Axiom 4 and the Verlinde sums give the reports, tables and TooLarge of
 their entry-by-entry and ordered-sum oracles, under every conductor
-limit up to the lcm of a datum's conductors."""
+limit up to the lcm of a datum's conductors; a TooLarge names the
+conductor of a sum the route makes, over the limit, which need not be
+the one the oracle's first sum over it has.  No kernel sum runs over
+the limit."""
 
+from collections import Counter
 from math import lcm
 
 import pytest
@@ -704,8 +708,26 @@ _LIMIT_DATA = [
 ]
 
 
+def _names_a_sum(outcome, limit, conductors):
+    """Whether outcome is a TooLarge that names one of the conductors of
+    sums, over the limit."""
+    return outcome in {("TooLarge", f"conductor {c} exceeds limit {limit}")
+                       for c in conductors if c > limit}
+
+
+def _verlinde_conductors(monkeypatch, d):
+    """The conductors of the Verlinde sums on d, under the default limit."""
+    conductors = _recording_conductors(monkeypatch)
+    fusion.fusion_coefficients.__wrapped__(_fresh(d))
+    monkeypatch.undo()
+    return conductors
+
+
 @pytest.mark.parametrize("name,d,top", _LIMIT_DATA, ids=[c[0] for c in _LIMIT_DATA])
-def test_axiom4_and_verlinde_raise_where_their_oracles_do(name, d, top):
+def test_axiom4_and_verlinde_raise_where_their_oracles_do(monkeypatch, name, d, top):
+    # the Verlinde sums are made once per unordered triple, the oracle's
+    # in (i, j, k) order: on four primes the first over the limit differ
+    sums = _verlinde_conductors(monkeypatch, d) if name == "radford3*semion-four-primes" else None
     conductors = {x.conductor for row in d.s_matrix for x in row}
     conductors |= {t.conductor for t in d.t_diag}
     # every conductor met divides their lcm, so each limit between two
@@ -722,7 +744,10 @@ def test_axiom4_and_verlinde_raise_where_their_oracles_do(name, d, top):
         finally:
             cyclo.reset_conductor_limit(token)
         assert got == expected, limit
-        assert got_f == expected_f, limit
+        if sums is not None and expected_f[0] == "TooLarge":
+            assert _names_a_sum(got_f, limit, sums), limit
+        else:
+            assert got_f == expected_f, limit
         outcomes.add(got if isinstance(got, tuple) else got[-1][1:3])
         outcomes.add(got_f if isinstance(got_f[0], str) else "table")
     assert len(outcomes) > 2
@@ -782,6 +807,9 @@ def test_lifted_routes_match_their_oracles_under_every_limit(monkeypatch, name, 
         fusion_coefficients.__wrapped__(_fresh(d))
         monkeypatch.undo()
         assert conductors == {3, 15, 21, 105}
+    # on four primes the Verlinde sums name their own first sum over the
+    # limit, as in test_axiom4_and_verlinde_raise_where_their_oracles_do
+    sums = _verlinde_conductors(monkeypatch, d) if name == "radford3*semion-four-primes" else None
     conductors = {x.conductor for row in d.s_matrix for x in row}
     conductors |= {t.conductor for t in d.t_diag}
     limits = {e for c in cyclo.divisors(lcm(*conductors)) for e in (c - 1, c)}
@@ -793,7 +821,10 @@ def test_lifted_routes_match_their_oracles_under_every_limit(monkeypatch, name, 
         finally:
             cyclo.reset_conductor_limit(token)
         for got, expected in pairs:
-            assert got == expected, limit
+            if sums is not None and isinstance(expected, tuple) and expected[0] == "TooLarge":
+                assert _names_a_sum(got, limit, sums), limit
+            else:
+                assert got == expected, limit
         reached.add(len(pairs))
     if name != "radford3*semion-four-primes" and name[:4] != "ones":
         # some limits stop at the table; at the lcm every route runs
@@ -828,15 +859,68 @@ def test_law_checks_under_a_lower_limit_than_their_derivation(name, d):
     assert raised == 2 * (top - 1)
 
 
-def test_law_rows_that_mix_conductors_are_folded(monkeypatch):
-    # rows 1 and 2 of xi on radford3-lifted mix 3 with 15 and 21, so only
-    # row 0, at 3 throughout, is summed in the kernel
+def test_law_rows_that_mix_conductors_sum_at_their_laws_conductors(monkeypatch):
+    # rows 1 and 2 of xi on radford3-lifted mix 3 with 15 and 21; each law
+    # (q, i, j) is summed at the lcm of the entries i, j and k of row q it
+    # involves, for the k with N_ij^k != 0, so the laws that avoid the
+    # entry at 15 or 21 are summed at 3, and none at 105
     d = _fresh(_LIMIT_DATA[0][1])
     t = fusion_coefficients(d)
-    assert [len({x.conductor for x in row}) for row in fusion._xi_matrix(d)] == [1, 2, 2]
-    sums = _recording_conductors(monkeypatch)
+    xi = fusion._xi_matrix(d)
+    assert [len({x.conductor for x in row}) for row in xi] == [1, 2, 2]
+    sums = []
+    real = cyclo._sum_terms
+    monkeypatch.setattr(cyclo, "_sum_terms", lambda m, terms: sums.append(m) or real(m, terms))
     assert verify_ring_homomorphisms(d, t).passed
-    assert sums == {3}
+    m = d.size
+    laws = Counter(lcm(*[xi[q][k].conductor for k in (i, j, *[k for k, _ in t.terms[i][j]])])
+                   for q in range(m) for i in range(m) for j in range(i, m))
+    assert Counter(sums) == laws
+    assert set(sums) == {3, 15, 21} and laws[3] > m * (m + 1) // 2
+
+
+def _limits(d, top):
+    """Each limit c - 1 and c, for c dividing the lcm of the conductors of
+    d, up to top if it is not None."""
+    conductors = {x.conductor for row in d.s_matrix for x in row}
+    conductors |= {t.conductor for t in d.t_diag}
+    limits = {e for c in cyclo.divisors(lcm(*conductors)) for e in (c - 1, c)}
+    return sorted(e for e in limits if top is None or e <= top)
+
+
+def test_no_kernel_sum_runs_over_the_limit(monkeypatch):
+    # the one limit rule: every route raises TooLarge before it makes a sum
+    # over the limit, but for a sum at 1 or 2 over operands all at it,
+    # which the fold of * and + makes under any limit too
+    conductors = _recording_conductors(monkeypatch)
+    runs = []
+    for name, d, top in _LIMIT_DATA:
+        for limit in _limits(d, top):
+            conductors.clear()
+            token = cyclo.set_conductor_limit(limit)
+            try:
+                _axiom_outcome(datum._axioms_1_to_4.__wrapped__, d)
+                _lifted_route_outcomes(d)
+            finally:
+                cyclo.reset_conductor_limit(token)
+            assert all(c <= max(limit, 2) for c in conductors), (name, limit)
+            runs.append(max(conductors, default=0))
+    for name, d in _LOWERED:
+        d = _fresh(d)
+        t = fusion_coefficients(d)
+        top = lcm(*[x.conductor for row in fusion._xi_matrix(d) for x in row])
+        for limit in range(top + 1):
+            conductors.clear()
+            token = cyclo.set_conductor_limit(limit)
+            try:
+                _outcome(verify_ring_homomorphisms, d, t)
+                _outcome(verify_idempotent_laws, d, t)
+            finally:
+                cyclo.reset_conductor_limit(token)
+            assert all(c <= max(limit, 2) for c in conductors), (name, limit)
+            runs.append(max(conductors, default=0))
+    # sums ran up to their limit, and past 2
+    assert max(runs) > 1000
 
 
 def test_fusion_coefficients_make_one_sum_per_unordered_triple(monkeypatch):
