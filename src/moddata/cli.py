@@ -4,6 +4,14 @@ Commands are thin shells over the library: each one assembles the same
 payload a direct library call produces and prints it as text or JSON.
 Exit codes: 0 all asserted checks passed, 1 a check failed, 2 usage or
 malformed input, 3 a resource bound was exceeded.
+
+This module holds what a cold ``congruence`` or ``lift-search`` request
+runs: the parser, ``main``, the environment and limit handling, the
+datum reader, the text renderer and those two commands.  Every other
+command, ``build_analysis`` and the datum writers are in
+``moddata.analysis``; the parser names their handlers, and ``main``
+imports that module only when one of them runs.  Their old names here
+still resolve, to the same objects, through a module ``__getattr__``.
 """
 
 from __future__ import annotations
@@ -14,8 +22,8 @@ import os
 import sys
 from functools import lru_cache
 
-# fusion, galois and constructors are imported by the functions that
-# call them, so a command loads only the modules it runs
+# analysis, fusion, galois and constructors are imported by the functions
+# that call them, so a command loads only the modules it runs
 from . import cyclo, datum as datum_mod, extension, linalg
 from .cyclo import CycloNum
 from .datum import ModularDatum
@@ -24,14 +32,10 @@ from .errors import (
     EvenOrder,
     ModdataError,
     NotAUnit,
-    NotIntegral,
     SchemaError,
     TooLarge,
 )
-from .report import CheckReport, Record, jsonable
-
-BUNDLE_SCHEMA = "moddata-bundle/1"
-DATUM_SCHEMA = "moddata-datum/1"
+from .report import jsonable
 
 ENV_MAX_GROUP_ORDER = "MODDATA_MAX_GROUP_ORDER"
 ENV_CONDUCTOR_LIMIT = "MODDATA_CONDUCTOR_LIMIT"
@@ -156,53 +160,6 @@ def parse_datum(text: str) -> ModularDatum:
     return datum_from_obj(obj)
 
 
-def _datum_head(d: ModularDatum) -> dict:
-    return {
-        "schema": DATUM_SCHEMA,
-        "labels": list(d.labels),
-        "unit": d.unit,
-        "star": {lab: d.labels[d.star[i]] for i, lab in enumerate(d.labels)},
-    }
-
-
-def serialize_datum(d: ModularDatum) -> dict:
-    return {
-        **_datum_head(d),
-        "S": [[cyclo.to_json(x) for x in row] for row in d.s_matrix],
-        "T": [cyclo.to_json(x) for x in d.t_diag],
-    }
-
-
-def serialize_datum_text(d: ModularDatum) -> str:
-    """json.dumps(serialize_datum(d), indent=2) plus a newline, byte for
-    byte, with each distinct entry printed once.  An entry's text is its
-    own json.dumps(..., indent=2), indented to its depth by padding every
-    newline, which is how json nests it."""
-    head = _datum_head(d)  # before any entry, as serialize_datum does it
-    printed = {}  # (conductor, den, nums, pad) -> text
-
-    def entries(xs, pad):
-        texts = []
-        for x in xs:
-            key = (x.conductor, x.den, x.nums, pad)
-            text = printed.get(key)
-            if text is None:
-                text = json.dumps(cyclo.to_json(x), indent=2)
-                text = printed[key] = text.replace("\n", "\n" + pad)
-            texts.append(text)
-        return pad + (",\n" + pad).join(texts)
-
-    rows = ",\n".join(
-        f"    [\n{entries(row, ' ' * 6)}\n    ]" for row in d.s_matrix
-    )
-    t_diag = entries(d.t_diag, " " * 4)
-    # the head without its closing "\n}", then S and T as json nests them
-    return (
-        f'{json.dumps(head, indent=2)[:-2]},\n  "S": [\n{rows}\n  ],\n'
-        f'  "T": [\n{t_diag}\n  ]\n}}\n'
-    )
-
-
 # -- datum references --------------------------------------------------------
 
 
@@ -254,145 +211,6 @@ def load_datum(ref: str) -> ModularDatum:
         except UnicodeDecodeError as exc:
             raise SchemaError("$", f"not UTF-8 text: {exc}") from None
     return parse_datum(text)
-
-
-
-# -- analysis bundle ---------------------------------------------------------
-
-
-class AnalysisBundle(Record):
-    """Datum, derived report, and one verdict per library operation."""
-
-    __match_args__ = ("datum", "report", "verdicts")
-
-    def __init__(self, datum: ModularDatum, report, verdicts: dict | None = None):
-        self.datum = datum
-        self.report = report
-        self.verdicts = {} if verdicts is None else verdicts
-
-    @property
-    def passed(self) -> bool:
-        for verdict in self.verdicts.values():
-            if isinstance(verdict, CheckReport) and not verdict.passed:
-                return False
-            if isinstance(verdict, dict) and verdict.get("passed") is False:
-                return False
-        return True
-
-    def to_json(self) -> dict:
-        return {
-            "schema": BUNDLE_SCHEMA,
-            "datum": serialize_datum(self.datum),
-            "report": jsonable(self.report),
-            "verdicts": {k: jsonable(v) for k, v in self.verdicts.items()},
-            "passed": self.passed,
-        }
-
-
-def build_analysis(
-    d: ModularDatum,
-    *,
-    extensions: bool = False,
-    max_group_order: int = extension.DEFAULT_MAX_GROUP_ORDER,
-) -> AnalysisBundle:
-    """The full analysis chain: axioms, derived report, structural and
-    power identities, fusion-ring laws, Galois laws, fusion symbols, the
-    odd-exponent sign theorems and divisibility; with extensions=True
-    also the extension family, charge powers and the congruence suite."""
-    from . import fusion, galois
-
-    bundle = AnalysisBundle(datum=d, report=None)
-    verdicts = bundle.verdicts
-    axioms = datum_mod.validate_axioms(d)
-    verdicts["axioms"] = axioms
-    if not axioms.passed:
-        return bundle
-    bundle.report = datum_mod.derive_report(d)
-    verdicts["structural-identities"] = datum_mod.verify_structural_identities(d)
-    verdicts["power-identities"] = datum_mod.power_identity_check(d)
-
-    table = fusion.fusion_coefficients(d)
-    verdicts["fusion-table"] = table.verify_invariants()
-    verdicts["fusion-homomorphisms"] = fusion.verify_ring_homomorphisms(d, table)
-    verdicts["idempotent-laws"] = fusion.verify_idempotent_laws(d, table)
-
-    galois_projective = False
-    try:
-        verdicts["galois-action-laws"] = galois.verify_action_laws(d)
-        galois_ok, witness = galois.is_galois_datum(d)
-        gal_rep = CheckReport("galois-datum")
-        gal_rep.add("twist-condition", galois_ok, witness)
-        verdicts["galois-datum"] = gal_rep
-        verdicts["fusion-symbol-analysis"] = galois.fusion_symbol_analysis(d)
-        index_rep = CheckReport("verlinde-field-index")
-        index_rep.add(
-            "index-computed", True, value=galois.verlinde_field_index(d)
-        )
-        verdicts["verlinde-field-index"] = index_rep
-        stats = datum_mod.basic_stats(d)
-        if stats.N % 2 == 1:
-            verdicts["odd-exponent-sign"] = galois.odd_sign_analysis(d)
-
-        projective_verdict = None
-        if extensions:
-            projective_verdict = extension.factor_check(
-                d.s_matrix,
-                linalg.diag_matrix(d.t_diag),
-                stats.N_o,
-                "projective",
-                max_group_order,
-            ).projective_factors
-            galois_projective = bool(projective_verdict) and galois_ok
-        verdicts["divisibility"] = galois.arithmetic_divisibility_checks(
-            d, galois_projective_congruence=galois_projective
-        )
-
-        if extensions:
-            verdicts["extension-family"] = extension.extension_family_check(d)
-            family = extension.extension_family(d)
-            charge_rep = CheckReport("central-charge-powers")
-            fourth = stats.g ** 4 == stats.t_o ** 8 * stats.g_rec ** 4
-            squared = stats.g ** 2 == stats.t_o ** 4 * stats.g_rec ** 2
-            ell24 = all(e.charge ** 24 == 1 for e in family)
-            if galois_projective:
-                charge_rep.add("charge-24th-power", ell24)
-                charge_rep.add("gauss-fourth-power-relation", fourth)
-            else:
-                charge_rep.add("charge-24th-power-observed", True, value=ell24)
-                charge_rep.add(
-                    "gauss-fourth-power-observed", True, value=fourth
-                )
-            charge_rep.add(
-                "gauss-squared-power-observed", True, value=squared
-            )
-            verdicts["central-charge-powers"] = charge_rep
-            charges = {}
-            for idx, e in enumerate(family):
-                try:
-                    charges[str(idx)] = extension.additive_charge(e)
-                except ModdataError:
-                    charges[str(idx)] = None
-            congruence_rep = CheckReport("congruence")
-            congruence_rep.add(
-                "projective-at-normalized-exponent",
-                bool(projective_verdict),
-            )
-            survivors = extension.lift_search(d, stats.N_o, max_group_order)
-            congruence_rep.add(
-                "lift-search-at-normalized-exponent",
-                True,
-                value={
-                    "level": stats.N_o,
-                    "surviving": len(survivors),
-                    "additive_charges": charges,
-                },
-            )
-            verdicts["congruence"] = congruence_rep
-    except NotIntegral as exc:
-        skip = CheckReport("galois-suite")
-        skip.add("skipped-not-integral", True, value=str(exc))
-        verdicts["galois-suite"] = skip
-    return bundle
 
 
 # -- rendering ---------------------------------------------------------------
@@ -449,101 +267,7 @@ def _emit(payload: dict, as_json: bool, out) -> None:
         _render_report_text(payload, out)
 
 
-# -- subcommand implementations ----------------------------------------------
-
-
-def _cmd_validate(args, out) -> int:
-    d = load_datum(args.datum)
-    rep = datum_mod.validate_axioms(d)
-    payload = {"verdicts": {"axioms": jsonable(rep)}, "passed": rep.passed}
-    _emit(payload, args.json, out)
-    return 0 if rep.passed else 1
-
-
-def _cmd_analyze(args, out) -> int:
-    d = load_datum(args.datum)
-    bundle = build_analysis(
-        d,
-        extensions=args.extensions,
-        max_group_order=args.max_group_order,
-    )
-    payload = bundle.to_json()
-    _emit(payload, args.json, out)
-    return 0 if bundle.passed else 1
-
-
-def _cmd_fusion_table(args, out) -> int:
-    from . import fusion
-
-    d = load_datum(args.datum)
-    table = fusion.fusion_coefficients(d)
-    payload = {
-        "labels": list(d.labels),
-        "coefficients": [
-            [list(row) for row in plane] for plane in table.coeffs
-        ],
-        "violations": jsonable(list(table.violations)),
-        "passed": not table.violations,
-    }
-    if args.json:
-        _emit(payload, True, out)
-    else:
-        labels = d.labels
-        width = max(2, max(len(x) for x in labels) + 1)
-        for i, lab_i in enumerate(labels):
-            print(f"N[{lab_i}, -, -]:", file=out)
-            header = " " * width + "".join(f"{lab:>{width}}" for lab in labels)
-            print(header, file=out)
-            for j, lab_j in enumerate(labels):
-                row = "".join(
-                    f"{table.coeff(i, j, k):>{width}}" for k in range(d.size)
-                )
-                print(f"{lab_j:>{width}}" + row, file=out)
-            print(file=out)
-    return 0 if not table.violations else 1
-
-
-def _cmd_galois_check(args, out) -> int:
-    from . import galois
-
-    d = load_datum(args.datum)
-    laws = galois.verify_action_laws(d)
-    galois_ok, witness = galois.is_galois_datum(d)
-    gal_rep = CheckReport("galois-datum")
-    gal_rep.add("twist-condition", galois_ok, witness)
-    perms = {
-        str(q): list(galois.index_action(d, q).perm)
-        for q in galois.units_mod(datum_mod.basic_stats(d).N_o)
-    }
-    payload = {
-        "verdicts": {
-            "galois-action-laws": jsonable(laws),
-            "galois-datum": jsonable(gal_rep),
-        },
-        "permutations": perms,
-        "field_index": galois.verlinde_field_index(d),
-        "passed": laws.passed and galois_ok,
-    }
-    _emit(payload, args.json, out)
-    return 0 if payload["passed"] else 1
-
-
-def _cmd_symbols(args, out) -> int:
-    from . import galois
-
-    d = load_datum(args.datum)
-    table = galois.fusion_symbol_table(d)
-    analysis = galois.fusion_symbol_analysis(d)
-    payload = {
-        "modulus": table.modulus,
-        "symbols": {
-            str(q): jsonable(v) for q, v in sorted(table.values.items())
-        },
-        "verdicts": {"fusion-symbol-analysis": jsonable(analysis)},
-        "passed": analysis.passed,
-    }
-    _emit(payload, args.json, out)
-    return 0 if analysis.passed else 1
+# -- the congruence commands; the others are in moddata.analysis --------------
 
 
 def _extension_entry(e, idx):
@@ -558,19 +282,6 @@ def _extension_entry(e, idx):
         "is_rank": e.is_rank,
         "additive_charge_mod_24": charge,
     }
-
-
-def _cmd_extensions(args, out) -> int:
-    d = load_datum(args.datum)
-    family = extension.extension_family(d)
-    check = extension.extension_family_check(d)
-    payload = {
-        "extensions": [_extension_entry(e, i) for i, e in enumerate(family)],
-        "verdicts": {"extension-family": jsonable(check)},
-        "passed": check.passed,
-    }
-    _emit(payload, args.json, out)
-    return 0 if check.passed else 1
 
 
 def _level(args, d: ModularDatum) -> int:
@@ -631,81 +342,6 @@ def _cmd_lift_search(args, out) -> int:
     return 0
 
 
-def _cmd_gen(args, out) -> int:
-    if args.kind == "radford":
-        if args.n is None:
-            raise SchemaError("$", "gen radford requires --n")
-        from . import constructors
-
-        d = constructors.radford_datum(args.n, args.zeta)
-    elif args.kind == "product":
-        if len(args.factors) != 2:
-            raise SchemaError("$", "gen product requires two datum references")
-        d = datum_mod.kronecker_product(
-            load_datum(args.factors[0]), load_datum(args.factors[1])
-        )
-    else:
-        d = load_datum(f"gen:{args.kind}")
-    text = serialize_datum_text(d)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    else:
-        out.write(text)
-    return 0
-
-
-def _cmd_gauss_sum(args, out) -> int:
-    from . import constructors
-
-    _positive("--n", args.n)
-    g = constructors.classical_gauss_sum(args.n)
-    rep = constructors.verify_gauss_lemma(args.n)
-    payload = {
-        "n": args.n,
-        "sum": jsonable(g),
-        "square": jsonable(g * g),
-        "verdicts": {"gauss-sum-laws": jsonable(rep)},
-        "passed": rep.passed,
-    }
-    if args.q is not None:
-        twisted = constructors.classical_gauss_sum(args.n, args.q)
-        payload["q"] = args.q
-        payload["twisted_sum"] = jsonable(twisted)
-        if args.n % 2 == 1:
-            jac = cyclo.jacobi_symbol(args.q, args.n)
-            agrees = twisted == g * jac
-            payload["jacobi_symbol"] = jac
-            payload["twist_matches_jacobi"] = agrees
-            payload["passed"] = payload["passed"] and agrees
-    _emit(payload, args.json, out)
-    return 0 if payload["passed"] else 1
-
-
-def _cmd_cocycle(args, out) -> int:
-    from . import constructors
-
-    _positive("--n", args.n)
-    c = constructors.cocycle_omega(args.n, args.zeta)
-    if args.check:  # refused, if at all, before the table is printed
-        ok, witness = constructors.verify_3cocycle(c)
-    payload = {
-        "n": args.n,
-        "zeta_exponent": args.zeta,
-        "table": [
-            [[jsonable(c.value(i, j, k)) for k in range(args.n)]
-             for j in range(args.n)]
-            for i in range(args.n)
-        ],
-    }
-    if args.check:
-        payload["cocycle_identity"] = ok
-        payload["witness"] = jsonable(witness)
-        payload["passed"] = ok
-    _emit(payload, args.json, out)
-    return 0 if payload.get("passed", True) else 1
-
-
 # -- argument parsing ---------------------------------------------------------
 
 
@@ -736,12 +372,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     datum_commands = {}
     for name, text, func in (
-        ("validate", "check the five defining axioms", _cmd_validate),
-        ("analyze", "run the full analysis chain", _cmd_analyze),
-        ("fusion-table", "emit the fusion coefficients", _cmd_fusion_table),
-        ("galois-check", "verify the Galois action laws", _cmd_galois_check),
-        ("symbols", "fusion-symbol table and laws", _cmd_symbols),
-        ("extensions", "list the twelve extensions", _cmd_extensions),
+        ("validate", "check the five defining axioms", "_cmd_validate"),
+        ("analyze", "run the full analysis chain", "_cmd_analyze"),
+        ("fusion-table", "emit the fusion coefficients", "_cmd_fusion_table"),
+        ("galois-check", "verify the Galois action laws", "_cmd_galois_check"),
+        ("symbols", "fusion-symbol table and laws", "_cmd_symbols"),
+        ("extensions", "list the twelve extensions", "_cmd_extensions"),
         ("congruence", "projective factoring and lift search at a level",
          _cmd_congruence),
         ("lift-search", "extensions whose representation factors at a level",
@@ -780,18 +416,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("factors", nargs="*", help="datum references for product")
     p.add_argument("--n", type=int, default=None, help="cyclic order")
-    p.add_argument("--zeta", type=int, default=1, help="primitive root exponent")
+    # None, not 1, so that a kind other than radford can refuse it
+    p.add_argument("--zeta", type=int, default=None, help="primitive root exponent")
     p.add_argument("--out", default=None, help="output file")
     p.add_argument("--json", action="store_true", help=argparse.SUPPRESS)
     _add_conductor_limit(p)
-    p.set_defaults(func=_cmd_gen, max_group_order=None)
+    p.set_defaults(func="_cmd_gen", max_group_order=None)
 
     p = sub.add_parser("gauss-sum", help="classical quadratic Gauss sum laws")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--q", type=int, default=None)
     p.add_argument("--json", action="store_true")
     _add_conductor_limit(p)
-    p.set_defaults(func=_cmd_gauss_sum, max_group_order=None)
+    p.set_defaults(func="_cmd_gauss_sum", max_group_order=None)
 
     p = sub.add_parser("cocycle", help="cyclic-group 3-cocycle table")
     p.add_argument("--n", type=int, required=True)
@@ -799,7 +436,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--check", action="store_true")
     p.add_argument("--json", action="store_true")
     _add_conductor_limit(p)
-    p.set_defaults(func=_cmd_cocycle, max_group_order=None)
+    p.set_defaults(func="_cmd_cocycle", max_group_order=None)
 
     return parser
 
@@ -839,7 +476,12 @@ def main(argv=None, out=None) -> int:
         token = cyclo.set_conductor_limit(
             _positive("--conductor-limit", args.conductor_limit)
         )
-        return args.func(args, out)
+        func = args.func
+        if isinstance(func, str):  # a handler of moddata.analysis, by name
+            from . import analysis
+
+            func = getattr(analysis, func)
+        return func(args, out)
     except TooLarge as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
@@ -855,6 +497,37 @@ def main(argv=None, out=None) -> int:
         if token is not None:
             # the limit is a context variable: this thread's only
             cyclo.reset_conductor_limit(token)
+
+
+# the names that moved to moddata.analysis; an explicit tuple, because
+# ``from .cli import X`` asks for cli.__path__, which must not load it
+_ANALYSIS = (
+    "AnalysisBundle",
+    "BUNDLE_SCHEMA",
+    "DATUM_SCHEMA",
+    "_cmd_analyze",
+    "_cmd_cocycle",
+    "_cmd_extensions",
+    "_cmd_fusion_table",
+    "_cmd_galois_check",
+    "_cmd_gauss_sum",
+    "_cmd_gen",
+    "_cmd_symbols",
+    "_cmd_validate",
+    "_datum_head",
+    "build_analysis",
+    "serialize_datum",
+    "serialize_datum_text",
+)
+
+
+def __getattr__(name):
+    # PEP 562: looked up in analysis on every access, as moddata does it
+    if name in _ANALYSIS:
+        from . import analysis
+
+        return getattr(analysis, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 if __name__ == "__main__":

@@ -248,10 +248,10 @@ def _reduced(conductor, nums, den):
     return _make(conductor, tuple(nums), den)
 
 
-def _settle(conductor, acc, den):
-    """The element sum(acc[k] z^k) / den, for den > 0 and an unreduced
-    acc of 2 phi - 1 integers: one reduction modulo Phi_m and one gcd.
-    The caller has checked the conductor limit."""
+def _reduce(conductor, acc):
+    """Reduce acc, 2 phi - 1 unreduced integer coordinates, in place
+    modulo Phi_m to its phi coordinates.  The caller has checked the
+    conductor limit."""
     phi = (len(acc) + 1) // 2
     if phi > 1:
         rows = _reduction_rows(conductor)
@@ -261,6 +261,11 @@ def _settle(conductor, acc, den):
                 for idx, r in rows[k]:
                     acc[idx] += c * r
         del acc[phi:]
+
+
+def _settle(conductor, acc, den):
+    """The element sum(acc[k] z^k) / den, for den > 0 and acc the phi
+    coordinates _reduce leaves: one gcd."""
     if den == 1:
         return _make(conductor, tuple(acc), 1)
     return _reduced(conductor, acc, den)
@@ -384,6 +389,7 @@ class CycloNum:
                 acc[i + j] += ca * cb
         if phi > 1 and m > _conductor_limit.get():
             _check_limit(m)
+        _reduce(m, acc)
         return _settle(m, acc, a.den * b.den)
 
     def __rmul__(self, other):
@@ -630,7 +636,7 @@ class Lifted:
 def _sum_terms(m: int, terms) -> CycloNum:
     """The sum of w * x * y over the terms (x, y, w): x and y operands at
     conductor m (see Lifted), w an integer.  One reduction modulo Phi_m
-    and one gcd for the whole sum."""
+    and one gcd for the whole sum, and no gcd for a zero sum."""
     acc = [0] * (2 * euler_phi(m) - 1)
     den = 0  # none before the first term, whose own it takes
     for (xs, dx), (ys, dy), w in terms:
@@ -651,6 +657,11 @@ def _sum_terms(m: int, terms) -> CycloNum:
             a *= w
             for j, b in ys:
                 acc[i + j] += a * b
+    _reduce(m, acc)
+    if not any(acc):
+        # most sums of a law's two sides are zero: they share the one
+        # zero at m, with no gcd and no new tuple
+        return zero(m)
     return _settle(m, acc, den or 1)
 
 

@@ -13,8 +13,9 @@ from itertools import combinations_with_replacement, product
 from math import lcm
 
 from . import cyclo
+from .axioms import _global_dimension_from_square
 from .cyclo import CycloNum
-from .datum import ModularDatum, _global_dimension_from_square, basic_stats, derived
+from .datum import ModularDatum, basic_stats, derived
 from .errors import DimensionMismatch, InvalidDatum
 from .report import CheckReport, Frozen
 

@@ -12,9 +12,9 @@ from __future__ import annotations
 from math import gcd, lcm
 
 from . import cyclo, linalg
+from .axioms import _axioms_1_to_4
 from .cyclo import CycloNum
-from .datum import (DatumStats, ModularDatum, _axioms_1_to_4, _gauss_sum_inverse,
-                    basic_stats, derived)
+from .datum import DatumStats, ModularDatum, _gauss_sum_inverse, basic_stats, derived
 from .errors import (
     BadInversePair,
     EvenExponent,

@@ -4,6 +4,15 @@ These recompute expected values by routes that do not share code with
 the implementations they check, or, for the congruence search and
 level, the central charges and the fusion-ring and Galois law checks,
 by the exhaustive or dense route that the fast path replaces.
+
+Four of them do share the sum-of-products kernel with the routes they
+check.  oracle_verlinde_rows and oracle_verify_ring_homomorphisms sum
+through linalg.mat_mul, and so does oracle_axioms_1_to_4 for S T S and
+for S^2, which it takes from axioms._global_dimension_from_square.
+oracle_verify_idempotent_laws sums through fusion.multiply and
+fusion.xi_evaluate.  All four so run cyclo._sum_terms and the limit
+check of cyclo.Lifted.at.  That kernel is compared with the left fold
+of * and + in tests/test_dot.py.
 """
 
 import json

@@ -483,6 +483,15 @@ def _one_line_error(capsys, prefix):
          "error: --max-group-order: must be positive, got -1"),
         (["validate", "gen:semion", "--conductor-limit", "0"],
          "error: --conductor-limit: must be positive, got 0"),
+        # an argument the gen kind does not take
+        (["gen", "trivial", "--n", "3"], "error: $: gen trivial takes no --n"),
+        (["gen", "semion", "--zeta", "5"], "error: $: gen semion takes no --zeta"),
+        (["gen", "semion", "gen:trivial"],
+         "error: $: gen semion takes no datum references"),
+        (["gen", "radford", "gen:semion", "--n", "5"],
+         "error: $: gen radford takes no datum references"),
+        (["gen", "product", "gen:semion", "gen:semion", "--zeta", "2"],
+         "error: $: gen product takes no --zeta"),
     ],
 )
 def test_bad_arguments_are_usage_errors(argv, prefix, capsys):

@@ -56,7 +56,30 @@ SUBMODULES = [
     "cli", "constructors", "cyclo", "datum", "extension", "fusion", "galois",
     "linalg",
 ]
-UNUSED_BY_CONGRUENCE = {"moddata.fusion", "moddata.galois", "moddata.constructors"}
+UNUSED_BY_CONGRUENCE = {
+    "moddata.fusion", "moddata.galois", "moddata.constructors",
+    "moddata.analysis", "moddata.axioms",
+}
+# the names that moved out of cli and datum, by (old module, new home);
+# each still resolves from its old module
+MOVED = {
+    ("cli", "analysis"): [
+        "AnalysisBundle", "BUNDLE_SCHEMA", "DATUM_SCHEMA", "_cmd_analyze",
+        "_cmd_cocycle", "_cmd_extensions", "_cmd_fusion_table",
+        "_cmd_galois_check", "_cmd_gauss_sum", "_cmd_gen", "_cmd_symbols",
+        "_cmd_validate", "_datum_head", "build_analysis", "serialize_datum",
+        "serialize_datum_text",
+    ],
+    ("datum", "axioms"): [
+        "DatumReport", "_axioms_1_to_4", "_global_dimension_from_square",
+        "derive_report", "kronecker_product", "power_identity_check",
+        "require_valid", "validate_axioms", "verify_structural_identities",
+    ],
+}
+# a bound on the source a cold congruence request compiles, where no
+# bytecode is cached: the 8 modules it loads held 3,225 lines before the
+# analysis half of cli and the axioms of datum moved out
+MAX_CONGRUENCE_SOURCE_LINES = 2700
 
 
 def fresh(code: str):
@@ -102,6 +125,67 @@ def test_congruence_and_lift_search_load_only_what_they_run():
         assert not UNUSED_BY_CONGRUENCE & set(loaded), (argv, loaded)
 
 
+def test_a_cold_congruence_request_compiles_a_bounded_source():
+    for argv in (
+        ["congruence", SEMION, "--level", "4", "--json"],
+        ["lift-search", SEMION, "--level", "8", "--json"],
+    ):
+        code, lines = fresh(
+            "import io, json, sys\n"
+            "from moddata.cli import main\n"
+            f"code = main({argv!r}, out=io.StringIO())\n"
+            "files = [m.__file__ for name, m in sys.modules.items()\n"
+            "         if name == 'moddata' or name.startswith('moddata.')]\n"
+            "lines = sum(len(open(f, encoding='utf-8').readlines()) for f in files)\n"
+            "print(json.dumps([code, lines]))\n"
+        )
+        assert code == 0
+        assert lines <= MAX_CONGRUENCE_SOURCE_LINES, (argv, lines)
+
+
+def test_moved_names_resolve_from_their_old_modules():
+    mismatched = fresh(
+        "import importlib, json\n"
+        "from moddata.cli import build_analysis\n"
+        "from moddata.datum import _axioms_1_to_4\n"
+        f"moved = {[[old, new, names] for (old, new), names in MOVED.items()]!r}\n"
+        "bad = [(old, name) for old, new, names in moved for name in names\n"
+        "       if getattr(importlib.import_module('moddata.' + old), name)\n"
+        "       is not getattr(importlib.import_module('moddata.' + new), name)]\n"
+        "bad += [] if build_analysis is importlib.import_module('moddata.analysis')"
+        ".build_analysis else ['from-import cli']\n"
+        "bad += [] if _axioms_1_to_4 is importlib.import_module('moddata.axioms')"
+        "._axioms_1_to_4 else ['from-import datum']\n"
+        "print(json.dumps(bad))\n"
+    )
+    assert mismatched == []
+
+
+def test_forwarders_load_nothing_for_other_names():
+    # ``from .datum import X`` asks hasattr(datum, "__path__"): the
+    # forwarders answer it, and any name they do not list, without
+    # importing the module they forward to
+    flags, loaded, messages = fresh(
+        "import json, sys\n"
+        "import moddata.cli, moddata.datum\n"
+        "before = set(sys.modules)\n"
+        "flags = [hasattr(moddata.cli, '__path__'), hasattr(moddata.datum, '__path__')]\n"
+        "messages = []\n"
+        "for module in (moddata.cli, moddata.datum):\n"
+        "    try:\n"
+        "        module.no_such_name\n"
+        "    except AttributeError as exc:\n"
+        "        messages.append(str(exc))\n"
+        "print(json.dumps([flags, sorted(set(sys.modules) - before), messages]))\n"
+    )
+    assert flags == [False, False]
+    assert loaded == []
+    assert messages == [
+        "module 'moddata.cli' has no attribute 'no_such_name'",
+        "module 'moddata.datum' has no attribute 'no_such_name'",
+    ]
+
+
 def test_analyze_loads_fusion_and_galois():
     code, loaded = modules_after_command(["analyze", SEMION])
     assert code == 0
@@ -109,11 +193,11 @@ def test_analyze_loads_fusion_and_galois():
 
 
 def test_analyze_on_a_datum_file_does_not_load_constructors():
-    # ten of the eleven modules: the Gauss sums of galois come from cyclo
+    # twelve of the thirteen modules: the Gauss sums of galois come from cyclo
     code, loaded = modules_after_command(["analyze", SEMION])
     assert code == 0
     assert "moddata.constructors" not in loaded
-    assert len(loaded) == 10
+    assert len(loaded) == 12
 
 
 def test_no_command_imports_dataclasses_or_inspect():

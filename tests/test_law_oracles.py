@@ -21,7 +21,7 @@ import pytest
 
 import oracles
 
-from moddata import cyclo, datum, fusion, galois, linalg
+from moddata import axioms, cyclo, datum, fusion, galois, linalg
 from moddata.constructors import radford_datum, semion_datum, su2_datum
 from moddata.cyclo import root_of_unity
 from moddata.datum import (
@@ -380,7 +380,7 @@ def test_structural_identities_match_the_oracle_on_a_changed_datum(
     if t_changed:
         t_diag = t_diag[:4] + (t_diag[2],)
     changed = ModularDatum(d.labels, d.unit, star, d.s_matrix, t_diag)
-    monkeypatch.setattr(datum, "require_valid", lambda d: None)
+    monkeypatch.setattr(axioms, "require_valid", lambda d: None)
     monkeypatch.setattr(fusion, "fusion_coefficients", lambda d: table)
     got = verify_structural_identities(changed)
     assert got.to_json() == oracles.oracle_verify_structural_identities(changed).to_json()
