@@ -29,10 +29,12 @@ _PUBLIC = {
         "sqrt_integer",
     ),
     "datum": (
-        "DatumReport",
         "ModularDatum",
-        "derive_report",
         "kronecker_product",
+    ),
+    "axioms": (
+        "DatumReport",
+        "derive_report",
         "power_identity_check",
         "validate_axioms",
         "verify_structural_identities",
@@ -91,12 +93,14 @@ _PUBLIC = {
         "verify_gauss_lemma",
     ),
     "cli": (
-        "AnalysisBundle",
-        "build_analysis",
         "load_datum",
         "parse_datum",
         "serialize_datum",
         "serialize_datum_text",
+    ),
+    "analysis": (
+        "AnalysisBundle",
+        "build_analysis",
     ),
 }
 # public name -> the submodule that defines it

@@ -1,19 +1,14 @@
 """The analysis half of the command-line front end.
 
 ``build_analysis`` runs the full analysis chain on a datum and bundles
-its verdicts, ``serialize_datum`` and ``serialize_datum_text`` write the
-datum wire format, and the handlers here implement every command but
+its verdicts, and the handlers here implement every command but
 ``congruence`` and ``lift-search``.  ``moddata.cli`` keeps the parser,
-``main``, the datum reader and the two congruence handlers, and imports
-this module when one of these commands runs, so a cold congruence
-request never compiles it.  ``cli.build_analysis`` and the other old
-names still resolve, to the same objects, through a module
-``__getattr__`` there.
+``main``, the datum wire format and the two congruence handlers, and
+imports this module when one of these commands runs, so a cold
+congruence request never compiles it.
 """
 
 from __future__ import annotations
-
-import json
 
 # the cli helpers and the traced layers are looked up on their modules at
 # each call, so a wrapper installed on those modules sees these calls
@@ -23,57 +18,6 @@ from .errors import ModdataError, NotIntegral, SchemaError
 from .report import CheckReport, Record, jsonable
 
 BUNDLE_SCHEMA = "moddata-bundle/1"
-DATUM_SCHEMA = "moddata-datum/1"
-
-
-# -- datum wire format: the writers ------------------------------------------
-
-
-def _datum_head(d: ModularDatum) -> dict:
-    return {
-        "schema": DATUM_SCHEMA,
-        "labels": list(d.labels),
-        "unit": d.unit,
-        "star": {lab: d.labels[d.star[i]] for i, lab in enumerate(d.labels)},
-    }
-
-
-def serialize_datum(d: ModularDatum) -> dict:
-    return {
-        **_datum_head(d),
-        "S": [[cyclo.to_json(x) for x in row] for row in d.s_matrix],
-        "T": [cyclo.to_json(x) for x in d.t_diag],
-    }
-
-
-def serialize_datum_text(d: ModularDatum) -> str:
-    """json.dumps(serialize_datum(d), indent=2) plus a newline, byte for
-    byte, with each distinct entry printed once.  An entry's text is its
-    own json.dumps(..., indent=2), indented to its depth by padding every
-    newline, which is how json nests it."""
-    head = _datum_head(d)  # before any entry, as serialize_datum does it
-    printed = {}  # (conductor, den, nums, pad) -> text
-
-    def entries(xs, pad):
-        texts = []
-        for x in xs:
-            key = (x.conductor, x.den, x.nums, pad)
-            text = printed.get(key)
-            if text is None:
-                text = json.dumps(cyclo.to_json(x), indent=2)
-                text = printed[key] = text.replace("\n", "\n" + pad)
-            texts.append(text)
-        return pad + (",\n" + pad).join(texts)
-
-    rows = ",\n".join(
-        f"    [\n{entries(row, ' ' * 6)}\n    ]" for row in d.s_matrix
-    )
-    t_diag = entries(d.t_diag, " " * 4)
-    # the head without its closing "\n}", then S and T as json nests them
-    return (
-        f'{json.dumps(head, indent=2)[:-2]},\n  "S": [\n{rows}\n  ],\n'
-        f'  "T": [\n{t_diag}\n  ]\n}}\n'
-    )
 
 
 # -- analysis bundle ---------------------------------------------------------
@@ -101,7 +45,7 @@ class AnalysisBundle(Record):
     def to_json(self) -> dict:
         return {
             "schema": BUNDLE_SCHEMA,
-            "datum": serialize_datum(self.datum),
+            "datum": cli.serialize_datum(self.datum),
             "report": jsonable(self.report),
             "verdicts": {k: jsonable(v) for k, v in self.verdicts.items()},
             "passed": self.passed,
@@ -332,6 +276,7 @@ def _cmd_gen(args, out) -> int:
         ("datum references", args.factors),
         ("--n", args.n is not None),
         ("--zeta", args.zeta is not None),
+        ("--json", args.json),
     ):
         if given and name not in _GEN_TAKES.get(args.kind, ()):
             raise SchemaError("$", f"gen {args.kind} takes no {name}")
@@ -345,12 +290,12 @@ def _cmd_gen(args, out) -> int:
     elif args.kind == "product":
         if len(args.factors) != 2:
             raise SchemaError("$", "gen product requires two datum references")
-        d = axioms.kronecker_product(
+        d = datum_mod.kronecker_product(
             cli.load_datum(args.factors[0]), cli.load_datum(args.factors[1])
         )
     else:
         d = cli.load_datum(f"gen:{args.kind}")
-    text = serialize_datum_text(d)
+    text = cli.serialize_datum_text(d)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(text)

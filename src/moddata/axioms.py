@@ -1,9 +1,9 @@
 """The defining axioms of a modular datum and the identities that follow.
 
 This module validates the five defining axioms, derives the report of a
-validated datum, verifies the elementary identities that follow from the
-axioms (structural and Gaussian-sum power identities), and builds
-Kronecker products.  The datum itself and its cheap invariants are in
+validated datum and verifies the elementary identities that follow from
+the axioms (structural and Gaussian-sum power identities).  The datum
+itself, its cheap invariants and the Kronecker product are in
 ``moddata.datum``, which a congruence request needs without any of this.
 """
 
@@ -255,42 +255,6 @@ def verify_structural_identities(d: ModularDatum) -> CheckReport:
         value=stats.g,
     )
     return rep
-
-
-def kronecker_product(d1: ModularDatum, d2: ModularDatum) -> ModularDatum:
-    """Product datum on the Cartesian product of the index sets."""
-    require_valid(d1)
-    require_valid(d2)
-    labels = tuple(
-        f"({a},{b})" for a in d1.labels for b in d2.labels
-    )
-    m2 = d2.size
-    star = tuple(
-        d1.star[i] * m2 + d2.star[j]
-        for i in range(d1.size)
-        for j in range(d2.size)
-    )
-    s_matrix = tuple(
-        tuple(
-            d1.s(i1, j1) * d2.s(i2, j2)
-            for j1 in range(d1.size)
-            for j2 in range(d2.size)
-        )
-        for i1 in range(d1.size)
-        for i2 in range(d2.size)
-    )
-    t_diag = tuple(
-        d1.t(i1) * d2.t(i2)
-        for i1 in range(d1.size)
-        for i2 in range(d2.size)
-    )
-    return ModularDatum(
-        labels=labels,
-        unit=f"({d1.unit},{d2.unit})",
-        star=star,
-        s_matrix=s_matrix,
-        t_diag=t_diag,
-    )
 
 
 def power_identity_check(d: ModularDatum) -> CheckReport:

@@ -1,4 +1,4 @@
-"""Command-line front end and JSON interchange formats.
+"""Command-line front end and the datum wire format.
 
 Commands are thin shells over the library: each one assembles the same
 payload a direct library call produces and prints it as text or JSON.
@@ -7,11 +7,10 @@ malformed input, 3 a resource bound was exceeded.
 
 This module holds what a cold ``congruence`` or ``lift-search`` request
 runs: the parser, ``main``, the environment and limit handling, the
-datum reader, the text renderer and those two commands.  Every other
-command, ``build_analysis`` and the datum writers are in
+datum wire format (its reader and its writers), the text renderer and
+those two commands.  Every other command and ``build_analysis`` are in
 ``moddata.analysis``; the parser names their handlers, and ``main``
-imports that module only when one of them runs.  Their old names here
-still resolve, to the same objects, through a module ``__getattr__``.
+imports that module only when one of them runs.
 """
 
 from __future__ import annotations
@@ -39,6 +38,7 @@ from .report import jsonable
 
 ENV_MAX_GROUP_ORDER = "MODDATA_MAX_GROUP_ORDER"
 ENV_CONDUCTOR_LIMIT = "MODDATA_CONDUCTOR_LIMIT"
+DATUM_SCHEMA = "moddata-datum/1"
 
 
 # -- datum wire format -------------------------------------------------------
@@ -158,6 +158,53 @@ def parse_datum(text: str) -> ModularDatum:
     except RecursionError:
         raise SchemaError("$", "invalid JSON: nested too deeply") from None
     return datum_from_obj(obj)
+
+
+def _datum_head(d: ModularDatum) -> dict:
+    return {
+        "schema": DATUM_SCHEMA,
+        "labels": list(d.labels),
+        "unit": d.unit,
+        "star": {lab: d.labels[d.star[i]] for i, lab in enumerate(d.labels)},
+    }
+
+
+def serialize_datum(d: ModularDatum) -> dict:
+    return {
+        **_datum_head(d),
+        "S": [[cyclo.to_json(x) for x in row] for row in d.s_matrix],
+        "T": [cyclo.to_json(x) for x in d.t_diag],
+    }
+
+
+def serialize_datum_text(d: ModularDatum) -> str:
+    """json.dumps(serialize_datum(d), indent=2) plus a newline, byte for
+    byte, with each distinct entry printed once.  An entry's text is its
+    own json.dumps(..., indent=2), indented to its depth by padding every
+    newline, which is how json nests it."""
+    head = _datum_head(d)  # before any entry, as serialize_datum does it
+    printed = {}  # (conductor, den, nums, pad) -> text
+
+    def entries(xs, pad):
+        texts = []
+        for x in xs:
+            key = (x.conductor, x.den, x.nums, pad)
+            text = printed.get(key)
+            if text is None:
+                text = json.dumps(cyclo.to_json(x), indent=2)
+                text = printed[key] = text.replace("\n", "\n" + pad)
+            texts.append(text)
+        return pad + (",\n" + pad).join(texts)
+
+    rows = ",\n".join(
+        f"    [\n{entries(row, ' ' * 6)}\n    ]" for row in d.s_matrix
+    )
+    t_diag = entries(d.t_diag, " " * 4)
+    # the head without its closing "\n}", then S and T as json nests them
+    return (
+        f'{json.dumps(head, indent=2)[:-2]},\n  "S": [\n{rows}\n  ],\n'
+        f'  "T": [\n{t_diag}\n  ]\n}}\n'
+    )
 
 
 # -- datum references --------------------------------------------------------
@@ -419,6 +466,7 @@ def build_parser() -> argparse.ArgumentParser:
     # None, not 1, so that a kind other than radford can refuse it
     p.add_argument("--zeta", type=int, default=None, help="primitive root exponent")
     p.add_argument("--out", default=None, help="output file")
+    # refused by _cmd_gen with one line: gen always writes JSON
     p.add_argument("--json", action="store_true", help=argparse.SUPPRESS)
     _add_conductor_limit(p)
     p.set_defaults(func="_cmd_gen", max_group_order=None)
@@ -497,37 +545,6 @@ def main(argv=None, out=None) -> int:
         if token is not None:
             # the limit is a context variable: this thread's only
             cyclo.reset_conductor_limit(token)
-
-
-# the names that moved to moddata.analysis; an explicit tuple, because
-# ``from .cli import X`` asks for cli.__path__, which must not load it
-_ANALYSIS = (
-    "AnalysisBundle",
-    "BUNDLE_SCHEMA",
-    "DATUM_SCHEMA",
-    "_cmd_analyze",
-    "_cmd_cocycle",
-    "_cmd_extensions",
-    "_cmd_fusion_table",
-    "_cmd_galois_check",
-    "_cmd_gauss_sum",
-    "_cmd_gen",
-    "_cmd_symbols",
-    "_cmd_validate",
-    "_datum_head",
-    "build_analysis",
-    "serialize_datum",
-    "serialize_datum_text",
-)
-
-
-def __getattr__(name):
-    # PEP 562: looked up in analysis on every access, as moddata does it
-    if name in _ANALYSIS:
-        from . import analysis
-
-        return getattr(analysis, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 if __name__ == "__main__":

@@ -5,12 +5,12 @@ involution on the labels, a symmetric Verlinde matrix S and a diagonal
 Dehn matrix T of finite order.  This module holds the datum, the
 ``derived`` decorator that keeps a derivation's value on it, and the
 standard invariants (global dimension, exponents, Gaussian sums) that
-every layer reads, the congruence search included.
+every layer reads, the congruence search included, and the Kronecker
+product of two data.
 
-The axiom checks, the derived report, the structural and power
-identities and Kronecker products are in ``moddata.axioms``, which a
-congruence request never imports.  Their old names here still resolve,
-to the same objects, through a module ``__getattr__``.
+The axiom checks, the derived report and the structural and power
+identities are in ``moddata.axioms``, which a congruence request never
+imports; ``kronecker_product`` imports it when it runs.
 """
 
 from __future__ import annotations
@@ -164,26 +164,39 @@ def _gauss_sum_inverse(d: ModularDatum) -> CycloNum:
     return basic_stats(d).g.inverse()
 
 
+def kronecker_product(d1: ModularDatum, d2: ModularDatum) -> ModularDatum:
+    """Product datum on the Cartesian product of the index sets."""
+    from . import axioms
 
-# the names that moved to moddata.axioms; an explicit tuple, because
-# ``from .datum import X`` asks for datum.__path__, which must not load it
-_AXIOMS = (
-    "DatumReport",
-    "_axioms_1_to_4",
-    "_global_dimension_from_square",
-    "derive_report",
-    "kronecker_product",
-    "power_identity_check",
-    "require_valid",
-    "validate_axioms",
-    "verify_structural_identities",
-)
-
-
-def __getattr__(name):
-    # PEP 562: looked up in axioms on every access, as moddata does it
-    if name in _AXIOMS:
-        from . import axioms
-
-        return getattr(axioms, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    axioms.require_valid(d1)
+    axioms.require_valid(d2)
+    labels = tuple(
+        f"({a},{b})" for a in d1.labels for b in d2.labels
+    )
+    m2 = d2.size
+    star = tuple(
+        d1.star[i] * m2 + d2.star[j]
+        for i in range(d1.size)
+        for j in range(d2.size)
+    )
+    s_matrix = tuple(
+        tuple(
+            d1.s(i1, j1) * d2.s(i2, j2)
+            for j1 in range(d1.size)
+            for j2 in range(d2.size)
+        )
+        for i1 in range(d1.size)
+        for i2 in range(d2.size)
+    )
+    t_diag = tuple(
+        d1.t(i1) * d2.t(i2)
+        for i1 in range(d1.size)
+        for i2 in range(d2.size)
+    )
+    return ModularDatum(
+        labels=labels,
+        unit=f"({d1.unit},{d2.unit})",
+        star=star,
+        s_matrix=s_matrix,
+        t_diag=t_diag,
+    )

@@ -126,15 +126,6 @@ class FusionElement(Frozen):
             tuple(a + b for a, b in zip(self.coeffs, other.coeffs))
         )
 
-    def __sub__(self, other):
-        if not isinstance(other, FusionElement):
-            return NotImplemented
-        if other.size != self.size:
-            raise DimensionMismatch("fusion elements of different sizes")
-        return FusionElement(
-            tuple(a - b for a, b in zip(self.coeffs, other.coeffs))
-        )
-
     def scale(self, c) -> "FusionElement":
         return FusionElement(tuple(a * c for a in self.coeffs))
 

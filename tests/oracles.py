@@ -20,7 +20,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
-from moddata import cli, cyclo, datum, fusion, galois, linalg
+from moddata import axioms, cli, cyclo, fusion, galois, linalg
 from moddata.constructors import (
     classical_gauss_sum,
     radford_datum,
@@ -231,7 +231,7 @@ def oracle_enumerate_charges(d, rank):
 
 
 def oracle_axioms_1_to_4(d):
-    """datum._axioms_1_to_4 with axiom 4 checked entry by entry: S T S by
+    """axioms._axioms_1_to_4 with axiom 4 checked entry by entry: S T S by
     one matrix product, then g s_ij t_o^2 against n_o t_i t_j (S T S)_ij
     for each (i, j) in turn, five products per entry."""
     rep = CheckReport("axioms")
@@ -250,7 +250,7 @@ def oracle_axioms_1_to_4(d):
     w = next((i for i in range(m) if d.s(i, o).is_zero()), None)
     rep.add("axiom2-dimensions-nonzero", w is None, w)
     rep.add("axiom2-unit-self-dual", d.star[o] == o)
-    n, witness3 = datum._global_dimension_from_square.__wrapped__(d)
+    n, witness3 = axioms._global_dimension_from_square.__wrapped__(d)
     rep.add("axiom3-s-squared", n is not None, witness3, value=n)
     if any(t.is_zero() for t in d.t_diag):
         rep.add("axiom4-proportionality", False, "T is not invertible")
@@ -288,7 +288,7 @@ def oracle_verlinde_rows(d):
     product: row (i, j) holds s_il s_jl / (s_ol n) over l, and column k
     holds s_k*l.  Its TooLarge names the first (i, j, k) whose sum would
     raise it."""
-    n, witness = datum._global_dimension_from_square.__wrapped__(d)
+    n, witness = axioms._global_dimension_from_square.__wrapped__(d)
     if n is None:
         raise InvalidDatum(f"no global dimension: witness {witness}")
     m = d.size
@@ -727,7 +727,7 @@ def oracle_odd_sign_analysis(d):
 
 
 def oracle_power_identity_check(d):
-    """datum.power_identity_check with the powers taken of g / g', g'
+    """axioms.power_identity_check with the powers taken of g / g', g'
     inverted on each call."""
     stats = basic_stats(d)
     rep = CheckReport("power-identities")
@@ -741,10 +741,10 @@ def oracle_power_identity_check(d):
 
 
 def oracle_verify_structural_identities(d):
-    """datum.verify_structural_identities with C S = S C and C T = T C
+    """axioms.verify_structural_identities with C S = S C and C T = T C
     checked on the matrices themselves: the conjugation matrix, diag(T)
     and four matrix products."""
-    datum.require_valid(d)
+    axioms.require_valid(d)
     rep = CheckReport("structural-identities")
     m = d.size
     o = d.o

@@ -10,6 +10,7 @@ from contextlib import contextmanager
 from math import gcd
 
 from moddata import cyclo, linalg
+from moddata.axioms import derive_report
 from moddata.constructors import (
     classical_gauss_sum,
     radford_datum,
@@ -24,7 +25,7 @@ from moddata.cyclo import (
     rational,
     root_of_unity,
 )
-from moddata.datum import basic_stats, derive_report, kronecker_product
+from moddata.datum import basic_stats, kronecker_product
 from moddata.extension import (
     additive_charge,
     enumerate_charges,

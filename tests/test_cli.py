@@ -8,8 +8,8 @@ import threading
 import pytest
 
 from moddata import cli, constructors, cyclo
+from moddata.analysis import build_analysis
 from moddata.cli import (
-    build_analysis,
     datum_from_obj,
     load_datum,
     parse_datum,
@@ -234,6 +234,25 @@ def test_cli_congruence_semion_level_4():
     payload = json.loads(text)
     assert payload["projective"]["factors"] is True
     assert payload["lift_search"]["surviving"] == 0
+
+
+def test_cli_congruence_projective_needs_no_lift_search():
+    # SU(2)_3 has no integer global dimension, so it has no ranks to lift
+    # with; --projective still decides the raw matrices
+    code, text = run_cli(["congruence", "gen:su2:3", "--projective", "--json"])
+    assert code == 0
+    payload = json.loads(text)
+    assert payload["projective"]["factors"] is True
+    assert "lift_search" not in payload
+
+
+def test_cli_congruence_without_projective_needs_ranks(capsys):
+    code, text = run_cli(["congruence", "gen:su2:3"])
+    assert code == 1
+    assert text == ""
+    _one_line_error(
+        capsys, "error: ranks require a positive integer global dimension"
+    )
 
 
 def test_cli_lift_search():
@@ -492,6 +511,7 @@ def _one_line_error(capsys, prefix):
          "error: $: gen radford takes no datum references"),
         (["gen", "product", "gen:semion", "gen:semion", "--zeta", "2"],
          "error: $: gen product takes no --zeta"),
+        (["gen", "semion", "--json"], "error: $: gen semion takes no --json"),
     ],
 )
 def test_bad_arguments_are_usage_errors(argv, prefix, capsys):

@@ -24,7 +24,7 @@ from moddata.constructors import (
     CocycleFn,
 )
 from moddata.cyclo import galois_apply, jacobi_symbol, root_of_unity
-from moddata.datum import derive_report, validate_axioms
+from moddata.axioms import derive_report, validate_axioms
 from moddata.errors import BadLevel, EvenOrder, NotAUnit, TooLarge
 from moddata.fusion import fusion_coefficients
 

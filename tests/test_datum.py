@@ -1,16 +1,15 @@
 import pytest
 
 from moddata import cyclo
-from moddata.constructors import radford_datum, semion_datum, trivial_datum
-from moddata.cyclo import root_of_unity
-from moddata.datum import (
-    ModularDatum,
+from moddata.axioms import (
     derive_report,
-    kronecker_product,
     power_identity_check,
     validate_axioms,
     verify_structural_identities,
 )
+from moddata.constructors import radford_datum, semion_datum, trivial_datum
+from moddata.cyclo import root_of_unity
+from moddata.datum import ModularDatum, kronecker_product
 from moddata.errors import InvalidDatum
 
 

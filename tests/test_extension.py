@@ -291,6 +291,27 @@ def test_factor_check_rejects_singular():
         factor_check(singular, singular, 2, "linear")
 
 
+@pytest.mark.parametrize("mode", ["linear", "projective"])
+def test_factor_check_with_a_non_diagonal_t(mode):
+    # SL(2,Z) permutes the nonzero vectors (1,0), (0,1), (1,1) of F_2^2:
+    # s = [[0,-1],[1,0]] swaps the first two and t = [[1,1],[0,1]] the last
+    # two.  The action goes through SL(2,Z/2), which is S_3, so it factors
+    # exactly at the even levels; neither matrix is diagonal, and S has no
+    # pivot on its diagonal
+    s = linalg.perm_matrix((1, 0, 2))
+    t = linalg.perm_matrix((0, 2, 1))
+    reports = {level: factor_check(s, t, level, mode) for level in range(1, 13)}
+    factors = {
+        level: rep.linear_factors if mode == "linear" else rep.projective_factors
+        for level, rep in reports.items()
+    }
+    assert [level for level, f in factors.items() if f] == [2, 4, 6, 8, 10, 12]
+    assert all(f is False for level, f in factors.items() if level % 2)
+    witness = reports[1].witness
+    assert (witness.word, witness.element) == ("s", (0, 0, 0, 0))
+    assert reports[3].witness.word == "ttt"
+
+
 def test_trivial_datum_congruence_at_level_one():
     e = make_extension(trivial_datum(), cyclo.one(1), cyclo.one(1))
     cls = congruence_classify(e)

@@ -22,15 +22,10 @@ import pytest
 import oracles
 
 from moddata import axioms, cyclo, datum, fusion, galois, linalg
+from moddata.axioms import validate_axioms, verify_structural_identities
 from moddata.constructors import radford_datum, semion_datum, su2_datum
 from moddata.cyclo import root_of_unity
-from moddata.datum import (
-    ModularDatum,
-    basic_stats,
-    kronecker_product,
-    validate_axioms,
-    verify_structural_identities,
-)
+from moddata.datum import ModularDatum, basic_stats, kronecker_product
 from moddata.errors import ModdataError
 from moddata.fusion import (
     FusionTable,
@@ -336,7 +331,7 @@ def test_analyze_galois_apply_count(monkeypatch):
     # 245 for the images of S; 24 in sigma for the 6 images of the Gauss
     # sum and the cocycle law at the 3 generators 1, 2, 3 of the units
     # times the 6 units; 5 in the one inverse of g
-    from moddata.cli import build_analysis
+    from moddata.analysis import build_analysis
 
     applies = _counting(monkeypatch, cyclo, "galois_apply")
     assert build_analysis(radford_datum(7)).passed
@@ -454,7 +449,7 @@ def test_power_identities_match_the_oracle_on_changed_data():
     # fail them, and at z_2 and z_4^2 both g and g' are zero
     outcomes = set()
     for name, d in _SYMBOL_DATA:
-        got = _outcome(datum.power_identity_check, d)
+        got = _outcome(axioms.power_identity_check, d)
         assert got == _outcome(oracles.oracle_power_identity_check, d), name
         outcomes.add(got[0] if isinstance(got, tuple) else got["passed"])
     assert outcomes == {True, False, "DivisionByZero"}
@@ -569,7 +564,7 @@ def test_symbol_analysis_makes_no_product_per_pair(monkeypatch):
 
 
 def test_analyze_inverts_the_gauss_sum_once(monkeypatch):
-    from moddata.cli import build_analysis
+    from moddata.analysis import build_analysis
 
     d = radford_datum(7)
     g = basic_stats(d).g
@@ -649,12 +644,12 @@ def _axiom4_variants(d):
 
 @pytest.mark.parametrize("name,d", _BUILT_IN, ids=_IDS)
 def test_axioms_match_the_entry_by_entry_oracle(name, d):
-    got = _axiom_outcome(datum._axioms_1_to_4.__wrapped__, d)
+    got = _axiom_outcome(axioms._axioms_1_to_4.__wrapped__, d)
     assert got == _axiom_outcome(oracles.oracle_axioms_1_to_4, d)
     assert all(passed for _, passed, _, _ in got)
     witnesses = []
     for changed in _axiom4_variants(d):
-        got = _axiom_outcome(datum._axioms_1_to_4.__wrapped__, changed)
+        got = _axiom_outcome(axioms._axioms_1_to_4.__wrapped__, changed)
         assert got == _axiom_outcome(oracles.oracle_axioms_1_to_4, changed)
         assert got[-1][0] == "axiom4-proportionality"
         witnesses.append(got[-1][2])
@@ -737,7 +732,7 @@ def test_axiom4_and_verlinde_raise_where_their_oracles_do(monkeypatch, name, d, 
     for limit in sorted(e for e in limits if top is None or e <= top):
         token = cyclo.set_conductor_limit(limit)
         try:
-            got = _axiom_outcome(datum._axioms_1_to_4.__wrapped__, d)
+            got = _axiom_outcome(axioms._axioms_1_to_4.__wrapped__, d)
             expected = _axiom_outcome(oracles.oracle_axioms_1_to_4, d)
             got_f = _verlinde_outcome(fusion.fusion_coefficients.__wrapped__, d)
             expected_f = _verlinde_outcome(oracles.oracle_verlinde_rows, d)
@@ -899,7 +894,7 @@ def test_no_kernel_sum_runs_over_the_limit(monkeypatch):
             conductors.clear()
             token = cyclo.set_conductor_limit(limit)
             try:
-                _axiom_outcome(datum._axioms_1_to_4.__wrapped__, d)
+                _axiom_outcome(axioms._axioms_1_to_4.__wrapped__, d)
                 _lifted_route_outcomes(d)
             finally:
                 cyclo.reset_conductor_limit(token)
@@ -940,7 +935,7 @@ def test_power_identities_make_no_product_but_the_ratio(monkeypatch):
         datum._gauss_sum_inverse(d)
         products = _counting_method(monkeypatch, cyclo.CycloNum, "__mul__")
         inverses = _counting_method(monkeypatch, cyclo.CycloNum, "inverse")
-        assert datum.power_identity_check(d).passed, name
+        assert axioms.power_identity_check(d).passed, name
         assert (len(products), inverses) == (1, []), name
         monkeypatch.undo()
 

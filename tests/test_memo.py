@@ -9,15 +9,15 @@ import pytest
 
 from oracles import built_in_data
 
-from moddata import datum, extension, fusion, galois
-from moddata.cli import build_analysis
+from moddata import axioms, datum, extension, fusion, galois
+from moddata.analysis import build_analysis
+from moddata.axioms import validate_axioms
 from moddata.constructors import radford_datum, semion_datum
-from moddata.datum import validate_axioms
 
 _DERIVED = (
     (datum, "basic_stats"),
-    (datum, "_global_dimension_from_square"),
-    (datum, "_axioms_1_to_4"),
+    (axioms, "_global_dimension_from_square"),
+    (axioms, "_axioms_1_to_4"),
     (fusion, "fusion_coefficients"),
     (fusion, "_xi_matrix"),
     (galois, "_index_action"),

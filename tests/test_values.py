@@ -12,17 +12,15 @@ import pytest
 from oracles import built_in_data
 
 from moddata import linalg
-from moddata.cli import AnalysisBundle, build_analysis
-from moddata.constructors import CocycleFn, cocycle_omega
-from moddata.datum import (
+from moddata.analysis import AnalysisBundle, build_analysis
+from moddata.axioms import (
     DatumReport,
-    DatumStats,
-    ModularDatum,
-    basic_stats,
     derive_report,
     validate_axioms,
     verify_structural_identities,
 )
+from moddata.constructors import CocycleFn, cocycle_omega
+from moddata.datum import DatumStats, ModularDatum, basic_stats
 from moddata.extension import (
     CongruenceClassification,
     CongruenceReport,
