@@ -28,6 +28,7 @@ from .cyclo import CycloNum
 from .datum import ModularDatum
 from .errors import (
     BadLevel,
+    DuplicateLabel,
     EvenOrder,
     ModdataError,
     NotAUnit,
@@ -341,6 +342,14 @@ def _level(args, d: ModularDatum) -> int:
     return _positive("--level", args.level)
 
 
+def _lift_search(d: ModularDatum, level: int, args) -> dict:
+    survivors = extension.lift_search(d, level, args.max_group_order)
+    return {
+        "surviving": len(survivors),
+        "extensions": [_extension_entry(e, i) for i, e in enumerate(survivors)],
+    }
+
+
 def _cmd_congruence(args, out) -> int:
     d = load_datum(args.datum)
     level = _level(args, d)
@@ -362,13 +371,7 @@ def _cmd_congruence(args, out) -> int:
         "passed": bool(projective.projective_factors),
     }
     if not args.projective:
-        survivors = extension.lift_search(d, level, args.max_group_order)
-        payload["lift_search"] = {
-            "surviving": len(survivors),
-            "extensions": [
-                _extension_entry(e, i) for i, e in enumerate(survivors)
-            ],
-        }
+        payload["lift_search"] = _lift_search(d, level, args)
     _emit(payload, args.json, out)
     return 0 if payload["passed"] else 1
 
@@ -376,15 +379,7 @@ def _cmd_congruence(args, out) -> int:
 def _cmd_lift_search(args, out) -> int:
     d = load_datum(args.datum)
     level = _level(args, d)
-    survivors = extension.lift_search(d, level, args.max_group_order)
-    payload = {
-        "level": level,
-        "surviving": len(survivors),
-        "extensions": [
-            _extension_entry(e, i) for i, e in enumerate(survivors)
-        ],
-        "passed": True,
-    }
+    payload = {"level": level, **_lift_search(d, level, args), "passed": True}
     _emit(payload, args.json, out)
     return 0
 
@@ -410,8 +405,20 @@ def _add_conductor_limit(parser):
     )
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors are one line and exit 2.  Help is not printed: its
+    text is the code of the SystemExit raised, for main to write out."""
+
+    def error(self, message):
+        # argparse quotes the values it names, but not unrecognized ones
+        self.exit(2, "error: " + message.replace("\n", "\\n") + "\n")
+
+    def print_help(self, file=None):
+        raise SystemExit(self.format_help())
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="moddata",
         description="Exact analysis of modular data over cyclotomic fields.",
     )
@@ -437,13 +444,14 @@ def build_parser() -> argparse.ArgumentParser:
             "(gen:semion, gen:trivial, gen:radford:N, gen:su2:K)",
         )
         p.add_argument("--json", action="store_true", help="machine output")
-        p.add_argument(
+        _add_conductor_limit(p)
+        p.set_defaults(func=func)
+    for name in ("analyze", "congruence", "lift-search"):  # the searches
+        datum_commands[name].add_argument(
             "--max-group-order",
             type=int,
             help="bound on the reduced modular group order",
         )
-        _add_conductor_limit(p)
-        p.set_defaults(func=func)
     datum_commands["analyze"].add_argument(
         "--extensions",
         action="store_true",
@@ -458,25 +466,24 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p = sub.add_parser("gen", help="emit a built-in datum as JSON")
-    p.add_argument(
-        "kind", choices=("semion", "trivial", "radford", "product")
-    )
-    p.add_argument("factors", nargs="*", help="datum references for product")
-    p.add_argument("--n", type=int, default=None, help="cyclic order")
-    # None, not 1, so that a kind other than radford can refuse it
-    p.add_argument("--zeta", type=int, default=None, help="primitive root exponent")
-    p.add_argument("--out", default=None, help="output file")
-    # refused by _cmd_gen with one line: gen always writes JSON
-    p.add_argument("--json", action="store_true", help=argparse.SUPPRESS)
-    _add_conductor_limit(p)
-    p.set_defaults(func="_cmd_gen", max_group_order=None)
+    p.set_defaults(func="_cmd_gen")
+    kinds = p.add_subparsers(dest="kind", required=True)
+    gen = {}
+    for kind in ("semion", "trivial", "radford", "product"):
+        gen[kind] = p = kinds.add_parser(kind)
+        p.add_argument("--out", default=None, help="output file")
+        _add_conductor_limit(p)
+    radford = gen["radford"]
+    radford.add_argument("--n", type=int, required=True, help="cyclic order")
+    radford.add_argument("--zeta", type=int, default=1, help="root exponent")
+    gen["product"].add_argument("factors", nargs=2, metavar="datum")
 
     p = sub.add_parser("gauss-sum", help="classical quadratic Gauss sum laws")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--q", type=int, default=None)
     p.add_argument("--json", action="store_true")
     _add_conductor_limit(p)
-    p.set_defaults(func="_cmd_gauss_sum", max_group_order=None)
+    p.set_defaults(func="_cmd_gauss_sum")
 
     p = sub.add_parser("cocycle", help="cyclic-group 3-cocycle table")
     p.add_argument("--n", type=int, required=True)
@@ -484,7 +491,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--check", action="store_true")
     p.add_argument("--json", action="store_true")
     _add_conductor_limit(p)
-    p.set_defaults(func="_cmd_cocycle", max_group_order=None)
+    p.set_defaults(func="_cmd_cocycle")
 
     return parser
 
@@ -506,6 +513,9 @@ def main(argv=None, out=None) -> int:
     try:
         args = _parser().parse_args(argv)
     except SystemExit as exc:
+        if isinstance(exc.code, str):  # the help text
+            out.write(exc.code)
+            return 0
         return int(exc.code or 0)
     token = None
     try:
@@ -516,7 +526,7 @@ def main(argv=None, out=None) -> int:
         conductor_limit = _int_env(
             ENV_CONDUCTOR_LIMIT, cyclo.get_conductor_limit()
         )
-        if args.max_group_order is None:
+        if getattr(args, "max_group_order", None) is None:
             args.max_group_order = max_group_order
         if args.conductor_limit is None:
             args.conductor_limit = conductor_limit
@@ -533,9 +543,9 @@ def main(argv=None, out=None) -> int:
     except TooLarge as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (SchemaError, OSError, BadLevel, EvenOrder, NotAUnit) as exc:
-        # bad input: a malformed file or flag, or an order, level or
-        # exponent that no construction accepts
+    except (SchemaError, OSError, BadLevel, DuplicateLabel, EvenOrder, NotAUnit) as exc:
+        # bad input: a malformed file or flag, an order, level or exponent
+        # that no construction accepts, or a product whose labels collide
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ModdataError as exc:

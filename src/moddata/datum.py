@@ -20,7 +20,7 @@ from math import lcm
 
 from . import cyclo
 from .cyclo import CycloNum
-from .errors import InvalidDatum
+from .errors import DuplicateLabel, InvalidDatum
 from .report import Frozen
 
 
@@ -36,7 +36,8 @@ class ModularDatum(Frozen):
         if m == 0:
             raise ValueError("label set must be nonempty")
         if len(set(labels)) != m:
-            raise ValueError("labels must be distinct")
+            repeat = next(x for i, x in enumerate(labels) if x in labels[:i])
+            raise DuplicateLabel(f"labels must be distinct: {repeat!r} repeats")
         if unit not in labels:
             raise ValueError(f"unit {unit!r} not among labels")
         if len(star) != m or sorted(star) != list(range(m)):

@@ -29,6 +29,10 @@ class InvalidDatum(ModdataError, ValueError):
     """Operation requires a datum that passes the defining axioms."""
 
 
+class DuplicateLabel(ModdataError, ValueError):
+    """Two labels of a datum are equal, as a product's labels can be."""
+
+
 class DimensionMismatch(ModdataError, ValueError):
     """Operands have incompatible sizes."""
 

@@ -496,22 +496,22 @@ def _one_line_error(capsys, prefix):
         (["validate", "gen:radford:5:9"], "error: $: gen:radford takes one integer order"),
         (["validate", "gen:trivial:x"], "error: $: gen:trivial takes no parameter"),
         # a bound below 1, as --conductor-limit 0 is
-        (["validate", "gen:semion", "--max-group-order", "0"],
+        (["analyze", "gen:semion", "--max-group-order", "0"],
          "error: --max-group-order: must be positive, got 0"),
         (["congruence", "gen:semion", "--level", "4", "--max-group-order", "-1"],
          "error: --max-group-order: must be positive, got -1"),
         (["validate", "gen:semion", "--conductor-limit", "0"],
          "error: --conductor-limit: must be positive, got 0"),
         # an argument the gen kind does not take
-        (["gen", "trivial", "--n", "3"], "error: $: gen trivial takes no --n"),
-        (["gen", "semion", "--zeta", "5"], "error: $: gen semion takes no --zeta"),
+        (["gen", "trivial", "--n", "3"], "error: unrecognized arguments: --n 3"),
+        (["gen", "semion", "--zeta", "5"], "error: unrecognized arguments: --zeta 5"),
         (["gen", "semion", "gen:trivial"],
-         "error: $: gen semion takes no datum references"),
+         "error: unrecognized arguments: gen:trivial"),
         (["gen", "radford", "gen:semion", "--n", "5"],
-         "error: $: gen radford takes no datum references"),
+         "error: unrecognized arguments: gen:semion"),
         (["gen", "product", "gen:semion", "gen:semion", "--zeta", "2"],
-         "error: $: gen product takes no --zeta"),
-        (["gen", "semion", "--json"], "error: $: gen semion takes no --json"),
+         "error: unrecognized arguments: --zeta 2"),
+        (["gen", "semion", "--json"], "error: unrecognized arguments: --json"),
     ],
 )
 def test_bad_arguments_are_usage_errors(argv, prefix, capsys):
@@ -519,6 +519,72 @@ def test_bad_arguments_are_usage_errors(argv, prefix, capsys):
     assert code == 2
     assert text == ""
     _one_line_error(capsys, prefix)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["validate", "gen:semion", "--bogus"],  # an unknown flag
+        ["congruence", "gen:semion", "--level", "x"],  # not an integer
+        ["congruence", "gen:semion", "--level"],  # a flag with no value
+        ["gauss-sum"],  # a missing required option
+        ["validate"],  # a missing datum
+        ["frobnicate", "gen:semion"],  # a bad choice
+        [],  # no command
+        ["gen"],  # no gen kind
+        ["gen", "bogus"],
+        ["gen", "radford"],
+        ["gen", "product", "gen:semion"],
+        ["gen", "product", "gen:semion", "gen:semion", "gen:trivial"],
+        ["validate", "gen:semion", "a\nb"],  # argparse quotes no extra argument
+    ],
+)
+def test_parser_errors_are_one_line(argv, capsys):
+    code, text = run_cli(argv)
+    assert code == 2
+    assert text == ""
+    _one_line_error(capsys, "error: ")
+
+
+@pytest.mark.parametrize("argv", _EVERY_COMMAND, ids=[a[0] for a in _EVERY_COMMAND])
+def test_only_the_searches_take_max_group_order(argv, capsys):
+    # a value the flag's own type refuses: no command runs either way
+    code, _ = run_cli(argv + ["--max-group-order", "x"])
+    assert code == 2
+    err = capsys.readouterr().err
+    if argv[0] in ("analyze", "congruence", "lift-search"):
+        assert err == "error: argument --max-group-order: invalid int value: 'x'\n"
+    else:
+        assert err == "error: unrecognized arguments: --max-group-order x\n"
+
+
+@pytest.mark.parametrize(
+    "argv", [["--help"], ["congruence", "--help"], ["gen", "radford", "-h"]]
+)
+def test_help_is_written_to_out(argv, capsys):
+    code, text = run_cli(argv)
+    assert code == 0
+    assert text.startswith("usage: moddata " + " ".join(argv[:-1]))
+    assert capsys.readouterr() == ("", "")
+
+
+def _relabel(d, labels):
+    return ModularDatum(
+        tuple(labels), labels[d.o], d.star, d.s_matrix, d.t_diag
+    )
+
+
+def test_gen_product_with_colliding_labels_is_usage_error(tmp_path, capsys):
+    # (0, "1,0") and ("0,1", 0) both make the label (0,1,0)
+    paths = []
+    for name, labels in (("a", ["0", "0,1"]), ("b", ["1,0", "0"])):
+        obj = serialize_datum(_relabel(semion_datum(), labels))
+        paths.append(tmp_path / f"{name}.json")
+        paths[-1].write_text(json.dumps(obj))
+    code, text = run_cli(["gen", "product", *map(str, paths)])
+    assert code == 2
+    assert text == ""
+    _one_line_error(capsys, "error: labels must be distinct: '(0,1,0)' repeats")
 
 
 @pytest.mark.parametrize(

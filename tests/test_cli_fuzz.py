@@ -1,6 +1,7 @@
-"""Hostile datum files: one node of a valid file replaced by a value of
-the wrong type or size must end in a documented exit code with at most
-one line on stderr, never a traceback or a hang."""
+"""Hostile datum files and hostile arguments: one node of a valid file
+replaced by a value of the wrong type or size, or stray tokens after a
+valid command, must end in a documented exit code with at most one line
+on stderr, never a usage block, a traceback or a hang."""
 
 import contextlib
 import io
@@ -84,4 +85,46 @@ def test_mutated_datum_file_ends_in_a_documented_exit(site, value, command):
             code = cli.main([command[0], file, "--json", *command[1:]], out=out)
     assert code in (0, 1, 2, 3), (code, err.getvalue())
     assert err.getvalue().count("\n") <= 1, err.getvalue()
+    assert "Traceback" not in err.getvalue()
+
+
+_EVERY_COMMAND = [
+    ["validate", "gen:semion"],
+    ["analyze", "gen:semion"],
+    ["fusion-table", "gen:semion"],
+    ["galois-check", "gen:semion"],
+    ["symbols", "gen:semion"],
+    ["extensions", "gen:semion"],
+    ["congruence", "gen:semion", "--level", "4"],
+    ["lift-search", "gen:semion", "--level", "4"],
+    ["gen", "semion"],
+    ["gauss-sum", "--n", "3"],
+    ["cocycle", "--n", "3"],
+]
+
+# unknown flags, flags that take a value (left without one at the end),
+# non-integers, negative and small numbers, an extra positional, and one
+# that argparse prints unquoted; every value is cheap for every command
+_TOKENS = [
+    "--bogus", "-z", "--level", "--n", "--max-group-order", "--json",
+    "x", "1.5", "-1", "0", "2", "gen:trivial", "a\nb",
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    command=st.sampled_from(_EVERY_COMMAND),
+    tokens=st.lists(st.sampled_from(_TOKENS), max_size=4),
+)
+@example(command=["validate", "gen:semion"], tokens=["--bogus"])
+@example(command=["congruence", "gen:semion"], tokens=["--level", "x"])
+@example(command=["gen", "semion"], tokens=["--json"])
+@example(command=["symbols", "gen:semion"], tokens=["--max-group-order", "2"])
+def test_hostile_arguments_end_in_a_documented_exit(command, tokens):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = cli.main(command + tokens, out=out)
+    assert code in (0, 1, 2, 3), (code, err.getvalue())
+    assert err.getvalue().count("\n") <= 1, err.getvalue()
+    assert "usage:" not in err.getvalue()
     assert "Traceback" not in err.getvalue()

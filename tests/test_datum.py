@@ -10,7 +10,7 @@ from moddata.axioms import (
 from moddata.constructors import radford_datum, semion_datum, trivial_datum
 from moddata.cyclo import root_of_unity
 from moddata.datum import ModularDatum, kronecker_product
-from moddata.errors import InvalidDatum
+from moddata.errors import DuplicateLabel, InvalidDatum
 
 
 def test_semion_passes_all_axioms():
@@ -141,6 +141,19 @@ def test_kronecker_rejects_invalid():
     )
     with pytest.raises(InvalidDatum):
         kronecker_product(sem, bad)
+
+
+def test_kronecker_names_a_colliding_label():
+    # (0, "1,0") and ("0,1", 0) both make the label (0,1,0)
+    sem = semion_datum()
+
+    def relabel(labels):
+        return ModularDatum(labels, labels[0], sem.star, sem.s_matrix, sem.t_diag)
+
+    with pytest.raises(DuplicateLabel, match=r"'\(0,1,0\)' repeats"):
+        kronecker_product(relabel(("0", "0,1")), relabel(("1,0", "0")))
+    with pytest.raises(DuplicateLabel, match="'x' repeats"):
+        ModularDatum(("x", "x"), "x", sem.star, sem.s_matrix, sem.t_diag)
 
 
 def test_normalized_exponent_divides_exponent():
