@@ -322,11 +322,9 @@ def _cmd_cocycle(args, out) -> int:
     payload = {
         "n": args.n,
         "zeta_exponent": args.zeta,
-        "table": [
-            [[jsonable(c.value(i, j, k)) for k in range(args.n)]
-             for j in range(args.n)]
-            for i in range(args.n)
-        ],
+        # the writer formats each distinct root once; the text renderer
+        # takes JSON-ready data
+        "table": c.table if args.json else jsonable(c.table),
     }
     if args.check:
         payload["cocycle_identity"] = ok

@@ -7,10 +7,10 @@ malformed input, 3 a resource bound was exceeded.
 
 This module holds what a cold ``congruence`` or ``lift-search`` request
 runs: the parser, ``main``, the environment and limit handling, the
-datum wire format (its reader and its writers), the text renderer and
-those two commands.  Every other command and ``build_analysis`` are in
-``moddata.analysis``; the parser names their handlers, and ``main``
-imports that module only when one of them runs.
+datum wire format (its reader and writers), the JSON writer, the text
+renderer and those two commands.  Every other command and
+``build_analysis`` are in ``moddata.analysis``; the parser names their
+handlers, and ``main`` imports that module only when one of them runs.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ import json
 import os
 import sys
 from functools import lru_cache
+from json.encoder import encode_basestring_ascii as quote
 
 # analysis, fusion, galois and constructors are imported by the functions
 # that call them, so a command loads only the modules it runs
@@ -40,6 +41,7 @@ from .report import jsonable
 ENV_MAX_GROUP_ORDER = "MODDATA_MAX_GROUP_ORDER"
 ENV_CONDUCTOR_LIMIT = "MODDATA_CONDUCTOR_LIMIT"
 DATUM_SCHEMA = "moddata-datum/1"
+_BRACKETS = {list: "[]", tuple: "[]", dict: "{}"}
 
 
 # -- datum wire format -------------------------------------------------------
@@ -161,51 +163,60 @@ def parse_datum(text: str) -> ModularDatum:
     return datum_from_obj(obj)
 
 
-def _datum_head(d: ModularDatum) -> dict:
-    return {
-        "schema": DATUM_SCHEMA,
-        "labels": list(d.labels),
-        "unit": d.unit,
-        "star": {lab: d.labels[d.star[i]] for i, lab in enumerate(d.labels)},
-    }
+def _datum_tree(d: ModularDatum) -> dict:
+    """The wire object of d, its entries left as CycloNum values."""
+    star = {lab: d.labels[d.star[i]] for i, lab in enumerate(d.labels)}
+    return {"schema": DATUM_SCHEMA, "labels": d.labels, "unit": d.unit,
+            "star": star, "S": d.s_matrix, "T": d.t_diag}
 
 
 def serialize_datum(d: ModularDatum) -> dict:
-    return {
-        **_datum_head(d),
-        "S": [[cyclo.to_json(x) for x in row] for row in d.s_matrix],
-        "T": [cyclo.to_json(x) for x in d.t_diag],
-    }
+    return jsonable(_datum_tree(d))
 
 
 def serialize_datum_text(d: ModularDatum) -> str:
-    """json.dumps(serialize_datum(d), indent=2) plus a newline, byte for
-    byte, with each distinct entry printed once.  An entry's text is its
-    own json.dumps(..., indent=2), indented to its depth by padding every
-    newline, which is how json nests it."""
-    head = _datum_head(d)  # before any entry, as serialize_datum does it
-    printed = {}  # (conductor, den, nums, pad) -> text
+    """json.dumps(serialize_datum(d), indent=2) plus a newline."""
+    return write_json(_datum_tree(d)) + "\n"
 
-    def entries(xs, pad):
-        texts = []
-        for x in xs:
-            key = (x.conductor, x.den, x.nums, pad)
-            text = printed.get(key)
-            if text is None:
-                text = json.dumps(cyclo.to_json(x), indent=2)
-                text = printed[key] = text.replace("\n", "\n" + pad)
-            texts.append(text)
-        return pad + (",\n" + pad).join(texts)
 
-    rows = ",\n".join(
-        f"    [\n{entries(row, ' ' * 6)}\n    ]" for row in d.s_matrix
-    )
-    t_diag = entries(d.t_diag, " " * 4)
-    # the head without its closing "\n}", then S and T as json nests them
-    return (
-        f'{json.dumps(head, indent=2)[:-2]},\n  "S": [\n{rows}\n  ],\n'
-        f'  "T": [\n{t_diag}\n  ]\n}}\n'
-    )
+def write_json(obj) -> str:
+    """json.dumps(obj, indent=2), byte for byte, in one pass.  A CycloNum
+    is written as its cyclo.to_json form, formatted once per value and
+    depth; any other value that is not a plain str, int or container goes
+    to json.dumps, its newlines padded to its depth, as json nests it."""
+    parts = []
+    _write(obj, "", parts, {})
+    return "".join(parts)
+
+
+def _write(x, pad: str, parts: list, leaves: dict) -> None:
+    # a module function, not a closure: a closure that calls itself is a
+    # reference cycle, which would keep parts alive until the next collection
+    kind = type(x)
+    if kind is CycloNum:
+        key = (x.conductor, x.den, x.nums, pad)  # leaves maps it to its text
+        text = leaves.get(key)
+        if text is None:
+            text = leaves[key] = write_json(cyclo.to_json(x)).replace("\n", "\n" + pad)
+        parts.append(text)
+    elif kind is str:
+        parts.append(quote(x))
+    elif kind is int:
+        parts.append(int.__repr__(x))
+    elif kind in _BRACKETS and (kind is not dict or all(type(k) is str for k in x)):
+        inner = pad + "  "
+        comma = ",\n" + inner
+        parts.append(_BRACKETS[kind][0] + "\n" + inner)
+        for item in x:
+            if kind is dict:
+                parts.append(quote(item) + ": ")
+                item = x[item]
+            _write(item, inner, parts, leaves)
+            parts.append(comma)
+        parts[-1] = "\n" + pad + _BRACKETS[kind][1] if x else _BRACKETS[kind]
+    else:  # indent=2 changes only how a container is written
+        text = json.dumps(x, indent=2 if isinstance(x, (dict, list, tuple)) else None)
+        parts.append(text.replace("\n", "\n" + pad))
 
 
 # -- datum references --------------------------------------------------------
@@ -310,7 +321,7 @@ def _value_text(value) -> str:
 
 def _emit(payload: dict, as_json: bool, out) -> None:
     if as_json:
-        print(json.dumps(payload, indent=2), file=out)
+        print(write_json(payload), file=out)
     else:
         _render_report_text(payload, out)
 
@@ -364,9 +375,7 @@ def _cmd_congruence(args, out) -> int:
         "level": level,
         "projective": {
             "factors": projective.projective_factors,
-            "witness": jsonable(
-                projective.witness.to_json() if projective.witness else None
-            ),
+            "witness": projective.witness.to_json() if projective.witness else None,
         },
         "passed": bool(projective.projective_factors),
     }
@@ -519,6 +528,8 @@ def main(argv=None, out=None) -> int:
         return int(exc.code or 0)
     token = None
     try:
+        if not getattr(args, "extensions", True) and (args.max_group_order or 0) > 0:
+            raise SchemaError("--max-group-order", "is read only with --extensions")
         # read on every call, so a changed environment takes effect
         max_group_order = _int_env(
             ENV_MAX_GROUP_ORDER, extension.DEFAULT_MAX_GROUP_ORDER

@@ -68,16 +68,6 @@ class ModularDatum(Frozen):
     def dim(self, i: int) -> CycloNum:
         return self.s_matrix[i][self.o]
 
-    def conjugation_matrix(self) -> tuple:
-        """C with entry 1 at (i, i*)."""
-        m = self.size
-        one = cyclo.one(1)
-        z = cyclo.zero(1)
-        return tuple(
-            tuple(one if j == self.star[i] else z for j in range(m))
-            for i in range(m)
-        )
-
 
 def derived(compute):
     """Decorator: compute(d, *args), pure with an immutable value, runs once

@@ -481,7 +481,7 @@ def oracle_verify_action_laws(d):
     m = d.size
     o = d.o
     n_o = stats.N_o
-    c = d.conjugation_matrix()
+    c = linalg.perm_matrix(d.star)
     perms = {q: galois.index_action(d, q) for q in galois.units_mod(n_o)}
     w = next(
         ((q, i, j) for q, gp in perms.items() for i in range(m) for j in range(m)
@@ -665,7 +665,7 @@ def oracle_relact_check(d, q, q_prime):
     s = d.s_matrix
     t_q = linalg.diag_matrix([d.t(i) ** q for i in range(m)])
     t_qp = linalg.diag_matrix([d.t(i) ** q_prime for i in range(m)])
-    s_inv = linalg.mat_scale(oracle_mat_mul(s, d.conjugation_matrix()), stats.n.inverse())
+    s_inv = linalg.mat_scale(oracle_mat_mul(s, linalg.perm_matrix(d.star)), stats.n.inverse())
     word = t_qp
     for factor in (s, t_q, s_inv, t_qp, s):
         word = oracle_mat_mul(factor, word)
@@ -758,7 +758,7 @@ def oracle_verify_structural_identities(d):
     rep.add("s-star-symmetry", w is None, w)
     w = next((j for j in range(m) if d.dim(star[j]) != d.dim(j)), None)
     rep.add("dims-star-invariant", w is None, w)
-    c = d.conjugation_matrix()
+    c = linalg.perm_matrix(d.star)
     rep.add(
         "c-commutes-with-s",
         linalg.mat_eq(linalg.mat_mul(c, d.s_matrix),

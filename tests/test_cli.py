@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 
 import pytest
 
@@ -19,6 +20,7 @@ from moddata.cli import (
 from moddata.constructors import radford_datum, semion_datum
 from moddata.datum import ModularDatum
 from moddata.errors import SchemaError
+from moddata.report import jsonable
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "data", "semion.json")
 
@@ -320,6 +322,42 @@ def test_cli_cocycle_check_runs_the_checker_once(monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize("n", [1, 2, 7])
+@pytest.mark.parametrize("check", [False, True])
+def test_cli_cocycle_json_is_the_payload_json_dumps_prints(n, check):
+    c = constructors.cocycle_omega(n)
+    r = range(n)
+    payload = {
+        "n": n,
+        "zeta_exponent": 1,
+        "table": [[[c.value(i, j, k) for k in r] for j in r] for i in r],
+    }
+    if check:
+        payload.update(cocycle_identity=True, witness=None, passed=True)
+    argv = ["cocycle", "--n", str(n), "--json"] + ["--check"] * check
+    assert run_cli(argv) == (0, json.dumps(jsonable(payload), indent=2) + "\n")
+
+
+def test_cli_cocycle_json_peaks_under_three_times_its_output():
+    # the table goes to the writer as values: no JSON-ready copy of its
+    # n^3 entries, and each distinct root of unity is formatted once
+    class Count:
+        size = 0
+
+        def write(self, text):
+            self.size += len(text)
+
+    out = Count()
+    tracemalloc.start()
+    try:
+        assert cli.main(["cocycle", "--n", "24", "--json"], out=out) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.size == 3013781
+    assert peak < 3 * out.size
+
+
 def test_cli_gen_product(tmp_path):
     sem = tmp_path / "sem.json"
     code, text = run_cli(["gen", "semion"])
@@ -512,6 +550,9 @@ def _one_line_error(capsys, prefix):
         (["gen", "product", "gen:semion", "gen:semion", "--zeta", "2"],
          "error: unrecognized arguments: --zeta 2"),
         (["gen", "semion", "--json"], "error: unrecognized arguments: --json"),
+        # a search bound without the search that reads it
+        (["analyze", "gen:semion", "--max-group-order", "1"],
+         "error: --max-group-order: is read only with --extensions"),
     ],
 )
 def test_bad_arguments_are_usage_errors(argv, prefix, capsys):

@@ -1,18 +1,22 @@
 """The datum wire routes against their oracles: the whole-datum
 json.dumps for printing, and a fresh read of every scalar node for
-parsing."""
+parsing; and the one JSON writer, cli.write_json, against json.dumps."""
 
+import gc
 import io
 import json
 from math import gcd, lcm
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
 
 from moddata import cli, cyclo
+from moddata.analysis import build_analysis
 from moddata.constructors import radford_datum
 from moddata.datum import ModularDatum
+from moddata.report import jsonable
 
 
 def _scalars(d):
@@ -120,3 +124,137 @@ def test_hostile_twin_gets_the_oracle_verdict(twin, where, tmp_path, monkeypatch
         results.append((code, text, capsys.readouterr().err))
     assert results[0] == results[1]
     assert "Traceback" not in results[0][2]
+
+
+# -- the JSON writer -----------------------------------------------------------
+
+
+class _Dict(dict):
+    pass
+
+
+class _List(list):
+    pass
+
+
+_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=-(10**60), max_value=10**60),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.text(),  # non-ASCII and control characters included
+    st.text(alphabet=st.characters(max_codepoint=0x1F)),
+)
+_KEYS = st.one_of(st.text(), st.integers(), st.floats(), st.booleans(), st.none())
+
+
+def _containers(children):
+    return st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.lists(children, max_size=4).map(_List),
+        st.dictionaries(st.text(), children, max_size=4),
+        st.dictionaries(_KEYS, children, max_size=4),
+        st.dictionaries(st.text(), children, max_size=4).map(_Dict),
+        st.just([[], {}, [[]], {"": {}}]),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.recursive(_SCALARS, _containers, max_leaves=40))
+def test_write_json_is_json_dumps_with_indent_2(tree):
+    assert cli.write_json(tree) == json.dumps(tree, indent=2)
+
+
+_CYCLO = st.builds(
+    lambda m, k, q: cyclo.root_of_unity(m, k) + cyclo.from_rational(q, m),
+    st.integers(1, 30),
+    st.integers(0, 59),
+    st.fractions(max_denominator=12),
+) | st.sampled_from([cyclo.one(1), cyclo.one(5), cyclo.zero(12)])
+
+
+def _cyclo_containers(children):
+    return st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(st.text(max_size=3), children, max_size=4),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.recursive(_CYCLO | _SCALARS, _cyclo_containers, max_leaves=30))
+def test_write_json_writes_cyclo_leaves_in_their_wire_form(tree):
+    assert cli.write_json(tree) == json.dumps(jsonable(tree), indent=2)
+
+
+def test_write_json_repeats_a_value_at_each_depth_and_conductor():
+    # equal values at two conductors print differently, and one value at
+    # two depths is padded to each
+    z = cyclo.root_of_unity(3, 1)
+    tree = {"a": [z, [z, cyclo.one(1), cyclo.one(3)]], "b": z, "c": (z,)}
+    assert cli.write_json(tree) == json.dumps(jsonable(tree), indent=2)
+
+
+@pytest.mark.parametrize(
+    "tree", [object(), {"a": [1, object()]}, [{(1, 2): 3}], _Dict(x=cyclo.one(1))]
+)
+def test_write_json_refuses_what_json_refuses(tree):
+    with pytest.raises(TypeError):
+        json.dumps(tree, indent=2)
+    with pytest.raises(TypeError):
+        cli.write_json(tree)
+
+
+def test_each_distinct_entry_is_formatted_once_per_depth(monkeypatch):
+    d = radford_datum(25)
+    expected = oracles.oracle_serialize_datum_text(d)
+    calls = []
+    real = cyclo.to_json
+    monkeypatch.setattr(cyclo, "to_json", lambda x: calls.append(1) or real(x))
+    assert cli.serialize_datum_text(d) == expected
+    distinct = {(x.conductor, x.den, x.nums) for row in d.s_matrix for x in row}
+    distinct_t = {(x.conductor, x.den, x.nums) for x in d.t_diag}
+    assert len(calls) <= len(distinct) + len(distinct_t) < d.size**2
+
+
+def _analysis_text():
+    payload = build_analysis(cli.load_datum("gen:semion")).to_json()
+    return json.dumps(payload, indent=2) + "\n"
+
+
+@pytest.mark.parametrize(
+    "argv,expected",
+    [
+        (["gen", "radford", "--n", "7"],
+         lambda: oracles.oracle_serialize_datum_text(radford_datum(7))),
+        (["analyze", "gen:semion", "--json"], _analysis_text),
+    ],
+    ids=["gen", "analyze"],
+)
+def test_commands_never_run_the_pure_python_indent_encoder(argv, expected, monkeypatch):
+    text = expected()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("json.encoder._make_iterencode was entered")
+
+    monkeypatch.setattr(json.encoder, "_make_iterencode", refuse)
+    with pytest.raises(AssertionError):
+        json.dumps([1], indent=2)  # the patch is the one json.dumps reaches
+    assert _run(argv) == (0, text)
+
+
+def test_write_json_leaves_no_garbage_for_the_cycle_collector():
+    # its parts are freed when it returns, not at the next collection
+    tree = cli._datum_tree(radford_datum(5))
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        cli.write_json(tree)
+        cli.write_json({"a": [1, {"b": None}], "c": tree})
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
