@@ -322,9 +322,7 @@ def _cmd_cocycle(args, out) -> int:
     payload = {
         "n": args.n,
         "zeta_exponent": args.zeta,
-        # the writer formats each distinct root once; the text renderer
-        # takes JSON-ready data
-        "table": c.table if args.json else jsonable(c.table),
+        "table": c.table,
     }
     if args.check:
         payload["cocycle_identity"] = ok

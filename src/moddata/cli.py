@@ -314,8 +314,8 @@ def _value_text(value) -> str:
             return str(cyclo.from_json(value))
         except ValueError:
             pass
-    if isinstance(value, (dict, list)):
-        return json.dumps(value)
+    if isinstance(value, (dict, list, tuple)):
+        return json.dumps(value, default=cyclo.to_json)
     return str(value)
 
 

@@ -22,8 +22,6 @@ least level.
 
 from __future__ import annotations
 
-from collections import deque
-from functools import lru_cache
 from math import lcm
 
 from . import cyclo, linalg
@@ -281,24 +279,26 @@ class SL2Mod(Frozen):
 
 def sl2_enumerate(modulus: int, max_group_order: int = DEFAULT_MAX_GROUP_ORDER) -> SL2Mod:
     """Enumerate the reduced modular group, guarded by the exact order
-    formula so oversized requests fail before any work is done."""
+    formula so oversized requests fail before any work is done: the
+    walk of the constant assignment, which no edge contradicts."""
     modulus = int(modulus)
     _check_group_order(modulus, max_group_order)
-    return SL2Mod(modulus=modulus, elements=_cayley_data(modulus)[0])
+    elements = _walk(modulus, lambda value, gen_idx: 0)[0]
+    return SL2Mod(modulus=modulus, elements=tuple(elements))
 
 
-# A few moduli: enough for the two levels one congruence_classify
-# searches and the levels a session revisits; at M = 72 one entry holds
-# about 249k elements and 498k edges.
-@lru_cache(maxsize=8)
-def _cayley_data(modulus: int):
-    """Breadth-first data over the generators s and t only: element list
-    in discovery order, the full edge list in that order, and parent
-    links for reconstructing defining words.
+def _walk(modulus: int, step):
+    """One breadth-first walk of the reduced modular group from the
+    identity, which holds the value 0, following s (generator index 0)
+    then t (index 1) from each element in discovery order.  An element
+    reached for the first time holds step(value of its parent, generator
+    index); every later edge into it must give the value it holds.
 
-    Positive words in s and t exhaust the finite group, and an
-    assignment consistent along every (element, generator) edge is a
-    homomorphism, so two generators suffice for the consistency check.
+    Returns the elements in discovery order and the first edge that
+    disagrees, as (element, word in s and t, held value, computed value),
+    or None when every edge agrees; the walk stops at that edge.
+    Positive words in s and t exhaust the finite group, and an assignment
+    consistent along every (element, generator) edge is a homomorphism.
     """
     identity = (1 % modulus, 0, 0, 1 % modulus)
     gens = (
@@ -307,31 +307,27 @@ def _cayley_data(modulus: int):
     )
     index = {identity: 0}
     elements = [identity]
-    parents = [(-1, "")]
-    edges = []
-    queue = deque([0])
-    while queue:
-        gi = queue.popleft()
-        g = elements[gi]
+    parents = [(-1, "")]  # (parent index, letter) each element came from
+    values = [0]
+    gi = 0
+    while gi < len(elements):
+        g, value = elements[gi], values[gi]
         for gen_idx, x in enumerate(gens):
             h = _flat_mul(g, x, modulus)
-            hi = index.get(h)
-            if hi is None:
-                hi = len(elements)
-                index[h] = hi
+            computed = step(value, gen_idx)
+            hi = index.setdefault(h, len(elements))
+            if hi == len(elements):
                 elements.append(h)
                 parents.append((gi, "st"[gen_idx]))
-                queue.append(hi)
-            edges.append((gi, gen_idx, hi))
-    return tuple(elements), tuple(edges), tuple(parents)
-
-
-def _word_of(parents, idx: int) -> str:
-    letters = []
-    while idx > 0:
-        idx, letter = parents[idx][0], parents[idx][1]
-        letters.append(letter)
-    return "".join(reversed(letters))
+                values.append(computed)
+            elif values[hi] != computed:
+                word = "st"[gen_idx]
+                while gi > 0:
+                    gi, letter = parents[gi]
+                    word = letter + word
+                return elements, (h, word, values[hi], computed)
+        gi += 1
+    return elements, None
 
 
 class Witness(Frozen):
@@ -384,12 +380,13 @@ def factor_check(
     """Decide whether mapping the two generators to the given matrices
     factors through the reduced modular group of the given modulus.
 
-    Every group element is assigned the matrix of its defining word in a
-    breadth-first search; each remaining Cayley edge must then agree
+    One breadth-first walk of the group (`_walk`) assigns each element,
+    when it is first reached, the matrix of its defining word, and checks
+    each later Cayley edge into it as it goes: the edge must agree
     exactly (linear mode) or up to a scalar (projective mode, realized
     by keeping every assigned matrix scaled so its first nonzero entry
-    is one).  The first disagreeing edge, in search order, becomes the
-    witness.
+    is one).  The walk stops at the first disagreeing edge, in walk
+    order, which becomes the witness.  Nothing is kept between calls.
     """
     if mode not in ("linear", "projective"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -397,7 +394,6 @@ def factor_check(
     linalg.mat_inverse(s_mat)
     linalg.mat_inverse(t_mat)
     _check_group_order(modulus, max_group_order)
-    elements, edges, parents = _cayley_data(modulus)
     m = len(s_mat)
     conductor = lcm(
         linalg.common_conductor(s_mat), linalg.common_conductor(t_mat)
@@ -440,25 +436,15 @@ def factor_check(
         products[gen_idx][idx] = out_idx
         return out_idx
 
-    assigned = {0: 0}
-    for gi, gen_idx, hi in edges:
-        out_idx = step(assigned[gi], gen_idx)
-        existing = assigned.get(hi)
-        if existing is None:
-            assigned[hi] = out_idx
-        elif existing != out_idx:
-            witness = Witness(
-                element=elements[hi],
-                word=_word_of(parents, gi) + "st"[gen_idx],
-                assigned=matrices[existing],
-                computed=matrices[out_idx],
-            )
-            return CongruenceReport(
-                modulus=modulus,
-                linear_factors=None if projective else False,
-                projective_factors=False if projective else None,
-                witness=witness,
-            )
+    edge = _walk(modulus, step)[1]
+    if edge is not None:
+        element, word, held, computed = edge
+        return CongruenceReport(
+            modulus=modulus,
+            linear_factors=None if projective else False,
+            projective_factors=False if projective else None,
+            witness=Witness(element, word, matrices[held], matrices[computed]),
+        )
     # a linear representation that factors also factors projectively
     return CongruenceReport(
         modulus=modulus,

@@ -5,17 +5,18 @@ the implementations they check, or, for the congruence search and
 level, the central charges and the fusion-ring and Galois law checks,
 by the exhaustive or dense route that the fast path replaces.
 
-Four of them do share the sum-of-products kernel with the routes they
-check.  oracle_verlinde_rows and oracle_verify_ring_homomorphisms sum
-through linalg.mat_mul, and so does oracle_axioms_1_to_4 for S T S and
-for S^2, which it takes from axioms._global_dimension_from_square.
-oracle_verify_idempotent_laws sums through fusion.multiply and
-fusion.xi_evaluate.  All four so run cyclo._sum_terms and the limit
-check of cyclo.Lifted.at.  That kernel is compared with the left fold
-of * and + in tests/test_dot.py.
+Five of them do share the sum-of-products kernel with the routes they
+check.  oracle_verlinde_rows, oracle_verify_ring_homomorphisms and
+oracle_factor_check sum through linalg.mat_mul, and so does
+oracle_axioms_1_to_4 for S T S and for S^2, which it takes from
+axioms._global_dimension_from_square.  oracle_verify_idempotent_laws
+sums through fusion.multiply and fusion.xi_evaluate.  All five so run
+cyclo._sum_terms and the limit check of cyclo.Lifted.at.  That kernel
+is compared with the left fold of * and + in tests/test_dot.py.
 """
 
 import json
+from collections import deque
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
@@ -40,7 +41,13 @@ from moddata.errors import (
     SchemaError,
     SignMismatch,
 )
-from moddata.extension import extension_family, factor_check, homogeneous_matrices
+from moddata.extension import (
+    CongruenceReport,
+    Witness,
+    extension_family,
+    factor_check,
+    homogeneous_matrices,
+)
 from moddata.report import CheckReport
 
 
@@ -163,6 +170,100 @@ def oracle_gauss_sum(n, q=1):
     for i in range(1, n):
         acc = acc + root_of_unity(n, (q * i * i) % n)
     return acc
+
+
+@lru_cache(maxsize=None)
+def oracle_cayley_data(modulus):
+    """The Cayley graph of SL(2, Z/modulus) over s and t, built whole by a
+    breadth-first search from the identity, s before t: the elements in
+    discovery order, every (element, generator, target) edge in that
+    order, and the (parent, letter) each element was first reached from."""
+    gens = ((0, -1, 1, 0), (1, 1, 0, 1))
+
+    def mul(a, b):
+        return tuple(
+            (a[2 * i] * b[j] + a[2 * i + 1] * b[2 + j]) % modulus
+            for i in range(2)
+            for j in range(2)
+        )
+
+    identity = (1 % modulus, 0, 0, 1 % modulus)
+    index = {identity: 0}
+    elements = [identity]
+    parents = [(-1, "")]
+    edges = []
+    queue = deque([0])
+    while queue:
+        gi = queue.popleft()
+        for gen_idx, x in enumerate(gens):
+            h = mul(elements[gi], x)
+            if h not in index:
+                index[h] = len(elements)
+                elements.append(h)
+                parents.append((gi, "st"[gen_idx]))
+                queue.append(index[h])
+            edges.append((gi, gen_idx, index[h]))
+    return tuple(elements), tuple(edges), tuple(parents)
+
+
+def oracle_factor_check(s_mat, t_mat, modulus, mode="linear"):
+    """factor_check in two passes: the whole Cayley graph first, then every
+    element assigned the matrix of its defining word along the stored
+    edges in order, each later edge compared with the assignment it
+    meets.  Projective mode compares matrices scaled so that their first
+    nonzero entry is one.  The first disagreeing edge is the witness."""
+    projective = mode == "projective"
+    elements, edges, parents = oracle_cayley_data(modulus)
+    conductor = lcm(linalg.common_conductor(s_mat), linalg.common_conductor(t_mat))
+    gens = (linalg.mat_lift(s_mat, conductor), linalg.mat_lift(t_mat, conductor))
+
+    def normal(mat):
+        if projective:
+            pivot = next(x for row in mat for x in row if not x.is_zero())
+            mat = linalg.mat_scale(mat, pivot.inverse())
+        return mat
+
+    # distinct matrices are kept once, and each edge compares their indices
+    matrices = []
+    index = {}
+    products = {}
+
+    def intern(mat):
+        key = tuple((x.conductor, x.den, x.nums) for row in mat for x in row)
+        if key not in index:
+            index[key] = len(matrices)
+            matrices.append(mat)
+        return index[key]
+
+    assigned = {0: intern(normal(linalg.mat_identity(len(s_mat), conductor)))}
+    for gi, gen_idx, hi in edges:
+        k = (assigned[gi], gen_idx)
+        if k not in products:
+            products[k] = intern(normal(linalg.mat_mul(matrices[k[0]], gens[gen_idx])))
+        computed = products[k]
+        held = assigned.setdefault(hi, computed)
+        if held != computed:
+            word, idx = "st"[gen_idx], gi
+            while idx > 0:
+                idx, letter = parents[idx]
+                word = letter + word
+            witness = Witness(
+                element=elements[hi],
+                word=word,
+                assigned=matrices[held],
+                computed=matrices[computed],
+            )
+            return CongruenceReport(
+                modulus=modulus,
+                linear_factors=None if projective else False,
+                projective_factors=False if projective else None,
+                witness=witness,
+            )
+    return CongruenceReport(
+        modulus=modulus,
+        linear_factors=None if projective else True,
+        projective_factors=True,
+    )
 
 
 def oracle_lift_search(d, modulus):

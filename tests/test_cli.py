@@ -338,6 +338,14 @@ def test_cli_cocycle_json_is_the_payload_json_dumps_prints(n, check):
     assert run_cli(argv) == (0, json.dumps(jsonable(payload), indent=2) + "\n")
 
 
+@pytest.mark.parametrize("n", [1, 2, 7])
+def test_cli_cocycle_text_prints_the_table_json_dumps_prints(n):
+    table = constructors.cocycle_omega(n).table
+    code, text = run_cli(["cocycle", "--n", str(n)])
+    assert code == 0
+    assert f"table = {json.dumps(jsonable(table))}" in text.splitlines()
+
+
 def test_cli_cocycle_json_peaks_under_three_times_its_output():
     # the table goes to the writer as values: no JSON-ready copy of its
     # n^3 entries, and each distinct root of unity is formatted once

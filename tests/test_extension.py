@@ -310,6 +310,9 @@ def test_factor_check_with_a_non_diagonal_t(mode):
     witness = reports[1].witness
     assert (witness.word, witness.element) == ("s", (0, 0, 0, 0))
     assert reports[3].witness.word == "ttt"
+    for level, rep in reports.items():
+        expected = oracles.oracle_factor_check(s, t, level, mode)
+        assert _outcome(rep) == _outcome(expected), level
 
 
 def test_trivial_datum_congruence_at_level_one():
@@ -617,15 +620,63 @@ def test_lift_search_bounds_group_order_without_candidates():
     assert lift_search(semion_datum(), 23) == []
 
 
+def _outcome(report):
+    witness = report.witness and report.witness.to_json()
+    return report.linear_factors, report.projective_factors, witness
 
-def test_cayley_cache_stays_within_its_bound():
-    cache = extension._cayley_data
-    bound = cache.cache_info().maxsize
-    assert bound is not None
-    for modulus in range(1, bound + 5):
-        sl2_enumerate(modulus)
-    info = cache.cache_info()
-    assert info.currsize <= bound
-    # the most recent modulus is still kept
-    sl2_enumerate(bound + 4)
-    assert cache.cache_info().hits == info.hits + 1
+
+def _matrix_pairs(d):
+    """The raw S and T of a datum, then the homogeneous pair of its first
+    extension when it has one."""
+    pairs = [(d.s_matrix, linalg.diag_matrix(d.t_diag))]
+    if basic_stats(d).n_int is not None:  # SU(2)_k for k > 1 has no family
+        pairs.append(homogeneous_matrices(extension_family(d)[0]))
+    return pairs
+
+
+def _assert_matches_the_two_pass_oracle(d, levels):
+    for s_mat, t_mat in _matrix_pairs(d):
+        for level in levels:
+            for mode in ("linear", "projective"):
+                got = factor_check(s_mat, t_mat, level, mode)
+                expected = oracles.oracle_factor_check(s_mat, t_mat, level, mode)
+                assert _outcome(got) == _outcome(expected), (level, mode)
+
+
+_SMALL_DATA = [(name, d) for name, d in built_in_data() if d.size <= 4]
+
+
+@pytest.mark.parametrize("name,d", _SMALL_DATA, ids=[n for n, _ in _SMALL_DATA])
+def test_factor_check_matches_the_two_pass_oracle(name, d):
+    # verdicts and witnesses, both modes, at every level up to 12
+    _assert_matches_the_two_pass_oracle(d, range(1, 13))
+
+
+@pytest.mark.parametrize("d", [trivial_datum(), semion_datum()], ids=["trivial", "semion"])
+def test_factor_check_matches_the_two_pass_oracle_at_24(d):
+    _assert_matches_the_two_pass_oracle(d, [24])
+
+
+def test_sl2_enumerate_keeps_the_breadth_first_order():
+    for modulus in range(1, 25):
+        expected = oracles.oracle_cayley_data(modulus)[0]
+        assert sl2_enumerate(modulus).elements == expected, modulus
+
+
+def test_failing_search_stops_at_its_witness(monkeypatch):
+    # radford 5 has projective level 5, so the search at 24 fails; the
+    # walk stops at the witness instead of visiting every one of the
+    # 2 |G| Cayley edges
+    calls = []
+    real = extension._flat_mul
+
+    def counting(a, b, modulus):
+        calls.append(modulus)
+        return real(a, b, modulus)
+
+    monkeypatch.setattr(extension, "_flat_mul", counting)
+    d = radford_datum(5)
+    report = factor_check(d.s_matrix, linalg.diag_matrix(d.t_diag), 24, "projective")
+    assert report.projective_factors is False
+    assert report.witness is not None
+    assert 0 < len(calls) < 2 * sl2_order(24)
