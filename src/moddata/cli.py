@@ -62,18 +62,41 @@ _PLAIN_COEFFS = frozenset((str, int))
 
 
 def _node_key(obj):
-    """A type-strict key of a scalar node's raw values, or None unless the
-    node is a plain {"conductor": int, "coeffs": [str or int, ...]}.  The
-    types are exact because True == 1 and 1.0 == 1: a looser key would let
-    a bad node pass behind a valid twin."""
+    """(conductor, tuple of coeffs) of a dict of exactly an int
+    "conductor" and a list "coeffs", else None.  The coefficients are
+    not looked at here: _read_row decides which hits are repeats."""
     if type(obj) is not dict or len(obj) != 2:
         return None
     m, coeffs = obj.get("conductor"), obj.get("coeffs")
     if type(m) is not int or type(coeffs) is not list:
         return None
-    if not _PLAIN_COEFFS.issuperset(map(type, coeffs)):
-        return None
     return m, tuple(coeffs)
+
+
+def _read_row(nodes, read: dict, where: str) -> tuple:
+    """The values of a row of scalar nodes, node j at path where[j].
+
+    read maps the _node_key of each node read so far to its value and
+    whether its coefficients are all str.  A later node with an equal key
+    shares that value if they are, since json.loads makes nothing but a
+    str equal to a str, or if its own are all exactly str or int, since
+    True == 1 == 1.0.  Any other node, an unhashable one included, is
+    read on its own, as if it stood alone."""
+    values = []
+    for j, x in enumerate(nodes):
+        key = _node_key(x)
+        try:
+            hit = read.get(key)
+        except TypeError:  # a list or dict coefficient
+            hit = key = None
+        if hit and (hit[1] or _PLAIN_COEFFS.issuperset(map(type, key[1]))):
+            values.append(hit[0])
+            continue
+        value = _cyclo_from_node(x, f"{where}[{j}]")
+        if key is not None:
+            read[key] = value, all(type(c) is str for c in key[1])
+        values.append(value)
+    return tuple(values)
 
 
 def datum_from_obj(obj, path: str = "$") -> ModularDatum:
@@ -82,8 +105,8 @@ def datum_from_obj(obj, path: str = "$") -> ModularDatum:
 
     Each distinct scalar node is read once per call: a repeat of a node
     with the same _node_key shares the value read from its first
-    occurrence, which has passed cyclo.from_json.  Every other node goes
-    through cyclo.from_json itself."""
+    occurrence, which has passed cyclo.from_json, as _read_row says.
+    Every other node goes through cyclo.from_json itself."""
     if not isinstance(obj, dict):
         raise SchemaError(path, "datum must be a JSON object")
     for key in ("labels", "unit", "star", "S", "T"):
@@ -120,28 +143,16 @@ def datum_from_obj(obj, path: str = "$") -> ModularDatum:
     s_rows = obj["S"]
     if not isinstance(s_rows, list) or len(s_rows) != m:
         raise SchemaError(f"{path}.S", f"must be a {m}x{m} matrix")
-    read = {}  # _node_key -> CycloNum
-
-    def scalar(x, where, *index):
-        key = _node_key(x)
-        value = read.get(key)
-        if value is None:
-            value = _cyclo_from_node(x, path + where.format(*index))
-            if key is not None:
-                read[key] = value
-        return value
-
+    read = {}  # _node_key -> (CycloNum, whether its coeffs are all str)
     s_matrix = []
     for i, row in enumerate(s_rows):
         if not isinstance(row, list) or len(row) != m:
             raise SchemaError(f"{path}.S[{i}]", f"must have {m} entries")
-        s_matrix.append(
-            tuple(scalar(x, ".S[{}][{}]", i, j) for j, x in enumerate(row))
-        )
+        s_matrix.append(_read_row(row, read, f"{path}.S[{i}]"))
     t_row = obj["T"]
     if not isinstance(t_row, list) or len(t_row) != m:
         raise SchemaError(f"{path}.T", f"must have {m} entries")
-    t_diag = tuple(scalar(x, ".T[{}]", i) for i, x in enumerate(t_row))
+    t_diag = _read_row(t_row, read, f"{path}.T")
     return ModularDatum(
         labels=tuple(labels),
         unit=unit,

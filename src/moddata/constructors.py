@@ -56,6 +56,8 @@ def radford_datum(n: int, zeta_exponent: int = 1) -> ModularDatum:
     Its Gaussian sum is the classical quadratic Gauss sum.  The
     construction only exists for odd n.  zeta_exponent selects the
     primitive root used; other choices give Galois-conjugate data.
+    The n powers of the root are built once, and each entry is one of
+    them.
     """
     n = int(n)
     if n < 1 or n % 2 == 0:
@@ -64,11 +66,12 @@ def radford_datum(n: int, zeta_exponent: int = 1) -> ModularDatum:
         raise NotAUnit(f"{zeta_exponent} is not a unit modulo {n}")
     e = zeta_exponent % n
     _check_size(n, n)
-    t_diag = tuple(root_of_unity(n, (a * a * e) % n) for a in range(n))
+    roots = [root_of_unity(n, k) for k in range(n)]
+    t_diag = tuple(roots[(a * a * e) % n] for a in range(n))
     labels = tuple(str(a) for a in range(n))
     star = tuple((-a) % n for a in range(n))
     s_matrix = tuple(
-        tuple(root_of_unity(n, (-2 * a * b * e) % n) for b in range(n))
+        tuple(roots[(-2 * a * b * e) % n] for b in range(n))
         for a in range(n)
     )
     return ModularDatum(

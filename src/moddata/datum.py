@@ -156,38 +156,38 @@ def _gauss_sum_inverse(d: ModularDatum) -> CycloNum:
 
 
 def kronecker_product(d1: ModularDatum, d2: ModularDatum) -> ModularDatum:
-    """Product datum on the Cartesian product of the index sets."""
+    """Product datum on the Cartesian product of the index sets, in
+    row-major order: S[(i1,i2)][(j1,j2)] = S1[i1][j1] S2[i2][j2], and T
+    likewise.  Each distinct pair of entries is multiplied once, at its
+    first place in row-major order, S before T.  An entry is keyed on
+    (conductor, den, nums), so each product has the conductor that entry
+    by entry gives it, and a conductor limit raises TooLarge at the same
+    pair."""
     from . import axioms
 
     axioms.require_valid(d1)
     axioms.require_valid(d2)
-    labels = tuple(
-        f"({a},{b})" for a in d1.labels for b in d2.labels
-    )
-    m2 = d2.size
-    star = tuple(
-        d1.star[i] * m2 + d2.star[j]
-        for i in range(d1.size)
-        for j in range(d2.size)
-    )
-    s_matrix = tuple(
-        tuple(
-            d1.s(i1, j1) * d2.s(i2, j2)
-            for j1 in range(d1.size)
-            for j2 in range(d2.size)
-        )
-        for i1 in range(d1.size)
-        for i2 in range(d2.size)
-    )
-    t_diag = tuple(
-        d1.t(i1) * d2.t(i2)
-        for i1 in range(d1.size)
-        for i2 in range(d2.size)
-    )
+    keys, products = {}, {}  # distinct entry -> number; pair of numbers -> product
+
+    def numbered(row):
+        return [(keys.setdefault((x.conductor, x.den, x.nums), len(keys)), x)
+                for x in row]
+
+    def times(r1, r2):
+        out = []
+        for a, x in r1:
+            for b, y in r2:
+                xy = products.get((a, b))
+                if xy is None:
+                    xy = products[a, b] = x * y
+                out.append(xy)
+        return tuple(out)
+
+    s1, s2 = ([numbered(row) for row in d.s_matrix] for d in (d1, d2))
     return ModularDatum(
-        labels=labels,
+        labels=tuple(f"({a},{b})" for a in d1.labels for b in d2.labels),
         unit=f"({d1.unit},{d2.unit})",
-        star=star,
-        s_matrix=s_matrix,
-        t_diag=t_diag,
+        star=tuple(i * d2.size + j for i in d1.star for j in d2.star),
+        s_matrix=tuple(times(r1, r2) for r1 in s1 for r2 in s2),
+        t_diag=times(numbered(d1.t_diag), numbered(d2.t_diag)),
     )

@@ -2,8 +2,9 @@
 
 These recompute expected values by routes that do not share code with
 the implementations they check, or, for the congruence search and
-level, the central charges and the fusion-ring and Galois law checks,
-by the exhaustive or dense route that the fast path replaces.
+level, the central charges, the fusion-ring and Galois law checks and
+the Kronecker product, by the exhaustive, dense or entry-by-entry route
+that the fast path replaces.
 
 Five of them do share the sum-of-products kernel with the routes they
 check.  oracle_verlinde_rows, oracle_verify_ring_homomorphisms and
@@ -1084,4 +1085,31 @@ def oracle_datum_from_obj(obj, path="$"):
         star=tuple(star),
         s_matrix=tuple(s_matrix),
         t_diag=t_diag,
+    )
+
+
+def oracle_kronecker_product(d1, d2):
+    """kronecker_product with one product per entry, in row-major order,
+    S before T."""
+    axioms.require_valid(d1)
+    axioms.require_valid(d2)
+    m1, m2 = d1.size, d2.size
+    return ModularDatum(
+        labels=tuple(f"({a},{b})" for a in d1.labels for b in d2.labels),
+        unit=f"({d1.unit},{d2.unit})",
+        star=tuple(
+            d1.star[i] * m2 + d2.star[j] for i in range(m1) for j in range(m2)
+        ),
+        s_matrix=tuple(
+            tuple(
+                d1.s(i1, j1) * d2.s(i2, j2)
+                for j1 in range(m1)
+                for j2 in range(m2)
+            )
+            for i1 in range(m1)
+            for i2 in range(m2)
+        ),
+        t_diag=tuple(
+            d1.t(i1) * d2.t(i2) for i1 in range(m1) for i2 in range(m2)
+        ),
     )

@@ -81,6 +81,29 @@ def test_cyclic_datum_valid(n):
     assert rep.integral and rep.normalized
 
 
+@pytest.mark.parametrize("n", range(1, 26, 2))
+def test_cyclic_datum_builds_each_root_once(n, monkeypatch):
+    calls = []
+    monkeypatch.setattr(
+        constructors, "root_of_unity",
+        lambda m, k: calls.append(1) or root_of_unity(m, k),
+    )
+    for e in (e for e in range(1, n + 1) if gcd(e, n) == 1):
+        calls.clear()
+        d = radford_datum(n, e)
+        assert len(calls) == n
+        # the entry-by-entry comprehension: one root per entry
+        expected = [
+            *(root_of_unity(n, (-2 * a * b * e) % n)
+              for a in range(n) for b in range(n)),
+            *(root_of_unity(n, (a * a * e) % n) for a in range(n)),
+        ]
+        got = [*(x for row in d.s_matrix for x in row), *d.t_diag]
+        assert [(x.conductor, x.den, x.nums) for x in got] == [
+            (x.conductor, x.den, x.nums) for x in expected
+        ]
+
+
 def test_cyclic_datum_other_primitive_root():
     d = radford_datum(5, zeta_exponent=2)
     assert validate_axioms(d).passed

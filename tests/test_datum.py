@@ -1,16 +1,19 @@
 import pytest
 
-from moddata import cyclo
+import oracles
+
+from moddata import cli, cyclo
 from moddata.axioms import (
     derive_report,
     power_identity_check,
+    require_valid,
     validate_axioms,
     verify_structural_identities,
 )
 from moddata.constructors import radford_datum, semion_datum, trivial_datum
-from moddata.cyclo import root_of_unity
+from moddata.cyclo import CycloNum, root_of_unity
 from moddata.datum import ModularDatum, kronecker_product
-from moddata.errors import DuplicateLabel, InvalidDatum
+from moddata.errors import DuplicateLabel, InvalidDatum, TooLarge
 
 
 def test_semion_passes_all_axioms():
@@ -182,3 +185,80 @@ def test_power_identities():
     for n in (3, 5, 7):
         assert power_identity_check(radford_datum(n)).passed
     assert power_identity_check(trivial_datum()).passed
+
+
+# -- the Kronecker product against its entry-by-entry oracle -------------------
+
+
+_BUILT_IN = oracles.built_in_data()
+
+
+def _lifted_radford3(lifts=((1, 1, 15), (2, 2, 21))):
+    """radford 3 with s_ij stored at conductor m for each (i, j, m) in
+    lifts; by default s_11 and s_22 at 15 and 21."""
+    d = radford_datum(3)
+    s = [list(row) for row in d.s_matrix]
+    for i, j, m in lifts:
+        s[i][j] = s[i][j].lift(m)
+    return ModularDatum(d.labels, d.unit, d.star, tuple(map(tuple, s)), d.t_diag)
+
+
+def _assert_products_agree(d1, d2):
+    # serialize_datum writes every entry with its conductor
+    expected = cli.serialize_datum(oracles.oracle_kronecker_product(d1, d2))
+    assert cli.serialize_datum(kronecker_product(d1, d2)) == expected
+
+
+@pytest.mark.parametrize("name,d1", _BUILT_IN, ids=[n for n, _ in _BUILT_IN])
+def test_kronecker_product_matches_its_oracle_on_built_in_pairs(name, d1):
+    for _, d2 in _BUILT_IN:
+        if d1.size * d2.size <= 30:
+            _assert_products_agree(d1, d2)
+
+
+@pytest.mark.parametrize("lifts", [((1, 1, 15), (2, 2, 21)), ((0, 0, 6),)], ids=str)
+def test_kronecker_product_keeps_each_entrys_conductor(lifts):
+    # s_00 = 1 at conductor 6 has the numerators (1, 0) of 1 at conductor
+    # 3, so an entry keyed without its conductor would share a product
+    lifted = _lifted_radford3(lifts)
+    for other in (semion_datum(), radford_datum(3), radford_datum(5), lifted):
+        _assert_products_agree(lifted, other)
+        _assert_products_agree(other, lifted)
+
+
+def test_kronecker_product_raises_at_the_oracles_pair():
+    # each pair under every limit below its product's largest conductor
+    lifted = _lifted_radford3()
+    pairs = [(radford_datum(3), radford_datum(5)), (lifted, radford_datum(5)),
+             (radford_datum(5), lifted), (semion_datum(), lifted)]
+    for d1, d2 in pairs:
+        product = oracles.oracle_kronecker_product(d1, d2)  # validates both
+        rows = (*product.s_matrix, product.t_diag)
+        top = max(x.conductor for row in rows for x in row)
+        for limit in (x for x in (4, 14, 20, 50, 104) if x < top):
+            token = cyclo.set_conductor_limit(limit)
+            try:
+                with pytest.raises(TooLarge) as expected:
+                    oracles.oracle_kronecker_product(d1, d2)
+                with pytest.raises(TooLarge) as got:
+                    kronecker_product(d1, d2)
+            finally:
+                cyclo.reset_conductor_limit(token)
+            assert str(got.value) == str(expected.value)
+
+
+def test_kronecker_product_multiplies_each_distinct_pair_once(monkeypatch):
+    d1, d2 = radford_datum(3), radford_datum(5)
+    require_valid(d1)
+    require_valid(d2)
+    calls = []
+    real = CycloNum.__mul__
+    monkeypatch.setattr(
+        CycloNum, "__mul__", lambda x, y: calls.append(1) or real(x, y)
+    )
+    oracles.oracle_kronecker_product(d1, d2)
+    assert len(calls) == 15**2 + 15  # the counter sees every product
+    calls.clear()
+    kronecker_product(d1, d2)
+    # 3 distinct entries of S1 times 5 of S2; T's pairs are among them
+    assert len(calls) <= 15

@@ -16,6 +16,7 @@ from moddata import cli, cyclo
 from moddata.analysis import build_analysis
 from moddata.constructors import radford_datum
 from moddata.datum import ModularDatum
+from moddata.errors import SchemaError
 from moddata.report import jsonable
 
 
@@ -84,6 +85,101 @@ def test_each_distinct_node_is_read_once(monkeypatch):
     assert len(calls) == len(distinct) < len(nodes)
 
 
+def _with_int_coeffs(node):
+    return {"conductor": node["conductor"], "coeffs": [int(c) for c in node["coeffs"]]}
+
+
+def test_an_integer_coefficient_file_is_read_once_per_distinct_node(monkeypatch):
+    obj = cli.serialize_datum(radford_datum(9))
+    obj["S"] = [[_with_int_coeffs(x) for x in row] for row in obj["S"]]
+    obj["T"] = [_with_int_coeffs(x) for x in obj["T"]]
+    nodes = [*(x for row in obj["S"] for x in row), *obj["T"]]
+    distinct = {json.dumps(x) for x in nodes}
+    calls = []
+    real = cyclo.from_json
+    monkeypatch.setattr(cyclo, "from_json", lambda x: calls.append(1) or real(x))
+    assert _entries(cli.datum_from_obj(obj)) == _entries(radford_datum(9))
+    assert len(calls) == len(distinct) < len(nodes)
+
+
+@pytest.mark.parametrize("first", ["int", "str"])
+def test_an_integer_node_and_its_string_twin_read_alike(first):
+    d = radford_datum(3)
+    obj = cli.serialize_datum(d)
+    # S[0][1] and S[1][0] hold one value; the first or the second in
+    # document order is written with ints
+    node = obj["S"][0][1] if first == "int" else obj["S"][1][0]
+    node["coeffs"] = [int(c) for c in node["coeffs"]]
+    assert obj["S"][0][1]["coeffs"] != obj["S"][1][0]["coeffs"]
+    parsed = cli.datum_from_obj(obj)
+    assert _entries(parsed) == _entries(oracles.oracle_datum_from_obj(obj))
+    assert _entries(parsed) == _entries(d)
+
+
+@pytest.mark.parametrize("where", ["S", "T"])
+def test_the_path_argument_is_taken_literally(where):
+    obj = cli.serialize_datum(radford_datum(3))
+    if where == "S":
+        obj["S"][1][2] = {"conductor": 3, "coeffs": ["1/0", "0"]}
+        bad = "$[{0}].S[1][2]"
+    else:
+        obj["T"][2] = None
+        bad = "$[{0}].T[2]"
+    with pytest.raises(SchemaError) as exc:
+        cli.datum_from_obj(obj, path="$[{0}]")
+    assert exc.value.path == bad
+
+
+# a coefficient of any JSON kind, among them spellings of a valid one
+_COEFFS = st.one_of(
+    st.sampled_from(["0", "1", "-1", "01", " 1", "1/1", "2/2", "1e0", "1/0"]),
+    st.integers(-2, 2),
+    st.booleans(),
+    st.floats(),
+    st.none(),
+    st.text(max_size=3),
+    st.lists(st.integers(-1, 1), max_size=2),
+    st.dictionaries(st.text(max_size=1), st.integers(), max_size=1),
+)
+
+
+def _twins(c: str):
+    """The values that equal the integer coefficient c, or spell it."""
+    v = int(c)
+    return st.sampled_from([v, float(v), c, *([bool(v)] if v in (0, 1) else [])])
+
+
+def _read_outcome(route, obj):
+    try:
+        return _entries(route(obj))
+    except SchemaError as exc:
+        return exc.path, exc.message
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_hostile_coefficients_get_the_oracle_outcome(data):
+    # radford 5 has 30 nodes with 5 distinct values; every node of some
+    # values and some other nodes are rewritten with integers, then some
+    # coefficients are replaced
+    obj = cli.serialize_datum(radford_datum(5))
+    nodes = [*(x for row in obj["S"] for x in row), *obj["T"]]
+    values = sorted({json.dumps(x) for x in nodes})
+    chosen = data.draw(st.sets(st.sampled_from(values)))
+    picked = data.draw(st.lists(st.sampled_from(nodes), max_size=6))
+    for node in nodes:
+        if json.dumps(node) in chosen or any(node is x for x in picked):
+            node["coeffs"] = [int(c) for c in node["coeffs"]]
+    for _ in range(data.draw(st.integers(0, 4))):
+        node = data.draw(st.sampled_from(nodes))
+        index = data.draw(st.integers(0, len(node["coeffs"]) - 1))
+        c = str(node["coeffs"][index])
+        kinds = _COEFFS | _twins(c) if c in ("-1", "0", "1") else _COEFFS
+        node["coeffs"][index] = data.draw(kinds)
+    expected = _read_outcome(oracles.oracle_datum_from_obj, obj)
+    assert _read_outcome(cli.datum_from_obj, obj) == expected
+
+
 # a valid node, then a twin that equals it as raw Python values or that
 # from_json reads alike, but that each route must judge on its own
 _VALID = {"conductor": 1, "coeffs": [1]}
@@ -96,7 +192,9 @@ _TWINS = [
     {"conductor": 1, "coeffs": ["1/0"]},
     {"conductor": 1, "coeffs": ["1"]},
     {"conductor": 1, "coeffs": [1, 0]},
+    {"conductor": 1, "coeffs": [[1]]},
     [1],
+    [{}],
 ]
 
 
