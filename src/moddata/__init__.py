@@ -74,7 +74,6 @@ _PUBLIC = {
         "enumerate_charges",
         "enumerate_ranks",
         "extension_family",
-        "extension_family_check",
         "factor_check",
         "homogeneous_matrices",
         "lift_search",
@@ -101,6 +100,7 @@ _PUBLIC = {
     "analysis": (
         "AnalysisBundle",
         "build_analysis",
+        "extension_family_check",
     ),
 }
 # public name -> the submodule that defines it

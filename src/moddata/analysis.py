@@ -10,6 +10,8 @@ congruence request never compiles it.
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 # the cli helpers and the traced layers are looked up on their modules at
 # each call, so a wrapper installed on those modules sees these calls
 from . import axioms, cli, cyclo, datum as datum_mod, extension, linalg
@@ -110,7 +112,7 @@ def build_analysis(
         )
 
         if extensions:
-            verdicts["extension-family"] = extension.extension_family_check(d)
+            verdicts["extension-family"] = extension_family_check(d)
             family = extension.extension_family(d)
             charge_rep = CheckReport("central-charge-powers")
             fourth = stats.g ** 4 == stats.t_o ** 8 * stats.g_rec ** 4
@@ -155,6 +157,56 @@ def build_analysis(
         skip.add("skipped-not-integral", True, value=str(exc))
         verdicts["galois-suite"] = skip
     return bundle
+
+
+def extension_family_check(d: ModularDatum) -> CheckReport:
+    """Any two extensions differ by a twelfth root of unity twisting the
+    charge and its cube dividing the rank, and every twelfth root of
+    unity maps an extension to another extension.
+
+    Decided on exponents.  With r the first member's rank, each distinct
+    rank is matched by value against i^k r once, and each charge, a root
+    of unity, is read as the fraction e with charge = exp(2 pi i e).
+    Then ell / ell_0 is a twelfth root of unity zeta_12^t iff
+    t = 12 (e - e_0) is an integer, and i^k r zeta^3 = r iff k + t = 0
+    mod 4; the twist by zeta_12^k of the first member is (i^-k r,
+    e_0 + k / 12).  A rank matching no i^k r, or a charge that is not a
+    root of unity, fails its member."""
+    rep = CheckReport("extension-family")
+    family = extension._family_choices(d)
+    rep.add("family-size-twelve", len(family) == 12, value=len(family))
+    r = family[0][0]
+    i_r = cyclo.root_of_unity(4, 1) * r
+    powers = (r, i_r, -r, -i_r)  # i^k r
+    quarters = {}  # each distinct rank -> its k, or None
+
+    def quarter(rank):
+        key = (rank.conductor, rank.den, rank.nums)
+        if key not in quarters:
+            quarters[key] = next((k for k, x in enumerate(powers) if rank == x), None)
+        return quarters[key]
+
+    def exponent(charge):
+        hit = cyclo.root_of_unity_exponent(charge)
+        return None if hit is None else Fraction(hit[1], hit[0])
+
+    members = [(quarter(rank), exponent(charge)) for rank, charge, _ in family]
+    e_0 = members[0][1]
+
+    def related(k, e):
+        if k is None or e is None or e_0 is None:
+            return False
+        t = 12 * (e - e_0)
+        return t.denominator == 1 and (k + t.numerator) % 4 == 0
+
+    w = next((idx for idx, (k, e) in enumerate(members) if not related(k, e)), None)
+    rep.add("related-by-twelfth-roots", w is None, w)
+    found = {(k, e) for k, e in members if k is not None and e is not None}
+    w = next((k for k in range(12)
+              if e_0 is None or ((-k) % 4, (e_0 + Fraction(k, 12)) % 1) not in found),
+             None)
+    rep.add("closed-under-twisting", w is None, w)
+    return rep
 
 
 # -- subcommand implementations ----------------------------------------------
@@ -257,7 +309,7 @@ def _cmd_symbols(args, out) -> int:
 def _cmd_extensions(args, out) -> int:
     d = cli.load_datum(args.datum)
     family = extension.extension_family(d)
-    check = extension.extension_family_check(d)
+    check = extension_family_check(d)
     payload = {
         "extensions": [cli._extension_entry(e, i) for i, e in enumerate(family)],
         "verdicts": {"extension-family": jsonable(check)},

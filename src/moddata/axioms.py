@@ -34,11 +34,48 @@ class DatumReport(Frozen):
 
 
 @derived
+def _s_symmetric(d: ModularDatum) -> bool:
+    """Whether S equals its transpose in representation: s_ij and s_ji
+    have the same conductor, denominator and numerators, not only the
+    same value.  Then row i of S is column i, so a sum over row i and
+    column j has the conductor, value and TooLarge of the one over row j
+    and column i, and a law symmetric in (i, j) first fails, in
+    row-major order, on or above the diagonal."""
+    s, m = d.s_matrix, d.size
+
+    def key(x):
+        return x.conductor, x.den, x.nums
+
+    return all(key(s[i][j]) == key(s[j][i]) for i in range(m) for j in range(i + 1, m))
+
+
+def _symmetric_product(rows, cols) -> tuple:
+    """The product of the matrices with these cyclo.Lifted rows and
+    columns, known to be symmetric in representation: each entry on and
+    above the diagonal is made as linalg.mat_mul makes it, in row-major
+    order, and mirrored below, so TooLarge is raised at the same first
+    entry over the limit."""
+    m = len(rows)
+    out = [[None] * m for _ in range(m)]
+    for i, row in enumerate(rows):
+        for j in range(i, m):
+            col = cols[j]
+            c = lcm(row.conductor, col.conductor)
+            out[i][j] = out[j][i] = cyclo._lifted_dot(c, row.at(c), col.at(c))
+    return tuple(map(tuple, out))
+
+
+@derived
 def _global_dimension_from_square(d: ModularDatum):
     """The constant n with S^2 = nC, or (None, witness) when no such
-    constant exists."""
+    constant exists.  With S symmetric in representation, S^2 is made on
+    and above the diagonal only, each row of S serving as its column."""
     m = d.size
-    s2 = linalg.mat_mul(d.s_matrix, d.s_matrix)
+    if _s_symmetric(d):
+        rows = [cyclo.Lifted(row) for row in d.s_matrix]
+        s2 = _symmetric_product(rows, rows)
+    else:
+        s2 = linalg.mat_mul(d.s_matrix, d.s_matrix)
     n = s2[d.o][d.star[d.o]]
     for i in range(m):
         for k in range(m):
@@ -102,14 +139,26 @@ def _axioms_1_to_4(d: ModularDatum) -> tuple:
             sts = linalg.mat_mul(st, d.s_matrix)
             rhs = (n_o * t[i] * t[j] * sts[i][j]
                    for i in range(m) for j in range(m))
+            c = g * t_o2
+            lhs = (c * x for row in d.s_matrix for x in row)
+            witness4 = next(
+                (divmod(k, m) for k, (x, y) in enumerate(zip(lhs, rhs)) if x != y),
+                None,
+            )
         else:
+            c = g * t_o2
             a = [[u * x for x in row] for u, row in zip([n_o * x for x in t], st)]
-            rhs = (x for row in linalg.mat_mul(a, st) for x in row)
-        c = g * t_o2
-        lhs = (c * x for row in d.s_matrix for x in row)
-        witness4 = next(
-            (divmod(k, m) for k, (x, y) in enumerate(zip(lhs, rhs)) if x != y), None
-        )
+            if _s_symmetric(d):
+                # A S T is symmetric with S, and so is c s_ij: the first
+                # failing (i, j) lies on or above the diagonal
+                pairs = [(i, j) for i in range(m) for j in range(i, m)]
+                rhs = _symmetric_product([cyclo.Lifted(row) for row in a],
+                                         [cyclo.Lifted(col) for col in zip(*st)])
+            else:
+                pairs = [(i, j) for i in range(m) for j in range(m)]
+                rhs = linalg.mat_mul(a, st)
+            witness4 = next(((i, j) for i, j in pairs
+                             if c * d.s(i, j) != rhs[i][j]), None)
         rep.add("axiom4-proportionality", witness4 is None, witness4, value=g)
     return tuple((c.name, c.passed, c.witness, c.value) for c in rep.checks)
 
@@ -193,14 +242,11 @@ def verify_structural_identities(d: ModularDatum) -> CheckReport:
     star = d.star
     stats = datum.basic_stats(d)
 
-    w = None
-    for i in range(m):
-        for j in range(m):
-            if d.s(star[i], star[j]) != d.s(i, j):
-                w = (i, j)
-                break
-        if w:
-            break
+    # symmetric in (i, j) with S: its first failure lies on or above the
+    # diagonal
+    symmetric = _s_symmetric(d)
+    w = next(((i, j) for i in range(m) for j in range(i if symmetric else 0, m)
+              if d.s(star[i], star[j]) != d.s(i, j)), None)
     rep.add("s-star-symmetry", w is None, w)
     w = next((j for j in range(m) if d.dim(star[j]) != d.dim(j)), None)
     rep.add("dims-star-invariant", w is None, w)

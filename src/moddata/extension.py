@@ -34,7 +34,7 @@ from .errors import (
     NotIntegral,
     TooLarge,
 )
-from .report import CheckReport, Frozen, jsonable
+from .report import Frozen, jsonable
 
 DEFAULT_MAX_GROUP_ORDER = 1_000_000
 
@@ -169,37 +169,6 @@ def homogeneous_matrices(e: ExtendedDatum):
     if not linalg.mat_eq(ts3, s2):
         raise InvalidExtension("(T'S')^3 is not S'^2")
     return s_prime, t_prime
-
-
-def extension_family_check(d: ModularDatum) -> CheckReport:
-    """Any two extensions differ by a twelfth root of unity twisting the
-    charge and its cube dividing the rank, and every twelfth root of
-    unity maps an extension to another extension."""
-    rep = CheckReport("extension-family")
-    family = extension_family(d)
-    rep.add("family-size-twelve", len(family) == 12, value=len(family))
-    base = family[0]
-    w = None
-    for idx, other in enumerate(family):
-        zeta = other.charge / base.charge
-        if zeta ** 12 != 1 or other.rank * zeta ** 3 != base.rank:
-            w = idx
-            break
-    rep.add("related-by-twelfth-roots", w is None, w)
-
-    def in_family(rank, charge):
-        return any(
-            e.rank == rank and e.charge == charge for e in family
-        )
-
-    w = None
-    for k in range(12):
-        zeta = root_of_unity(12, k)
-        if not in_family(base.rank / zeta ** 3, zeta * base.charge):
-            w = k
-            break
-    rep.add("closed-under-twisting", w is None, w)
-    return rep
 
 
 def additive_charge(e: ExtendedDatum) -> int:

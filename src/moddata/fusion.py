@@ -13,7 +13,7 @@ from itertools import combinations_with_replacement, product
 from math import lcm
 
 from . import cyclo
-from .axioms import _global_dimension_from_square
+from .axioms import _global_dimension_from_square, _s_symmetric
 from .cyclo import CycloNum
 from .datum import ModularDatum, basic_stats, derived
 from .errors import DimensionMismatch, InvalidDatum
@@ -166,12 +166,24 @@ def fusion_coefficients(d: ModularDatum) -> FusionTable:
     weights = [(s[o][l] * n).inverse() for l in range(m)]
     sw = [[s[j][l] * weights[l] for l in range(m)] for j in range(m)]
     rows = [cyclo.Lifted(row) for row in s]
+    # With S symmetric, S^2 = nC gives F(o, b, c) = (S^2)_bc / n, which is
+    # 1 if c = b* and 0 otherwise: no triple holding the unit is summed.
+    # Every conductor met divides the lcm of those of S and the weights;
+    # over the limit every triple is summed, so that TooLarge is raised
+    # where those sums raise it.
+    unit_row = _s_symmetric(d) and lcm(
+        *[row.conductor for row in rows], *[w.conductor for w in weights]
+    ) <= cyclo.get_conductor_limit()
     sums = {}
     for a, b in combinations_with_replacement(range(m), 2):
+        if unit_row and o in (a, b):
+            continue
         # each p[a, b] is lifted once per conductor and dropped after its
         # last sum, each row of S once per conductor in all
         pab = cyclo.Lifted([s[a][l] * sw[b][l] for l in range(m)])
         for c in range(b, m):
+            if unit_row and c == o:
+                continue
             mc = lcm(pab.conductor, rows[c].conductor)
             sums[a, b, c] = cyclo._lifted_dot(mc, pab.at(mc), rows[c].at(mc))
     violations = []
@@ -181,7 +193,12 @@ def fusion_coefficients(d: ModularDatum) -> FusionTable:
         for j in range(m):
             row = []
             for k in range(m):
-                value = sums[tuple(sorted((i, j, star[k])))]
+                triple = [i, j, star[k]]
+                if unit_row and o in triple:
+                    triple.remove(o)  # F(o, a, b) = 1 iff b = a*
+                    row.append(int(star[triple[0]] == triple[1]))
+                    continue
+                value = sums[tuple(sorted(triple))]
                 as_int = cyclo.is_integer(value)
                 if as_int is None or as_int < 0:
                     violations.append((i, j, k, value))

@@ -12,7 +12,7 @@ from __future__ import annotations
 from math import gcd, lcm
 
 from . import cyclo, linalg
-from .axioms import _axioms_1_to_4
+from .axioms import _axioms_1_to_4, _s_symmetric
 from .cyclo import CycloNum
 from .datum import DatumStats, ModularDatum, _gauss_sum_inverse, basic_stats, derived
 from .errors import (
@@ -130,9 +130,11 @@ def _require_integral(d: ModularDatum) -> DatumStats:
 
 def _normalized_keys(d: ModularDatum, s) -> tuple:
     """Keys of the rows s_ik / n_i of a matrix s whose entries share one
-    conductor; n_i is the integer dimension of label i."""
+    conductor; n_i is the integer dimension of label i.  A row of
+    dimension 1 is its own normalized row, in canonical form."""
     dims = basic_stats(d).dims_int
-    return linalg.mat_key([[x / n for x in row] for row, n in zip(s, dims)])
+    return linalg.mat_key([row if n == 1 else [x / n for x in row]
+                           for row, n in zip(s, dims)])
 
 
 @derived
@@ -148,17 +150,25 @@ def _lifted_s(d: ModularDatum):
     return c, s, lookup
 
 
-@derived
 def _s_image(d: ModularDatum, q: int) -> tuple:
     """S at C under the automorphism z -> z^q of Q(zeta_N_o), for
     0 <= q < N_o a unit: q lifted to a unit modulo lcm(C, N_o) and read
-    modulo C, the automorphism index_action matches rows by."""
+    modulo C, the automorphism index_action matches rows by.  With S
+    symmetric in representation, so is its image: the entries on and
+    above the diagonal are moved, and mirrored below."""
     n_o = basic_stats(d).N_o
     c, s, _ = _lifted_s(d)
     u = unit_lift(q, n_o, lcm(c, n_o)) % c
     if u == 1 % c:
         return s
-    return tuple(tuple(cyclo.galois_apply(x, u) for x in row) for row in s)
+    if not _s_symmetric(d):
+        return tuple(tuple(cyclo.galois_apply(x, u) for x in row) for row in s)
+    m = d.size
+    image = [[None] * m for _ in range(m)]
+    for i, row in enumerate(s):
+        for j in range(i, m):
+            image[i][j] = image[j][i] = cyclo.galois_apply(row[j], u)
+    return tuple(map(tuple, image))
 
 
 def _action_units(d: ModularDatum) -> list:
@@ -180,14 +190,18 @@ def index_action(d: ModularDatum, q: int) -> GaloisPermutation:
     n_o = _require_integral(d).N_o
     if gcd(q, n_o) != 1:
         raise NotAUnit(f"{q} is not a unit modulo {n_o}")
-    return _index_action(d, q % n_o)
+    return _index_action(d, q % n_o)[0]
 
 
 @derived
-def _index_action(d: ModularDatum, q: int) -> GaloisPermutation:
+def _index_action(d: ModularDatum, q: int) -> tuple:
+    """(the permutation of q, the first pair at which the image of S
+    under q is not moved by it, see _first_moved).  The image is made
+    once, here, and not kept."""
     _, _, lookup = _lifted_s(d)
+    image = _s_image(d, q)
     perm = []
-    for i, key in enumerate(_normalized_keys(d, _s_image(d, q))):
+    for i, key in enumerate(_normalized_keys(d, image)):
         matches = lookup.get(key, [])
         if len(matches) != 1:
             raise NoUniqueMatch(
@@ -196,7 +210,20 @@ def _index_action(d: ModularDatum, q: int) -> GaloisPermutation:
         perm.append(matches[0])
     if sorted(perm) != list(range(d.size)):
         raise NoUniqueMatch("matched rows do not form a permutation")
-    return GaloisPermutation(q=q, perm=tuple(perm))
+    return GaloisPermutation(q=q, perm=tuple(perm)), _first_moved(d, image, perm)
+
+
+def _first_moved(d: ModularDatum, image, perm) -> tuple | None:
+    """The first (i, j) in row-major order at which an image of S is not
+    S with its rows, or its columns, moved by perm, or None.  With S
+    symmetric in representation the law is symmetric in (i, j), and is
+    scanned on and above the diagonal."""
+    _, s, _ = _lifted_s(d)
+    m = d.size
+    symmetric = _s_symmetric(d)
+    return next(((i, j) for i, row in enumerate(image)
+                 for j in range(i if symmetric else 0, m)
+                 if row[j] != s[perm[i]][j] or row[j] != s[i][perm[j]]), None)
 
 
 def verify_action_laws(d: ModularDatum) -> CheckReport:
@@ -214,9 +241,20 @@ def verify_action_laws(d: ModularDatum) -> CheckReport:
     _, s, _ = _lifted_s(d)
     perms = {q: index_action(d, q) for q in units}
 
-    w = next(((q, i, j) for q, gp in perms.items()
-              for i, row in enumerate(_s_image(d, q)) for j, img in enumerate(row)
-              if img != s[gp.perm[i]][j] or img != s[i][gp.perm[j]]), None)
+    # the first pair at which each image of S fails is kept with the
+    # permutation it was found for; a permutation that index_action did
+    # not take from there is checked on a new image
+    w = None
+    for q, gp in perms.items():
+        try:
+            recorded, moved = _index_action(d, q)
+        except NoUniqueMatch:
+            recorded = None
+        if recorded != gp:
+            moved = _first_moved(d, _s_image(d, q), gp.perm)
+        if moved is not None:
+            w = (q, *moved)
+            break
     rep.add("moves-s-entries", w is None, w)
 
     w = next(
@@ -242,12 +280,15 @@ def verify_action_laws(d: ModularDatum) -> CheckReport:
     w = next(iter(unstarred.items()), None)
     rep.add("commutes-with-star", w is None, w)
 
-    # P[i][j] = 1 iff i = p(j), so S P = P^T S iff s_i,p(j) = s_p(i),j; and
-    # P C = C P iff p^-1 star = star p^-1, that is iff p commutes with star
+    # P[i][j] = 1 iff i = p(j), so S P = P^T S iff s_i,p(j) = s_p(i),j,
+    # which is symmetric in (i, j) with S; and P C = C P iff
+    # p^-1 star = star p^-1, that is iff p commutes with star
+    symmetric = _s_symmetric(d)
     w = next((
         q for q, gp in perms.items()
         if q in unstarred
-        or any(s[i][gp.perm[j]] != s[gp.perm[i]][j] for i in range(m) for j in range(m))
+        or any(s[i][gp.perm[j]] != s[gp.perm[i]][j]
+               for i in range(m) for j in range(i if symmetric else 0, m))
     ), None)
     rep.add("permutation-matrix-relations", w is None, w)
 

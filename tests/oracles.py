@@ -6,20 +6,28 @@ level, the central charges, the fusion-ring and Galois law checks and
 the Kronecker product, by the exhaustive, dense or entry-by-entry route
 that the fast path replaces.
 
-Five of them do share the sum-of-products kernel with the routes they
-check.  oracle_verlinde_rows, oracle_verify_ring_homomorphisms and
-oracle_factor_check sum through linalg.mat_mul, and so does
-oracle_axioms_1_to_4 for S T S and for S^2, which it takes from
-axioms._global_dimension_from_square.  oracle_verify_idempotent_laws
-sums through fusion.multiply and fusion.xi_evaluate.  All five so run
+Seven of them do share the sum-of-products kernel with the routes they
+check.  oracle_verlinde_rows, oracle_verify_ring_homomorphisms,
+oracle_factor_check and oracle_global_dimension_from_square sum through
+linalg.mat_mul, and so does oracle_axioms_1_to_4 for S T S and, through
+oracle_global_dimension_from_square, for S^2; oracle_verlinde_triples
+sums through cyclo.Lifted.  oracle_verify_idempotent_laws sums through
+fusion.multiply and fusion.xi_evaluate.  All seven so run
 cyclo._sum_terms and the limit check of cyclo.Lifted.at.  That kernel
 is compared with the left fold of * and + in tests/test_dot.py.
+
+The laws that a symmetric S lets the library decide on the pairs j >= i
+(S^2, axiom 4, the images of S and the scans over them), the Verlinde
+sums it skips for triples holding the unit, and the extension family it
+decides on exponents keep their full routes here: every entry, every
+unordered triple and every CycloNum comparison.
 """
 
 import json
 from collections import deque
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations_with_replacement
 from math import gcd, lcm
 
 from moddata import axioms, cli, cyclo, fusion, galois, linalg
@@ -332,10 +340,26 @@ def oracle_enumerate_charges(d, rank):
 # permutation matrices themselves.
 
 
+def oracle_global_dimension_from_square(d):
+    """axioms._global_dimension_from_square with all of S^2 made by one
+    linalg.mat_mul, whether S is symmetric or not."""
+    m = d.size
+    s2 = linalg.mat_mul(d.s_matrix, d.s_matrix)
+    n = s2[d.o][d.star[d.o]]
+    for i in range(m):
+        for k in range(m):
+            if s2[i][k] != (n if k == d.star[i] else cyclo.zero(1)):
+                return None, (i, k, s2[i][k])
+    if n.is_zero():
+        return None, ("n", "zero")
+    return n, None
+
+
 def oracle_axioms_1_to_4(d):
-    """axioms._axioms_1_to_4 with axiom 4 checked entry by entry: S T S by
-    one matrix product, then g s_ij t_o^2 against n_o t_i t_j (S T S)_ij
-    for each (i, j) in turn, five products per entry."""
+    """axioms._axioms_1_to_4 with S^2 made in full and axiom 4 checked
+    entry by entry on every (i, j): S T S by one matrix product, then
+    g s_ij t_o^2 against n_o t_i t_j (S T S)_ij for each (i, j) in turn,
+    five products per entry."""
     rep = CheckReport("axioms")
     m = d.size
     o = d.o
@@ -352,7 +376,7 @@ def oracle_axioms_1_to_4(d):
     w = next((i for i in range(m) if d.s(i, o).is_zero()), None)
     rep.add("axiom2-dimensions-nonzero", w is None, w)
     rep.add("axiom2-unit-self-dual", d.star[o] == o)
-    n, witness3 = axioms._global_dimension_from_square.__wrapped__(d)
+    n, witness3 = oracle_global_dimension_from_square(d)
     rep.add("axiom3-s-squared", n is not None, witness3, value=n)
     if any(t.is_zero() for t in d.t_diag):
         rep.add("axiom4-proportionality", False, "T is not invertible")
@@ -390,7 +414,7 @@ def oracle_verlinde_rows(d):
     product: row (i, j) holds s_il s_jl / (s_ol n) over l, and column k
     holds s_k*l.  Its TooLarge names the first (i, j, k) whose sum would
     raise it."""
-    n, witness = axioms._global_dimension_from_square.__wrapped__(d)
+    n, witness = oracle_global_dimension_from_square(d)
     if n is None:
         raise InvalidDatum(f"no global dimension: witness {witness}")
     m = d.size
@@ -407,6 +431,37 @@ def oracle_verlinde_rows(d):
     violations = []
     coeffs = tuple(
         tuple(tuple(_as_coefficient(sums[i * m + j][k], (i, j, k), violations)
+                    for k in range(m)) for j in range(m))
+        for i in range(m)
+    )
+    return fusion.FusionTable(size=m, coeffs=coeffs, violations=tuple(violations))
+
+
+def oracle_verlinde_triples(d):
+    """fusion.fusion_coefficients with every unordered triple summed, the
+    triples holding the unit too, in the same order and at the same
+    conductors: its TooLarge is the one the sums raise under any limit."""
+    n, witness = oracle_global_dimension_from_square(d)
+    if n is None:
+        raise InvalidDatum(f"no global dimension: witness {witness}")
+    m = d.size
+    o = d.o
+    s = d.s_matrix
+    if any(s[o][l].is_zero() for l in range(m)):
+        raise InvalidDatum("unit row of S has a zero entry")
+    weights = [(s[o][l] * n).inverse() for l in range(m)]
+    sw = [[s[j][l] * weights[l] for l in range(m)] for j in range(m)]
+    rows = [cyclo.Lifted(row) for row in s]
+    sums = {}
+    for a, b in combinations_with_replacement(range(m), 2):
+        pab = cyclo.Lifted([s[a][l] * sw[b][l] for l in range(m)])
+        for c in range(b, m):
+            mc = lcm(pab.conductor, rows[c].conductor)
+            sums[a, b, c] = cyclo._lifted_dot(mc, pab.at(mc), rows[c].at(mc))
+    violations = []
+    coeffs = tuple(
+        tuple(tuple(_as_coefficient(sums[tuple(sorted((i, j, d.star[k])))],
+                                    (i, j, k), violations)
                     for k in range(m)) for j in range(m))
         for i in range(m)
     )
@@ -635,6 +690,16 @@ def oracle_verify_action_laws(d):
     )
     rep.add("action-multiplicative", w is None, w)
     return rep
+
+
+def oracle_s_image(d, q):
+    """galois._s_image with each of the m^2 entries of S at C moved on
+    its own."""
+    n_o = basic_stats(d).N_o
+    c = linalg.common_conductor(d.s_matrix)
+    u = galois.unit_lift(q, n_o, lcm(c, n_o)) % c
+    return tuple(tuple(cyclo.galois_apply(x.lift(c), u) for x in row)
+                 for row in d.s_matrix)
 
 
 def oracle_index_action(d, q):
@@ -1113,3 +1178,43 @@ def oracle_kronecker_product(d1, d2):
             d1.t(i1) * d2.t(i2) for i1 in range(m1) for i2 in range(m2)
         ),
     )
+
+
+# -- the extension family by value -------------------------------------------
+
+
+def oracle_extension_family_check(d):
+    """analysis.extension_family_check by CycloNum arithmetic: each
+    member's charge divided by the first's, its 12th and 3rd powers, and
+    each of the twelve twists of the first member looked up by value
+    among the members of extension.extension_family."""
+    rep = CheckReport("extension-family")
+    family = extension_family(d)
+    rep.add("family-size-twelve", len(family) == 12, value=len(family))
+    base = family[0]
+    w = None
+    for idx, other in enumerate(family):
+        zeta = other.charge / base.charge
+        if zeta ** 12 != 1 or other.rank * zeta ** 3 != base.rank:
+            w = idx
+            break
+    rep.add("related-by-twelfth-roots", w is None, w)
+    w = None
+    for k in range(12):
+        zeta = root_of_unity(12, k)
+        rank, charge = base.rank / zeta ** 3, zeta * base.charge
+        if not any(e.rank == rank and e.charge == charge for e in family):
+            w = k
+            break
+    rep.add("closed-under-twisting", w is None, w)
+    return rep
+
+
+def oracle_first_moved(d, image, perm):
+    """galois._first_moved by a row-major scan of all m^2 entries."""
+    c = linalg.common_conductor(d.s_matrix)
+    s = linalg.mat_lift(d.s_matrix, c)
+    m = d.size
+    return next(((i, j) for i in range(m) for j in range(m)
+                 if image[i][j] != s[perm[i]][j] or image[i][j] != s[i][perm[j]]),
+                None)

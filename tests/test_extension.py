@@ -3,6 +3,7 @@ from math import gcd
 import pytest
 
 from moddata import cyclo, extension, linalg
+from moddata.analysis import extension_family_check
 from moddata.constructors import radford_datum, semion_datum, trivial_datum
 from moddata.cyclo import root_of_unity, sqrt_integer
 from moddata.datum import basic_stats, kronecker_product
@@ -20,7 +21,6 @@ from moddata.extension import (
     enumerate_charges,
     enumerate_ranks,
     extension_family,
-    extension_family_check,
     factor_check,
     homogeneous_matrices,
     lift_search,

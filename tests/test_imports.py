@@ -38,9 +38,9 @@ PUBLIC = {
     "extension": [
         "CongruenceReport", "ExtendedDatum", "SL2Mod", "additive_charge",
         "congruence_classify", "d_matrix", "enumerate_charges",
-        "enumerate_ranks", "extension_family", "extension_family_check",
-        "factor_check", "homogeneous_matrices", "lift_search",
-        "make_extension", "sl2_enumerate",
+        "enumerate_ranks", "extension_family", "factor_check",
+        "homogeneous_matrices", "lift_search", "make_extension",
+        "sl2_enumerate",
     ],
     "constructors": [
         "CocycleFn", "classical_gauss_sum", "cocycle_omega", "radford_datum",
@@ -50,7 +50,7 @@ PUBLIC = {
     "cli": [
         "load_datum", "parse_datum", "serialize_datum", "serialize_datum_text",
     ],
-    "analysis": ["AnalysisBundle", "build_analysis"],
+    "analysis": ["AnalysisBundle", "build_analysis", "extension_family_check"],
 }
 SUBMODULES = [
     "cli", "constructors", "cyclo", "datum", "extension", "fusion", "galois",
@@ -60,7 +60,8 @@ UNUSED_BY_CONGRUENCE = {
     "moddata.fusion", "moddata.galois", "moddata.constructors",
     "moddata.analysis", "moddata.axioms",
 }
-# the names that moved out of cli and datum, by (old module, new home);
+# the names that moved out of cli, datum and extension, by (old module,
+# new home);
 # each is defined in its new home only, and not found on its old module
 MOVED = {
     ("cli", "analysis"): [
@@ -74,6 +75,7 @@ MOVED = {
         "derive_report", "power_identity_check", "require_valid",
         "validate_axioms", "verify_structural_identities",
     ],
+    ("extension", "analysis"): ["extension_family_check"],
 }
 # a bound on the source a cold congruence request compiles, where no
 # bytecode is cached: the 8 modules it loads held 3,225 lines before the

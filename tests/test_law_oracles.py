@@ -21,7 +21,7 @@ import pytest
 
 import oracles
 
-from moddata import axioms, cyclo, datum, fusion, galois, linalg
+from moddata import axioms, cyclo, datum, extension, fusion, galois, linalg
 from moddata.axioms import validate_axioms, verify_structural_identities
 from moddata.constructors import radford_datum, semion_datum, su2_datum
 from moddata.cyclo import root_of_unity
@@ -314,7 +314,8 @@ def test_action_laws_make_no_matrix_product(monkeypatch):
 
 def test_action_readers_image_each_entry_once_per_unit(monkeypatch):
     # no law applies sigma per entry: each image of S is made once, for
-    # each unit but 1, so 5 * 49 galois_apply, under |U(7)| 7^2 = 294
+    # each unit but 1, on and above the diagonal of the symmetric S, so
+    # 5 * 28 galois_apply, under |U(7)| 7^2 = 294
     d = radford_datum(7)
     sigmas = _counting(monkeypatch, galois, "sigma")
     applies = _counting(monkeypatch, cyclo, "galois_apply")
@@ -324,18 +325,19 @@ def test_action_readers_image_each_entry_once_per_unit(monkeypatch):
     assert galois.is_galois_datum(d) == (True, None)
     assert galois.verlinde_field_index(d) == 1
     assert sigmas == []
-    assert len(applies) == 5 * 49
+    assert len(applies) == 5 * 28
 
 
 def test_analyze_galois_apply_count(monkeypatch):
-    # 245 for the images of S; 24 in sigma for the 6 images of the Gauss
-    # sum and the cocycle law at the 3 generators 1, 2, 3 of the units
-    # times the 6 units; 5 in the one inverse of g
+    # 140 for the images of S, 5 * 28 on and above the diagonal; 24 in
+    # sigma for the 6 images of the Gauss sum and the cocycle law at the
+    # 3 generators 1, 2, 3 of the units times the 6 units; 5 in the one
+    # inverse of g
     from moddata.analysis import build_analysis
 
     applies = _counting(monkeypatch, cyclo, "galois_apply")
     assert build_analysis(radford_datum(7)).passed
-    assert len(applies) == 274
+    assert len(applies) == 169
 
 
 def test_idempotent_laws_multiply_nothing_on_valid_data(monkeypatch):
@@ -919,13 +921,16 @@ def test_no_kernel_sum_runs_over_the_limit(monkeypatch):
 
 
 def test_fusion_coefficients_make_one_sum_per_unordered_triple(monkeypatch):
-    # counted in the kernel, under every route to it
+    # counted in the kernel, under every route to it, with S^2 derived
+    # first: no triple holding the unit is summed, so one sum per
+    # unordered triple of the other m - 1 labels
     sums = _counting(monkeypatch, cyclo, "_sum_terms")
     for name, d in _BUILT_IN:
+        axioms._global_dimension_from_square(d)
         del sums[:]
         fusion_coefficients.__wrapped__(d)
         m = d.size
-        assert len(sums) == m * (m + 1) * (m + 2) // 6, name
+        assert len(sums) == (m - 1) * m * (m + 1) // 6, name
 
 
 def test_power_identities_make_no_product_but_the_ratio(monkeypatch):
@@ -941,12 +946,194 @@ def test_power_identities_make_no_product_but_the_ratio(monkeypatch):
 
 
 def test_validate_axioms_product_counts(monkeypatch):
-    # 197 products as measured; S^2 and A S T of axiom 4 are the only
-    # matrix products, the Verlinde sums being one kernel sum per
-    # unordered triple
+    # 162 products as measured; on the symmetric S, S^2 and A S T of
+    # axiom 4 are made on and above the diagonal without linalg.mat_mul,
+    # and the Verlinde sums make no vector p[o, b] of the unit row
     d = radford_datum(5)
     products = _counting_method(monkeypatch, cyclo.CycloNum, "__mul__")
     mat_muls = _counting(monkeypatch, linalg, "mat_mul")
     assert validate_axioms(d).passed
-    assert len(products) <= 197
-    assert len(mat_muls) == 2  # S^2 and A S T
+    assert len(products) <= 162
+    assert mat_muls == []
+
+
+# -- laws by the symmetry of S, the unit row and the family by exponent -------
+#
+# With S symmetric in representation the laws symmetric in (i, j) are
+# decided on the pairs j >= i, the Verlinde sums skip the triples holding
+# the unit, and the extension family is decided on exponents.  Each is
+# compared with its full route through the wire form, so that witnesses
+# and values are compared with their conductors.
+
+
+def _wire(f, *args):
+    try:
+        return jsonable(f(*args))
+    except ModdataError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _with_s(d, entries):
+    s = [list(row) for row in d.s_matrix]
+    for (i, j), x in entries.items():
+        s[i][j] = x
+    return ModularDatum(d.labels, d.unit, d.star, tuple(map(tuple, s)), d.t_diag)
+
+
+_R3, _R5 = radford_datum(3), radford_datum(5)
+_ASYMMETRIC = [
+    # s_01 at 3 and s_10 the same value lifted to 6: symmetric in value
+    # only, so every law takes its full route
+    ("radford3-s10-at-6", _with_s(_R3, {(1, 0): _R3.s(1, 0).lift(6)})),
+    ("radford3-s01-twisted", _with_s(_R3, {(0, 1): _R3.s(0, 1) * root_of_unity(3, 1)})),
+    # symmetric S, and a star that is not an involution: S^2 = nC fails
+    ("radford5-star-cycle",
+     ModularDatum(_R5.labels, _R5.unit, (0, 2, 3, 1, 4), _R5.s_matrix, _R5.t_diag)),
+]
+_SYMMETRY_DATA = _BUILT_IN + _ASYMMETRIC
+_FULL_ROUTES = [
+    (axioms._global_dimension_from_square.__wrapped__,
+     oracles.oracle_global_dimension_from_square),
+    (axioms._axioms_1_to_4.__wrapped__, oracles.oracle_axioms_1_to_4),
+    (fusion.fusion_coefficients.__wrapped__, oracles.oracle_verlinde_triples),
+]
+
+
+def test_s_is_symmetric_in_representation_only_where_it_is():
+    assert all(axioms._s_symmetric(d) for _, d in _BUILT_IN)
+    assert [axioms._s_symmetric(d) for _, d in _ASYMMETRIC] == [False, False, True]
+    # the first is still symmetric in value
+    assert validate_axioms(_ASYMMETRIC[0][1]).passed
+
+
+@pytest.mark.parametrize("name,d", _SYMMETRY_DATA, ids=[n for n, _ in _SYMMETRY_DATA])
+def test_symmetric_routes_match_the_full_routes(name, d):
+    for route, oracle in _FULL_ROUTES:
+        assert _wire(route, _fresh(d)) == _wire(oracle, _fresh(d)), route
+    got = _outcome(verify_structural_identities, _fresh(d))
+    assert got == _outcome(oracles.oracle_verify_structural_identities, _fresh(d))
+
+
+@pytest.mark.parametrize("name,d", _SYMMETRY_DATA, ids=[n for n, _ in _SYMMETRY_DATA])
+def test_images_of_s_and_their_scans_match_the_full_routes(name, d):
+    d = _fresh(d)
+    got = _outcome(verify_action_laws, d)
+    assert got == _outcome(oracles.oracle_verify_action_laws, _fresh(d))
+    if not basic_stats(d).integral:
+        return
+    for q in galois.units_mod(basic_stats(d).N_o):
+        assert _wire(galois._s_image, d, q) == _wire(oracles.oracle_s_image, d, q)
+        assert _wire(galois.index_action, d, q) == _wire(oracles.oracle_index_action, d, q)
+
+
+@pytest.mark.parametrize("name", ["radford5^1", "radford7^3", "radford3*semion",
+                                  "radford3-s10-at-6"])
+def test_first_moved_entry_matches_the_full_scan(name):
+    # each image with one entry, and the entry across the diagonal with
+    # it when S is symmetric, replaced by 7: the first pair out of place
+    # is found on and above the diagonal where the full scan finds it
+    d = _fresh(dict(_SYMMETRY_DATA)[name])
+    symmetric = axioms._s_symmetric(d)
+    m = d.size
+    witnesses = set()
+    for q in galois.units_mod(basic_stats(d).N_o):
+        perm = galois.index_action(d, q).perm
+        image = oracles.oracle_s_image(d, q)
+        assert galois._first_moved(d, image, perm) is None
+        for i in range(m):
+            for j in range(m):
+                changed = [list(row) for row in image]
+                changed[i][j] = cyclo.from_rational(7)
+                if symmetric:
+                    changed[j][i] = changed[i][j]
+                got = galois._first_moved(d, changed, perm)
+                assert got == oracles.oracle_first_moved(d, changed, perm), (q, i, j)
+                witnesses.add(got)
+    assert len(witnesses) == (m * (m + 1) // 2 if symmetric else m * m)
+
+
+def _family_changed(monkeypatch, change):
+    real = extension._family_choices
+    monkeypatch.setattr(extension, "_family_choices",
+                        lambda d: tuple(change(list(real(d)))))
+
+
+def _twisted(member, rank=1, charge=1):
+    return (member[0] * rank, member[1] * charge, member[2])
+
+
+# families changed past enumerate_ranks and enumerate_charges
+_FAMILY_CHANGES = {
+    "unchanged": lambda f: f,
+    "charge-swapped": lambda f: f[:5] + [(f[5][0], f[7][1], f[5][2])] + f[6:],
+    "charge-times-z24": lambda f: f[:8] + [_twisted(f[8], charge=root_of_unity(24, 1))] + f[9:],
+    "charge-times-z12": lambda f: f[:2] + [_twisted(f[2], charge=root_of_unity(12, 1))] + f[3:],
+    "charge-not-a-root": lambda f: f[:3] + [_twisted(f[3], charge=2)] + f[4:],
+    "rank-times-i": lambda f: f[:6] + [_twisted(f[6], rank=root_of_unity(4, 1))] + f[7:],
+    "rank-doubled": lambda f: f[:10] + [_twisted(f[10], rank=2)] + f[11:],
+    "member-dropped": lambda f: f[:4] + f[5:],
+    "first-dropped": lambda f: f[1:],
+    "ranks-rotated": lambda f: [_twisted(x, rank=root_of_unity(4, 1)) for x in f],
+}
+
+
+@pytest.mark.parametrize("change", list(_FAMILY_CHANGES), ids=list(_FAMILY_CHANGES))
+def test_family_check_by_exponent_matches_the_check_by_value(monkeypatch, change):
+    from moddata.analysis import extension_family_check
+
+    _family_changed(monkeypatch, _FAMILY_CHANGES[change])
+    failing = set()
+    for name, d in _SYMMETRY_DATA:
+        got = _outcome(extension_family_check, _fresh(d))
+        assert got == _outcome(oracles.oracle_extension_family_check, _fresh(d)), name
+        if isinstance(got, dict):
+            failing |= {(c["name"], c.get("witness")) for c in got["checks"] if not c["passed"]}
+    if change in ("unchanged", "ranks-rotated"):
+        assert not failing
+    else:
+        assert failing
+
+
+_SWEEP_DATA = _LIMIT_DATA + [
+    (name, d, None) for name, d in _SYMMETRY_DATA
+    if name in ("radford3*semion", "su2_3", "radford3-s10-at-6")
+] + [
+    # s_00 at 2 * 5 reaches every Verlinde sum through the weights, and
+    # s_11, s_22, s_44 at 3, 7, 11 times 5, with 2* = 3 and 4* = 1: under
+    # a limit of 385 to 769 S^2 = nC is decided, and the first sum over
+    # it is F(0, 2, 4) at 770, where the first without the unit would be
+    # F(1, 2, 4) at 2310
+    ("radford5-five-primes", _lifted(_R5, {0: 10, 1: 15, 2: 35, 4: 55}), None),
+]
+
+
+@pytest.mark.parametrize("name,d,top", _SWEEP_DATA, ids=[c[0] for c in _SWEEP_DATA])
+def test_symmetric_routes_raise_where_the_full_routes_do(name, d, top):
+    outcomes = set()
+    for limit in _limits(d, top):
+        token = cyclo.set_conductor_limit(limit)
+        try:
+            for route, oracle in _FULL_ROUTES:
+                got = _wire(route, _fresh(d))
+                assert got == _wire(oracle, _fresh(d)), (route, limit)
+                outcomes.add(got[0] if isinstance(got, tuple) else "done")
+        finally:
+            cyclo.reset_conductor_limit(token)
+    assert {"TooLarge", "done"} <= outcomes
+
+
+def test_action_laws_keep_no_image_of_s():
+    import tracemalloc
+
+    d = radford_datum(45)
+    basic_stats(d)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        assert verify_action_laws(d).passed
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    # the 24 images of S hold 13.9 MiB; the lifted S, its row keys and the
+    # 24 permutations kept on the datum 0.7 MiB
+    assert retained < 2**20
