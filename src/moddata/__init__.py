@@ -53,6 +53,7 @@ _PUBLIC = {
         "FusionSymbolTable",
         "GaloisPermutation",
         "arithmetic_divisibility_checks",
+        "d_matrix",
         "definition_of_24_check",
         "fusion_symbol",
         "fusion_symbol_analysis",
@@ -69,8 +70,6 @@ _PUBLIC = {
         "ExtendedDatum",
         "SL2Mod",
         "additive_charge",
-        "congruence_classify",
-        "d_matrix",
         "enumerate_charges",
         "enumerate_ranks",
         "extension_family",
@@ -100,6 +99,7 @@ _PUBLIC = {
     "analysis": (
         "AnalysisBundle",
         "build_analysis",
+        "congruence_classify",
         "extension_family_check",
     ),
 }

@@ -14,10 +14,10 @@ from fractions import Fraction
 
 # the cli helpers and the traced layers are looked up on their modules at
 # each call, so a wrapper installed on those modules sees these calls
-from . import axioms, cli, cyclo, datum as datum_mod, extension, linalg
+from . import axioms, cli, cyclo, datum as datum_mod, extension
 from .datum import ModularDatum
 from .errors import ModdataError, NotIntegral
-from .report import CheckReport, Record, jsonable
+from .report import CheckReport, Frozen, Record, jsonable
 
 BUNDLE_SCHEMA = "moddata-bundle/1"
 
@@ -99,12 +99,8 @@ def build_analysis(
 
         projective_verdict = None
         if extensions:
-            projective_verdict = extension.factor_check(
-                d.s_matrix,
-                linalg.diag_matrix(d.t_diag),
-                stats.N_o,
-                "projective",
-                max_group_order,
+            projective_verdict = extension._projective_check(
+                d, stats.N_o, max_group_order
             ).projective_factors
             galois_projective = bool(projective_verdict) and galois_ok
         verdicts["divisibility"] = galois.arithmetic_divisibility_checks(
@@ -207,6 +203,38 @@ def extension_family_check(d: ModularDatum) -> CheckReport:
              None)
     rep.add("closed-under-twisting", w is None, w)
     return rep
+
+
+class CongruenceClassification(Frozen):
+    __match_args__ = ("modulus", "projective", "congruence", "minimal_level")
+
+    def __init__(self, modulus: int, projective: bool, congruence: bool,
+                 minimal_level: int | None):
+        self.__dict__.update(modulus=modulus, projective=projective,
+                             congruence=congruence,
+                             minimal_level=minimal_level)
+
+
+def congruence_classify(
+    e: extension.ExtendedDatum,
+    max_group_order: int = extension.DEFAULT_MAX_GROUP_ORDER,
+) -> CongruenceClassification:
+    """Projective factoring of the raw matrices at the normalized exponent
+    N_o, and linear factoring of the homogeneous ones at every level,
+    decided by one search at L0 = ord T' (see moddata.extension): the
+    representation is congruence at N_o when L0 divides N_o and it
+    factors at L0, and its minimal level is L0 when it factors there."""
+    stats = datum_mod.basic_stats(e.datum)
+    projective = extension._projective_check(
+        e.datum, stats.N_o, max_group_order
+    ).projective_factors
+    level, linear = extension._linear_at_dehn_order(e, max_group_order)
+    return CongruenceClassification(
+        modulus=stats.N_o,
+        projective=bool(projective),
+        congruence=linear and stats.N_o % level == 0,
+        minimal_level=level if linear else None,
+    )
 
 
 # -- subcommand implementations ----------------------------------------------

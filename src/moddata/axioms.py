@@ -34,6 +34,12 @@ class DatumReport(Frozen):
 
 
 @derived
+def _gauss_sum_inverse(d: ModularDatum) -> CycloNum:
+    """The inverse of the Gaussian sum g, the one taken per datum."""
+    return datum.basic_stats(d).g.inverse()
+
+
+@derived
 def _s_symmetric(d: ModularDatum) -> bool:
     """Whether S equals its transpose in representation: s_ij and s_ji
     have the same conductor, denominator and numerators, not only the
@@ -310,7 +316,7 @@ def power_identity_check(d: ModularDatum) -> CheckReport:
     stats = datum.basic_stats(d)
     rep = CheckReport("power-identities")
     # (g'/g)^K = 1 iff (g/g')^K = 1; for real dimensions g' = conj(g)
-    ratio = stats.g_rec * datum._gauss_sum_inverse(d)
+    ratio = stats.g_rec * _gauss_sum_inverse(d)
     m = d.size
     rep.add("ratio-power-2Nm", ratio ** (2 * stats.N * m) == 1)
     if stats.integral:

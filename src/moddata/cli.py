@@ -6,11 +6,8 @@ Exit codes: 0 all asserted checks passed, 1 a check failed, 2 usage or
 malformed input, 3 a resource bound was exceeded.
 
 This module holds what a cold ``congruence`` or ``lift-search`` request
-runs: the parser, ``main``, the environment and limit handling, the
-datum wire format (its reader and writers), the JSON writer, the text
-renderer and those two commands.  Every other command and
-``build_analysis`` are in ``moddata.analysis``; the parser names their
-handlers, and ``main`` imports that module only when one of them runs.
+runs; ``main`` imports ``moddata.analysis``, which holds every other
+command, only when one of them runs (see the README, "Cold start").
 """
 
 from __future__ import annotations
@@ -24,7 +21,7 @@ from json.encoder import encode_basestring_ascii as quote
 
 # analysis, fusion, galois and constructors are imported by the functions
 # that call them, so a command loads only the modules it runs
-from . import cyclo, datum as datum_mod, extension, linalg
+from . import cyclo, datum as datum_mod, extension
 from .cyclo import CycloNum
 from .datum import ModularDatum
 from .errors import (
@@ -375,13 +372,7 @@ def _lift_search(d: ModularDatum, level: int, args) -> dict:
 def _cmd_congruence(args, out) -> int:
     d = load_datum(args.datum)
     level = _level(args, d)
-    projective = extension.factor_check(
-        d.s_matrix,
-        linalg.diag_matrix(d.t_diag),
-        level,
-        "projective",
-        args.max_group_order,
-    )
+    projective = extension._projective_check(d, level, args.max_group_order)
     payload = {
         "level": level,
         "projective": {

@@ -3,14 +3,10 @@
 A modular datum consists of a finite label set with a unit label, an
 involution on the labels, a symmetric Verlinde matrix S and a diagonal
 Dehn matrix T of finite order.  This module holds the datum, the
-``derived`` decorator that keeps a derivation's value on it, and the
+``derived`` decorator that keeps a derivation's value on it, the
 standard invariants (global dimension, exponents, Gaussian sums) that
-every layer reads, the congruence search included, and the Kronecker
-product of two data.
-
-The axiom checks, the derived report and the structural and power
-identities are in ``moddata.axioms``, which a congruence request never
-imports; ``kronecker_product`` imports it when it runs.
+every layer reads, and the Kronecker product of two data.  The axioms
+are in ``moddata.axioms``, which a congruence request never imports.
 """
 
 from __future__ import annotations
@@ -147,12 +143,6 @@ def basic_stats(d: ModularDatum) -> DatumStats:
         normalized=normalized,
         integral=integral,
     )
-
-
-@derived
-def _gauss_sum_inverse(d: ModularDatum) -> CycloNum:
-    """The inverse of the Gaussian sum g, the one taken per datum."""
-    return basic_stats(d).g.inverse()
 
 
 def kronecker_product(d1: ModularDatum, d2: ModularDatum) -> ModularDatum:

@@ -200,12 +200,6 @@ def _flat_mul(a, b, modulus):
     )
 
 
-def d_matrix(q: int, r: int):
-    """The word s t^r s^-1 t^q s t^r in the generators of the modular
-    group, in closed form [[q, qr-1], [1-qr, r(2-qr)]]."""
-    return ((q, q * r - 1), (1 - q * r, r * (2 - q * r)))
-
-
 def sl2_order(modulus: int) -> int:
     order = modulus**3
     for p, _ in cyclo.factorize(modulus):
@@ -422,45 +416,22 @@ def factor_check(
     )
 
 
-class CongruenceClassification(Frozen):
-    __match_args__ = ("modulus", "projective", "congruence", "minimal_level")
-
-    def __init__(self, modulus: int, projective: bool, congruence: bool,
-                 minimal_level: int | None):
-        self.__dict__.update(modulus=modulus, projective=projective,
-                             congruence=congruence,
-                             minimal_level=minimal_level)
+def _projective_check(d: ModularDatum, level: int,
+                      max_group_order: int) -> CongruenceReport:
+    """factor_check of the raw S and T of d, projectively, at the level."""
+    return factor_check(d.s_matrix, linalg.diag_matrix(d.t_diag), level,
+                        "projective", max_group_order)
 
 
-def congruence_classify(
-    e: ExtendedDatum,
-    max_group_order: int = DEFAULT_MAX_GROUP_ORDER,
-) -> CongruenceClassification:
-    """Projective factoring of the raw matrices at the normalized exponent
-    N_o, and linear factoring of the homogeneous ones at every level,
-    decided by one search at L0 = ord T' (see the module docstring): the
-    representation is congruence at N_o when L0 divides N_o and it
-    factors at L0, and its minimal level is L0 when it factors there."""
-    d = e.datum
-    stats = basic_stats(d)
-    projective = factor_check(
-        d.s_matrix,
-        linalg.diag_matrix(d.t_diag),
-        stats.N_o,
-        "projective",
-        max_group_order,
-    ).projective_factors
+def _linear_at_dehn_order(e: ExtendedDatum, max_group_order: int):
+    """(L0, whether the homogeneous matrices of e factor linearly at
+    L0 = ord T'), or (None, False) when some entry of T' is not a root
+    of unity.  homogeneous_matrices runs, and may raise, first."""
     s_prime, t_prime = homogeneous_matrices(e)
     level = _dehn_order(e)
-    linear = level is not None and factor_check(
+    return level, level is not None and factor_check(
         s_prime, t_prime, level, "linear", max_group_order
     ).linear_factors
-    return CongruenceClassification(
-        modulus=stats.N_o,
-        projective=bool(projective),
-        congruence=linear and stats.N_o % level == 0,
-        minimal_level=level if linear else None,
-    )
 
 
 def lift_search(
@@ -502,9 +473,5 @@ def lift_search(
     candidates = [e for e in extension_family(d) if divides(e)]
     if not candidates:
         return []
-    base = candidates[0]
-    s_prime, t_prime = homogeneous_matrices(base)
-    outcome = factor_check(
-        s_prime, t_prime, _dehn_order(base), "linear", max_group_order
-    )
-    return candidates if outcome.linear_factors else []
+    factors = _linear_at_dehn_order(candidates[0], max_group_order)[1]
+    return candidates if factors else []

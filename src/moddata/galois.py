@@ -12,9 +12,9 @@ from __future__ import annotations
 from math import gcd, lcm
 
 from . import cyclo, linalg
-from .axioms import _axioms_1_to_4, _s_symmetric
+from .axioms import _axioms_1_to_4, _gauss_sum_inverse, _s_symmetric
 from .cyclo import CycloNum
-from .datum import DatumStats, ModularDatum, _gauss_sum_inverse, basic_stats, derived
+from .datum import DatumStats, ModularDatum, basic_stats, derived
 from .errors import (
     BadInversePair,
     EvenExponent,
@@ -38,7 +38,17 @@ class GaloisPermutation(Frozen):
         self.__dict__.update(q=q, perm=perm)
 
     def matrix(self, conductor: int = 1) -> tuple:
-        return linalg.perm_matrix(self.perm, conductor)
+        return perm_matrix(self.perm, conductor)
+
+
+def perm_matrix(perm, conductor: int = 1) -> tuple:
+    """Permutation matrix with entry 1 at (perm[j], j)."""
+    m = len(perm)
+    one = cyclo.one(conductor)
+    z = cyclo.zero(conductor)
+    return tuple(
+        tuple(one if i == perm[j] else z for j in range(m)) for i in range(m)
+    )
 
 
 class FusionSymbolTable(Frozen):
@@ -424,13 +434,12 @@ def fusion_symbol_analysis(d: ModularDatum) -> CheckReport:
 
 def definition_of_24_check(x: CycloNum) -> bool:
     """Whether x is fixed by every squared automorphism of its order's
-    cyclotomic field: x = z_o^a is fixed by z -> z^(q^2) iff
-    a q^2 = a mod o.  Any such root of unity has 24th power 1."""
+    cyclotomic field: x = z_o^a, a a unit mod o, is fixed by z -> z^(q^2)
+    iff q^2 = 1 mod o, which holds for every unit q iff o divides 24."""
     hit = cyclo.root_of_unity_exponent(x)
     if hit is None:
         raise NotRootOfUnity("input is not a root of unity")
-    order, a = hit
-    return all((a * q * q - a) % order == 0 for q in units_mod(order))
+    return 24 % hit[0] == 0
 
 
 def verlinde_field_index(d: ModularDatum) -> int:
@@ -458,6 +467,13 @@ def verlinde_field_index(d: ModularDatum) -> int:
                 "does not divide 24"
             )
     return count
+
+
+def d_matrix(q: int, r: int):
+    """The word s t^r s^-1 t^q s t^r in the generators of the modular
+    group, in closed form [[q, qr-1], [1-qr, r(2-qr)]]; relact_check
+    evaluates its image S T^r S^-1 T^q S T^r."""
+    return ((q, q * r - 1), (1 - q * r, r * (2 - q * r)))
 
 
 def relact_check(d: ModularDatum, q: int, q_prime: int) -> CheckReport:
@@ -500,7 +516,7 @@ def relact_check(d: ModularDatum, q: int, q_prime: int) -> CheckReport:
     t_sq = [d.t(k) ** 2 for k in range(m)]
     t_negsq = [x.inverse() for x in t_sq]
     t_o4 = stats.t_o ** 4
-    s_t = linalg.mat_transpose(s)
+    s_t = tuple(zip(*s))
     c_s = tuple(s[d.star[i]] for i in range(m))
     lhs = linalg.mat_mul(linalg.mat_mul_diag(c_s, t_negsq), s_t)
     rhs_sum = linalg.mat_mul(linalg.mat_mul_diag(s, t_sq), s_t)

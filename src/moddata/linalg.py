@@ -57,25 +57,11 @@ def mat_eq(a, b) -> bool:
     return tuple(map(tuple, a)) == tuple(map(tuple, b))
 
 
-def mat_transpose(a) -> tuple:
-    return tuple(tuple(row[i] for row in a) for i in range(len(a[0])))
-
-
 def diag_matrix(entries) -> tuple:
     m = len(entries)
     z = cyclo.zero(1)
     return tuple(
         tuple(entries[i] if i == j else z for j in range(m)) for i in range(m)
-    )
-
-
-def perm_matrix(perm, conductor: int = 1) -> tuple:
-    """Permutation matrix with entry 1 at (perm[j], j)."""
-    m = len(perm)
-    one = cyclo.one(conductor)
-    z = cyclo.zero(conductor)
-    return tuple(
-        tuple(one if i == perm[j] else z for j in range(m)) for i in range(m)
     )
 
 

@@ -155,6 +155,18 @@ def oracle_mat_mul(a, b):
     )
 
 
+def perm_matrix(perm):
+    """The permutation matrix with entry 1 at (perm[j], j)."""
+    one, zero = cyclo.one(1), cyclo.zero(1)
+    return tuple(
+        tuple(one if i == p else zero for p in perm) for i in range(len(perm))
+    )
+
+
+def transpose(a):
+    return tuple(zip(*a))
+
+
 def oracle_multiply(x, y, t):
     """Coefficient k of the fusion product: (x_i y_j) N_ij^k added to
     zero(1) over the nonzero x_i and y_j, in (i, j) order."""
@@ -552,7 +564,7 @@ def oracle_verify_ring_homomorphisms(d, t):
     rep = CheckReport("fusion-homomorphisms")
     m = d.size
     xi = fusion._xi_matrix(d)
-    xi_t = linalg.mat_transpose(xi)
+    xi_t = transpose(xi)
     sums = [
         linalg.mat_mul(
             tuple(
@@ -638,7 +650,7 @@ def oracle_verify_action_laws(d):
     m = d.size
     o = d.o
     n_o = stats.N_o
-    c = linalg.perm_matrix(d.star)
+    c = perm_matrix(d.star)
     perms = {q: galois.index_action(d, q) for q in galois.units_mod(n_o)}
     w = next(
         ((q, i, j) for q, gp in perms.items() for i in range(m) for j in range(m)
@@ -667,7 +679,7 @@ def oracle_verify_action_laws(d):
             for q, gp in perms.items()
             if not linalg.mat_eq(
                 linalg.mat_mul(d.s_matrix, gp.matrix()),
-                linalg.mat_mul(linalg.mat_transpose(gp.matrix()), d.s_matrix),
+                linalg.mat_mul(transpose(gp.matrix()), d.s_matrix),
             )
             or not linalg.mat_eq(
                 linalg.mat_mul(gp.matrix(), c), linalg.mat_mul(c, gp.matrix())
@@ -832,7 +844,7 @@ def oracle_relact_check(d, q, q_prime):
     s = d.s_matrix
     t_q = linalg.diag_matrix([d.t(i) ** q for i in range(m)])
     t_qp = linalg.diag_matrix([d.t(i) ** q_prime for i in range(m)])
-    s_inv = linalg.mat_scale(oracle_mat_mul(s, linalg.perm_matrix(d.star)), stats.n.inverse())
+    s_inv = linalg.mat_scale(oracle_mat_mul(s, perm_matrix(d.star)), stats.n.inverse())
     word = t_qp
     for factor in (s, t_q, s_inv, t_qp, s):
         word = oracle_mat_mul(factor, word)
@@ -925,7 +937,7 @@ def oracle_verify_structural_identities(d):
     rep.add("s-star-symmetry", w is None, w)
     w = next((j for j in range(m) if d.dim(star[j]) != d.dim(j)), None)
     rep.add("dims-star-invariant", w is None, w)
-    c = linalg.perm_matrix(d.star)
+    c = perm_matrix(d.star)
     rep.add(
         "c-commutes-with-s",
         linalg.mat_eq(linalg.mat_mul(c, d.s_matrix),

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -18,7 +19,7 @@ from moddata.cli import (
     serialize_datum_text,
 )
 from moddata.constructors import radford_datum, semion_datum
-from moddata.datum import ModularDatum
+from moddata.datum import ModularDatum, kronecker_product
 from moddata.errors import SchemaError
 from moddata.report import jsonable
 
@@ -973,3 +974,77 @@ def test_huge_level_is_resource_error():
     assert proc.stderr == (
         f"error: group order at modulus {_HUGE} exceeds bound 1000000\n"
     )
+
+
+# sha256 of stdout and the exit code of the commands that run the projective
+# check and the lift search, on five data files: pinned on the code before the
+# check was put behind one function, so any change to these bytes shows here
+_PINNED_COMMANDS = (
+    ("analyze", "--extensions", "--json"),
+    ("congruence",),
+    ("congruence", "--json"),
+    ("congruence", "--level", "2"),
+    ("congruence", "--level", "2", "--json"),
+    ("lift-search", "--json"),
+)
+_PINNED_DATA = {
+    "trivial": constructors.trivial_datum,
+    "semion": semion_datum,
+    "radford3": lambda: radford_datum(3),
+    "radford5-zeta2": lambda: radford_datum(5, 2),
+    "semion-semion": lambda: kronecker_product(semion_datum(), semion_datum()),
+}
+_PINNED_BYTES = {
+    "trivial": (
+        (0, "767e45618c258d67cbac61481188e67c56e3e3164715312ec5555ec2d98b1941"),
+        (0, "bb3dc51a7e13853867dade2cd8d6d8440f8e28a0023b335103fb929b6ea53876"),
+        (0, "d8cfb2e7539e6c7ef278336367abec2b73a822a6b7cd30f4dfef40916cf92062"),
+        (0, "e80f2c6dd38e9a23e826f9eda860bc80d41facf70ba9f1f1eb1c4918f7343f40"),
+        (0, "27bf521b60d2e2767cc3fdc6e59227b3fff6317094f3022ed6d239da61214158"),
+        (0, "0f5bc78273e5cc110bfec185fb22ddb5c4f890b8555cd818897a2b5a33ac628d"),
+    ),
+    "semion": (
+        (0, "2fa9efd17386c2e2fd6660befb204de86e54aae99849461b770bc50578dd74db"),
+        (0, "fe38eb7b538ecff9dd997436d593021e8b826f441eb789dc56701f220066c870"),
+        (0, "ac2d7e048ef8b3463087ae2946cf5b106d84e6f361dc9286284febd358757ab3"),
+        (1, "01fe568c70704d0c143c2295754fb1ae2a4d7f458d0e4727c977fd5cd70a7c19"),
+        (1, "27ed956695a856621091395136b7bde457638f9fc9e46a7a5313014f8413920e"),
+        (0, "666cee06b5fa06a1b3188e9ba0b0ebc76308b08841b40bb597d2163accd0b043"),
+    ),
+    "radford3": (
+        (0, "bba6322e597242554715a0e2ade160601715f1cf2e0c064b78ff89e1d2f7a093"),
+        (0, "99b3f138fb410a360ba088bae348a72ec0610ae5acb5c99933b0762126f2d0eb"),
+        (0, "293308671bf8a4d7cbf24e6a353f56310f3e68c4513eb1e66e177127e13b5d81"),
+        (1, "d760647e300a07edd433897e5aad07a8329d91a6279ff3951308752a9aefcf59"),
+        (1, "3110d6ed060de524a07a1ff7c9fc6855124f0dd8c88f23a221d78fc0ec98b5a4"),
+        (0, "ef5a809a36bd7b6a1ac04e128a2cbe4ff3cd82e8fc5ea234f212ffa102237c85"),
+    ),
+    "radford5-zeta2": (
+        (0, "31aef372e59ba43929e2cbafb2c640d3d2e8fc78d924b254be05d8c2928a83b2"),
+        (0, "a2ed2d0207092f6a3fd1c8f9c3bb4b7a3d2ae7731502a1af49f102eb7a65e557"),
+        (0, "953b9b83633882a64a2732eed81052931387b98c19d7203365162966887c0080"),
+        (1, "abc5b0eb7d3bc3b88301db5f19a8ebf285a1c2151e8d1da38c76e09aeadefa1b"),
+        (1, "d54cd41b869ff2d2a60213abe2a96e0e9714cd72ff2a4c92255d41b2befb5962"),
+        (0, "78f36348704b312127509ae597e9503dca5abf4bd17f58371303ebdc7c80821e"),
+    ),
+    "semion-semion": (
+        (0, "29b43cdb6bcc62baa610239066e8806f85aff7cbdd60c689f5bb71d1f96989d4"),
+        (0, "d0165a3a117ede6cdbb1864b2ce66c13fa6290a92eff3226982bb33ac3747231"),
+        (0, "59b776370e1640a1f8a44da8a9dc2223a2d00492bef2afd64a22d7d01a92f6a7"),
+        (1, "28cf3c69c60a7eae067c46fda886010fc30ec3d1df23342b44390552c9f7b583"),
+        (1, "e169b8c592c1502adde0abc9cc0cbd16fafa981995dc666acf692cc0cafdac21"),
+        (0, "2c09213de0aa9b16b950a8e10fba36e7fb5cba28c6e81cf176987aa2e545f6ef"),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(_PINNED_DATA))
+def test_congruence_paths_print_the_pinned_bytes(name, tmp_path):
+    path = str(tmp_path / f"{name}.json")
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(serialize_datum_text(_PINNED_DATA[name]()))
+    got = []
+    for command, *flags in _PINNED_COMMANDS:
+        code, text = run_cli([command, path, *flags])
+        got.append((code, hashlib.sha256(text.encode("utf-8")).hexdigest()))
+    assert tuple(got) == _PINNED_BYTES[name]

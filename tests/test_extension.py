@@ -3,7 +3,7 @@ from math import gcd
 import pytest
 
 from moddata import cyclo, extension, linalg
-from moddata.analysis import extension_family_check
+from moddata.analysis import congruence_classify, extension_family_check
 from moddata.constructors import radford_datum, semion_datum, trivial_datum
 from moddata.cyclo import root_of_unity, sqrt_integer
 from moddata.datum import basic_stats, kronecker_product
@@ -16,8 +16,6 @@ from moddata.errors import (
 )
 from moddata.extension import (
     additive_charge,
-    congruence_classify,
-    d_matrix,
     enumerate_charges,
     enumerate_ranks,
     extension_family,
@@ -28,6 +26,7 @@ from moddata.extension import (
     sl2_enumerate,
     sl2_order,
 )
+from moddata.galois import d_matrix, perm_matrix
 
 import oracles
 from oracles import (
@@ -298,8 +297,8 @@ def test_factor_check_with_a_non_diagonal_t(mode):
     # two.  The action goes through SL(2,Z/2), which is S_3, so it factors
     # exactly at the even levels; neither matrix is diagonal, and S has no
     # pivot on its diagonal
-    s = linalg.perm_matrix((1, 0, 2))
-    t = linalg.perm_matrix((0, 2, 1))
+    s = perm_matrix((1, 0, 2))
+    t = perm_matrix((0, 2, 1))
     reports = {level: factor_check(s, t, level, mode) for level in range(1, 13)}
     factors = {
         level: rep.linear_factors if mode == "linear" else rep.projective_factors

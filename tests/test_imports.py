@@ -30,17 +30,17 @@ PUBLIC = {
     ],
     "galois": [
         "FusionSymbolTable", "GaloisPermutation",
-        "arithmetic_divisibility_checks", "definition_of_24_check",
-        "fusion_symbol", "fusion_symbol_analysis", "fusion_symbol_table",
+        "arithmetic_divisibility_checks", "d_matrix",
+        "definition_of_24_check", "fusion_symbol", "fusion_symbol_analysis",
+        "fusion_symbol_table",
         "index_action", "is_galois_datum", "odd_sign_analysis",
         "relact_check", "verify_action_laws", "verlinde_field_index",
     ],
     "extension": [
         "CongruenceReport", "ExtendedDatum", "SL2Mod", "additive_charge",
-        "congruence_classify", "d_matrix", "enumerate_charges",
-        "enumerate_ranks", "extension_family", "factor_check",
-        "homogeneous_matrices", "lift_search", "make_extension",
-        "sl2_enumerate",
+        "enumerate_charges", "enumerate_ranks", "extension_family",
+        "factor_check", "homogeneous_matrices", "lift_search",
+        "make_extension", "sl2_enumerate",
     ],
     "constructors": [
         "CocycleFn", "classical_gauss_sum", "cocycle_omega", "radford_datum",
@@ -50,7 +50,10 @@ PUBLIC = {
     "cli": [
         "load_datum", "parse_datum", "serialize_datum", "serialize_datum_text",
     ],
-    "analysis": ["AnalysisBundle", "build_analysis", "extension_family_check"],
+    "analysis": [
+        "AnalysisBundle", "build_analysis", "congruence_classify",
+        "extension_family_check",
+    ],
 }
 SUBMODULES = [
     "cli", "constructors", "cyclo", "datum", "extension", "fusion", "galois",
@@ -60,9 +63,8 @@ UNUSED_BY_CONGRUENCE = {
     "moddata.fusion", "moddata.galois", "moddata.constructors",
     "moddata.analysis", "moddata.axioms",
 }
-# the names that moved out of cli, datum and extension, by (old module,
-# new home);
-# each is defined in its new home only, and not found on its old module
+# the names that moved out of cli, datum, extension and linalg, by (old
+# module, new home); each is defined in its new home only, and not found on its old module
 MOVED = {
     ("cli", "analysis"): [
         "AnalysisBundle", "BUNDLE_SCHEMA", "_cmd_analyze", "_cmd_cocycle",
@@ -71,11 +73,17 @@ MOVED = {
         "build_analysis",
     ],
     ("datum", "axioms"): [
-        "DatumReport", "_axioms_1_to_4", "_global_dimension_from_square",
-        "derive_report", "power_identity_check", "require_valid",
-        "validate_axioms", "verify_structural_identities",
+        "DatumReport", "_axioms_1_to_4", "_gauss_sum_inverse",
+        "_global_dimension_from_square", "derive_report",
+        "power_identity_check", "require_valid", "validate_axioms",
+        "verify_structural_identities",
     ],
-    ("extension", "analysis"): ["extension_family_check"],
+    ("extension", "analysis"): [
+        "CongruenceClassification", "congruence_classify",
+        "extension_family_check",
+    ],
+    ("extension", "galois"): ["d_matrix"],
+    ("linalg", "galois"): ["perm_matrix"],
 }
 # a bound on the source a cold congruence request compiles, where no
 # bytecode is cached: the 8 modules it loads held 3,225 lines before the

@@ -12,7 +12,12 @@ import pytest
 from oracles import built_in_data
 
 from moddata import linalg
-from moddata.analysis import AnalysisBundle, build_analysis
+from moddata.analysis import (
+    AnalysisBundle,
+    CongruenceClassification,
+    build_analysis,
+    congruence_classify,
+)
 from moddata.axioms import (
     DatumReport,
     derive_report,
@@ -22,13 +27,11 @@ from moddata.axioms import (
 from moddata.constructors import CocycleFn, cocycle_omega
 from moddata.datum import DatumStats, ModularDatum, basic_stats
 from moddata.extension import (
-    CongruenceClassification,
     CongruenceReport,
     ExtendedDatum,
     RankOption,
     SL2Mod,
     Witness,
-    congruence_classify,
     enumerate_ranks,
     extension_family,
     factor_check,
