@@ -83,11 +83,21 @@ def _global_dimension_from_square(d: ModularDatum):
     else:
         s2 = linalg.mat_mul(d.s_matrix, d.s_matrix)
     n = s2[d.o][d.star[d.o]]
+    n_rational = cyclo.is_rational(n)
     for i in range(m):
         for k in range(m):
-            expected = n if k == d.star[i] else cyclo.zero(1)
-            if s2[i][k] != expected:
-                return None, (i, k, s2[i][k])
+            # each entry at its own conductor: != would lift two entries to
+            # the lcm of theirs, which no sum meets, and refuse it over the
+            # limit; an irrational entry is not a rational n
+            x = s2[i][k]
+            if k != d.star[i]:
+                equal = x.is_zero()
+            elif n_rational is not None:
+                equal = cyclo.is_rational(x) == n_rational
+            else:
+                equal = x == n
+            if not equal:
+                return None, (i, k, x)
     if n.is_zero():
         return None, ("n", "zero")
     return n, None

@@ -190,8 +190,9 @@ def serialize_datum_text(d: ModularDatum) -> str:
 def write_json(obj) -> str:
     """json.dumps(obj, indent=2), byte for byte, in one pass.  A CycloNum
     is written as its cyclo.to_json form, formatted once per value and
-    depth; any other value that is not a plain str, int or container goes
-    to json.dumps, its newlines padded to its depth, as json nests it."""
+    depth; any other value that is not a plain str, int, bool, None or
+    container goes to json.dumps, its newlines padded to its depth, as
+    json nests it."""
     parts = []
     _write(obj, "", parts, {})
     return "".join(parts)
@@ -211,6 +212,8 @@ def _write(x, pad: str, parts: list, leaves: dict) -> None:
         parts.append(quote(x))
     elif kind is int:
         parts.append(int.__repr__(x))
+    elif kind is bool or x is None:
+        parts.append("null" if x is None else "true" if x else "false")
     elif kind in _BRACKETS and (kind is not dict or all(type(k) is str for k in x)):
         inner = pad + "  "
         comma = ",\n" + inner

@@ -22,6 +22,7 @@ least level.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from math import lcm
 
 from . import cyclo, linalg
@@ -83,6 +84,11 @@ def enumerate_charges(d: ModularDatum, rank: CycloNum):
     over the 3o-th roots meets them, which fixes the family order: when 3o
     is even, z^j is also -z^(j + 3o/2), met first if that index is smaller.
     """
+    return _cube_roots(_charge_exponent(d, rank))
+
+
+def _charge_exponent(d: ModularDatum, rank: CycloNum) -> Fraction:
+    """The e with g / (n_o t_o D) = exp(2 pi i e), 0 <= e < 1."""
     stats = basic_stats(d)
     sq = rank * rank
     if sq * sq != stats.n * stats.n:
@@ -93,7 +99,12 @@ def enumerate_charges(d: ModularDatum, rank: CycloNum):
         raise ChargeNotRootOfUnity(
             "g/(n_o t_o D) is not a root of unity; invalid datum/rank pair"
         )
-    order, a = hit
+    return Fraction(hit[1], hit[0])
+
+
+def _cube_roots(e: Fraction) -> list:
+    """The cube roots of exp(2 pi i e), ordered as enumerate_charges says."""
+    order, a = e.denominator, e.numerator
     bound = 3 * order
 
     def first_met(j):
@@ -122,11 +133,21 @@ def _family_choices(d: ModularDatum) -> tuple:
     """(rank, charge, is_rank) of each of the twelve extensions.  Kept on
     the datum without the ExtendedDatums, which would hold the datum and
     make a reference cycle through its memo."""
-    return tuple(
-        (option.value, charge, option.is_rank)
-        for option in enumerate_ranks(d)
-        for charge in enumerate_charges(d, option.value)
-    )
+    options = enumerate_ranks(d)
+    stats = basic_stats(d)
+    e = _charge_exponent(d, options[0].value)
+    # w = g / (n_o t_o D) is w(r) times -1, -i, i for D = -r, ir, -ir: its
+    # exponent is e + 1/2, 3/4, 1/4.  With c past the conductor limit or an
+    # inverse's degree bound, each rank divides, to raise where it did.
+    c = lcm(stats.n_o.conductor, stats.t_o.conductor,
+            *[option.value.conductor for option in options])
+    if (lcm(c, stats.g.conductor) <= cyclo.get_conductor_limit()
+            and cyclo.euler_phi(c) <= cyclo.MAX_INVERSE_DEGREE):
+        exponents = ((e + Fraction(k, 4)) % 1 for k in (0, 2, 3, 1))
+    else:  # each rank's division after the charges of the one before
+        exponents = (_charge_exponent(d, option.value) for option in options)
+    return tuple((option.value, charge, option.is_rank)
+                 for option, e in zip(options, exponents) for charge in _cube_roots(e))
 
 
 def extension_family(d: ModularDatum):

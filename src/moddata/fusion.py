@@ -267,22 +267,33 @@ def _xi_matrix(d: ModularDatum) -> tuple:
     return tuple(rows)
 
 
+@derived
+def _multiplicative_witness(d: ModularDatum, terms: tuple, limit: int):
+    """The first (q, i, j) with xi_q(b_i b_j) != xi_q(b_i) xi_q(b_j), or
+    None, for the table of these sparse terms: the scan of
+    verify_ring_homomorphisms, which verify_idempotent_laws reads
+    eigenvalue absorption off.  Kept on the datum per table, by its
+    terms, as a table with violations has no hash, and per conductor
+    limit, as a lower limit stops the scan with TooLarge."""
+    m = d.size
+    rows = [cyclo.Lifted(row) for row in _xi_matrix(d)]
+    # xi_q(b_i b_j) is the sum over the nonzero N_ij^k of N_ij^k xi_q(b_k);
+    # where b_i b_j = b_j b_i, the law at (q, i, j) for j < i is the one
+    # at (q, j, i), already checked
+    return next(((q, i, j) for q, row in enumerate(rows)
+                 for i in range(m) for j in range(m)
+                 if (j >= i or terms[i][j] != terms[j][i])
+                 and not _sum_is_product(terms[i][j], row, row, i, j)),
+                None)
+
+
 def verify_ring_homomorphisms(d: ModularDatum, t: FusionTable) -> CheckReport:
     """Each evaluation map is multiplicative, they are pairwise distinct,
     and no two basis elements evaluate identically."""
     rep = CheckReport("fusion-homomorphisms")
     m = d.size
     xi = _xi_matrix(d)
-    rows = [cyclo.Lifted(row) for row in xi]
-    terms = t.terms
-    # xi_q(b_i b_j) is the sum over the nonzero N_ij^k of N_ij^k xi_q(b_k);
-    # where b_i b_j = b_j b_i, the law at (q, i, j) for j < i is the one
-    # at (q, j, i), already checked
-    w = next(((q, i, j) for q, row in enumerate(rows)
-              for i in range(m) for j in range(m)
-              if (j >= i or terms[i][j] != terms[j][i])
-              and not _sum_is_product(terms[i][j], row, row, i, j)),
-             None)
+    w = _multiplicative_witness(d, t.terms, cyclo.get_conductor_limit())
     rep.add("multiplicative", w is None, w)
     w = next(
         (
@@ -309,22 +320,30 @@ def verify_ring_homomorphisms(d: ModularDatum, t: FusionTable) -> CheckReport:
 
 def duality_element(d: ModularDatum, t: FusionTable) -> FusionElement:
     """Sum over the basis of each element times its dual."""
-    m = d.size
-    coeffs = []
-    for k in range(m):
-        total = 0
-        for j in range(m):
-            total += t.coeff(j, d.star[j], k)
-        coeffs.append(cyclo.from_rational(total))
-    return FusionElement(tuple(coeffs))
+    return _duality_element(d, t.terms)
+
+
+def _duality_element(d: ModularDatum, terms: tuple) -> FusionElement:
+    coeffs = [0] * d.size
+    for j, dual in enumerate(d.star):
+        for k, n in terms[j][dual]:
+            coeffs[k] += n
+    return FusionElement(tuple(map(cyclo.from_rational, coeffs)))
 
 
 def idempotents(d: ModularDatum, t: FusionTable):
     """The primitive idempotents p_i, built from the evaluation maps and
     the duality element whose evaluations are n / n_i^2."""
+    return list(_idempotents(d, t.terms, cyclo.get_conductor_limit()))
+
+
+@derived
+def _idempotents(d: ModularDatum, terms: tuple, limit: int) -> tuple:
+    """The idempotents of the table of these sparse terms, kept as
+    _multiplicative_witness is."""
     m = d.size
     stats = basic_stats(d)
-    b_a = duality_element(d, t)
+    b_a = _duality_element(d, terms)
     xi = _xi_matrix(d)
     out = []
     for i in range(m):
@@ -339,7 +358,32 @@ def idempotents(d: ModularDatum, t: FusionTable):
             xi[i][d.star[j]] * scale for j in range(m)
         )
         out.append(FusionElement(coeffs))
-    return out
+    return tuple(out)
+
+
+def _absorbs_by_multiplicativity(d: ModularDatum, t: FusionTable, ps) -> bool:
+    """Whether every b_k p_i = xi_i(b_k) p_i follows from the
+    multiplicative law.  The constructed p_i is c_i (xi_i(b_j*))_j, so
+    where N_kj^l = N_kl*^j* for all j, k, l, coefficient l of b_k p_i is
+    c_i xi_i(b_k b_l*): absorption at (i, k, l) is the law at (i, k, l*).
+    So with the table reciprocal, each p_i the constructed one,
+    coefficient by coefficient, and no multiplicative witness, every p_i
+    absorbs.  No limit is checked here: the constructed p_i lie at the
+    lcm of the conductors of xi_i, where their construction summed under
+    this limit, and every absorption and multiplicative sum lies within
+    those lcms."""
+    m, star, coeffs = d.size, d.star, t.coeffs
+    if not all(coeffs[k][star[l]][star[j]] == n
+               for k in range(m) for j in range(m) for l, n in t.terms[k][j]):
+        return False
+
+    def key(p):
+        return [(x.conductor, x.den, x.nums) for x in p.coeffs]
+
+    limit = cyclo.get_conductor_limit()
+    built = _idempotents(d, t.terms, limit)
+    return (list(map(key, ps)) == list(map(key, built))
+            and _multiplicative_witness(d, t.terms, limit) is None)
 
 
 def verify_idempotent_laws(d: ModularDatum, t: FusionTable) -> CheckReport:
@@ -347,27 +391,29 @@ def verify_idempotent_laws(d: ModularDatum, t: FusionTable) -> CheckReport:
     maps, and absorbing multiplication by their eigenvalue.  Where p_j
     absorbs every b_k, p_i p_j = xi_j(p_i) p_j by bilinearity, so its
     idempotent and orthogonality laws are read off the values xi_j(p_i);
-    products with any other p_j are multiplied out."""
+    products with any other p_j are multiplied out.  Absorption itself is
+    read off the multiplicative law where _absorbs_by_multiplicativity
+    finds that it follows, and summed otherwise."""
     rep = CheckReport("idempotent-laws")
     m = d.size
     o = d.o
     ps = idempotents(d, t)
     xi = _xi_matrix(d)
-    # by_output[k][l]: the nonzero (j, N_kj^l); coefficient l of b_k x is
-    # the sum of N_kj^l x_j
-    by_output = [[[] for _ in range(m)] for _ in range(m)]
-    for k, j in product(range(m), repeat=2):
-        for l, n in t.terms[k][j]:
-            by_output[k][l].append((j, n))
     rows = [cyclo.Lifted(row) for row in xi]
     lifted = [cyclo.Lifted(p.coeffs) for p in ps]
     # unabsorbed[i]: the first k with b_k p_i != xi_i(b_k) p_i, or None
-    unabsorbed = []
-    for i, p in enumerate(lifted):
-        unabsorbed.append(next((k for k in range(m) if not all(
+    unabsorbed = [None] * m
+    if not _absorbs_by_multiplicativity(d, t, ps):
+        # by_output[k][l]: the nonzero (j, N_kj^l); coefficient l of b_k x
+        # is the sum of N_kj^l x_j
+        by_output = [[[] for _ in range(m)] for _ in range(m)]
+        for k, j in product(range(m), repeat=2):
+            for l, n in t.terms[k][j]:
+                by_output[k][l].append((j, n))
+        unabsorbed = [next((k for k in range(m) if not all(
             _sum_is_product(by_output[k][l], p, rows[i], k, l)
             for l in range(m)
-        )), None))
+        )), None) for i, p in enumerate(lifted)]
 
     def value(i, j):  # xi_j(p_i), compared by value only
         mij = lcm(lifted[i].conductor, rows[j].conductor)

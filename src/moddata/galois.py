@@ -207,7 +207,9 @@ def index_action(d: ModularDatum, q: int) -> GaloisPermutation:
 def _index_action(d: ModularDatum, q: int) -> tuple:
     """(the permutation of q, the first pair at which the image of S
     under q is not moved by it, see _first_moved).  The image is made
-    once, here, and not kept."""
+    once, here, and not kept; it is scanned only where the permutation
+    moves some label to one of another dimension, or S is not symmetric
+    in representation."""
     _, _, lookup = _lifted_s(d)
     image = _s_image(d, q)
     perm = []
@@ -220,7 +222,15 @@ def _index_action(d: ModularDatum, q: int) -> tuple:
         perm.append(matches[0])
     if sorted(perm) != list(range(d.size)):
         raise NoUniqueMatch("matched rows do not form a permutation")
-    return GaloisPermutation(q=q, perm=tuple(perm)), _first_moved(d, image, perm)
+    # row i of the image and row p(i) of S have one key once divided by
+    # n_i and n_p(i); where those are equal, so are the rows, and with S
+    # symmetric, its image is too, so image_ij = s_p(j)i = s_i,p(j)
+    dims = basic_stats(d).dims_int
+    if _s_symmetric(d) and all(dims[j] == n for j, n in zip(perm, dims)):
+        moved = None
+    else:
+        moved = _first_moved(d, image, perm)
+    return GaloisPermutation(q=q, perm=tuple(perm)), moved
 
 
 def _first_moved(d: ModularDatum, image, perm) -> tuple | None:

@@ -20,7 +20,10 @@ The laws that a symmetric S lets the library decide on the pairs j >= i
 (S^2, axiom 4, the images of S and the scans over them), the Verlinde
 sums it skips for triples holding the unit, and the extension family it
 decides on exponents keep their full routes here: every entry, every
-unordered triple and every CycloNum comparison.
+unordered triple and every CycloNum comparison.  So do the charges of
+the twelve extensions, which the library reads for three of the four
+ranks off the first rank's exponent: oracle_family_choices divides once
+per rank.
 """
 
 import json
@@ -30,7 +33,7 @@ from functools import lru_cache
 from itertools import combinations_with_replacement
 from math import gcd, lcm
 
-from moddata import axioms, cli, cyclo, fusion, galois, linalg
+from moddata import axioms, cli, cyclo, extension, fusion, galois, linalg
 from moddata.constructors import (
     classical_gauss_sum,
     radford_datum,
@@ -344,6 +347,17 @@ def oracle_enumerate_charges(d, rank):
     return found
 
 
+def oracle_family_choices(d):
+    """extension._family_choices with the charges of each rank that
+    extension.enumerate_ranks lists made by enumerate_charges, one
+    division of g / (n_o t_o D) per rank, in family order."""
+    return tuple(
+        (option.value, charge, option.is_rank)
+        for option in extension.enumerate_ranks(d)
+        for charge in extension.enumerate_charges(d, option.value)
+    )
+
+
 # -- the fusion-ring and Galois law checks by dense arithmetic ----------------
 #
 # Each law is checked as it is stated: associativity and the idempotent
@@ -354,14 +368,23 @@ def oracle_enumerate_charges(d, rank):
 
 def oracle_global_dimension_from_square(d):
     """axioms._global_dimension_from_square with all of S^2 made by one
-    linalg.mat_mul, whether S is symmetric or not."""
+    linalg.mat_mul, whether S is symmetric or not.  Entries off the
+    star-diagonal are compared with zero at their own conductors, and
+    those on it with n as rationals when n is rational."""
     m = d.size
     s2 = linalg.mat_mul(d.s_matrix, d.s_matrix)
     n = s2[d.o][d.star[d.o]]
     for i in range(m):
         for k in range(m):
-            if s2[i][k] != (n if k == d.star[i] else cyclo.zero(1)):
-                return None, (i, k, s2[i][k])
+            x = s2[i][k]
+            if k != d.star[i]:
+                equal = x.is_zero()
+            elif cyclo.is_rational(n) is not None:
+                equal = cyclo.is_rational(x) == cyclo.is_rational(n)
+            else:
+                equal = x == n
+            if not equal:
+                return None, (i, k, x)
     if n.is_zero():
         return None, ("n", "zero")
     return n, None

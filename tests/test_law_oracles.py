@@ -116,12 +116,15 @@ _CHANGED = [
 @pytest.mark.parametrize("commutative", [True, False])
 @pytest.mark.parametrize("name,d,entry", _CHANGED, ids=[c[0] for c in _CHANGED])
 def test_fusion_checks_match_their_oracles_on_a_changed_entry(
-    name, d, entry, commutative
+    monkeypatch, name, d, entry, commutative
 ):
     t = _changed(fusion_coefficients(d), *entry, commutative)
     for got, expected in _fusion_checks(d, t):
         assert got == expected
         assert not got["passed"]
+    # absorption, read off multiplicativity or summed, as its full route
+    got, full = _idempotent_routes(monkeypatch, d, t)
+    assert got == full
 
 
 def test_idempotent_laws_match_the_oracle_on_changed_idempotents(monkeypatch):
@@ -341,9 +344,15 @@ def test_analyze_galois_apply_count(monkeypatch):
 
 
 def test_idempotent_laws_multiply_nothing_on_valid_data(monkeypatch):
+    # nor make an absorption sum: with the multiplicative law checked,
+    # absorption is read off it
     calls = _counting(monkeypatch, fusion, "multiply")
     for name, d in _BUILT_IN:
-        assert verify_idempotent_laws(d, fusion_coefficients(d)).passed, name
+        t = fusion_coefficients(d)
+        assert verify_ring_homomorphisms(d, t).passed, name
+        sums = _counting(monkeypatch, fusion, "_sum_is_product")
+        assert verify_idempotent_laws(d, t).passed, name
+        assert sums == [], name
     assert calls == []
 
 
@@ -1104,6 +1113,9 @@ _SWEEP_DATA = _LIMIT_DATA + [
     # it is F(0, 2, 4) at 770, where the first without the unit would be
     # F(1, 2, 4) at 2310
     ("radford5-five-primes", _lifted(_R5, {0: 10, 1: 15, 2: 35, 4: 55}), None),
+    # s_33 at 55 in place of s_44: S^2 = nC is decided under a limit of
+    # 385 to 769 too, though s2_23, at 385, and n, at 10, lie within 770
+    ("radford5-four-primes", _lifted(_R5, {0: 10, 1: 15, 2: 35, 3: 55}), None),
 ]
 
 
@@ -1122,6 +1134,22 @@ def test_symmetric_routes_raise_where_the_full_routes_do(name, d, top):
     assert {"TooLarge", "done"} <= outcomes
 
 
+def test_global_dimension_compares_each_entry_at_its_own_conductor():
+    # a comparison of s2_23 with n by != would lift both to 770, which no
+    # sum of S^2 reaches
+    d = dict((name, d) for name, d, _ in _SWEEP_DATA)["radford5-four-primes"]
+    for limit in (385, 500, 769):
+        token = cyclo.set_conductor_limit(limit)
+        try:
+            n, witness = axioms._global_dimension_from_square.__wrapped__(_fresh(d))
+        finally:
+            cyclo.reset_conductor_limit(token)
+        assert (n, witness) == (5, None)
+    n = axioms._global_dimension_from_square(_fresh(d))[0]
+    s2 = oracles.oracle_mat_mul(d.s_matrix, d.s_matrix)
+    assert (n.conductor, s2[2][3].conductor) == (10, 385)
+
+
 def test_action_laws_keep_no_image_of_s():
     import tracemalloc
 
@@ -1137,3 +1165,174 @@ def test_action_laws_keep_no_image_of_s():
     # the 24 images of S hold 13.9 MiB; the lifted S, its row keys and the
     # 24 permutations kept on the datum 0.7 MiB
     assert retained < 2**20
+
+
+# -- laws from work the chain already did --------------------------------------
+#
+# Eigenvalue absorption is read off the multiplicative law, moves-s-entries
+# off the dimensions the permutation keeps, and the charges of -r, ir and
+# -ir off the exponent of the first rank's.  Each is compared with its full
+# route: the absorption sums, the scan of the image of S and one division
+# per rank.
+
+
+def _idempotent_routes(monkeypatch, d, t):
+    """(read off multiplicativity, full route) outcome of the idempotent
+    laws of t, each on a copy of d that has nothing derived yet."""
+    got = _outcome(verify_idempotent_laws, _fresh(d), t)
+    with monkeypatch.context() as m:
+        m.setattr(fusion, "_absorbs_by_multiplicativity", lambda *args: False)
+        return got, _outcome(verify_idempotent_laws, _fresh(d), t)
+
+
+def _moved_routes(d):
+    """(kept, full scan) of the first pair out of place for each unit
+    modulo N_o, or the exception of index_action."""
+    d = _fresh(d)
+    stats = _result(basic_stats, d)
+    if isinstance(stats, tuple) or not stats.integral:
+        return [(_result(galois.index_action, d, 1),
+                 _result(oracles.oracle_index_action, _fresh(d), 1))]
+    pairs = []
+    for q in galois.units_mod(stats.N_o):
+        got = _wire(lambda: galois._index_action(d, q)[1])
+        pairs.append((got, _wire(lambda: oracles.oracle_first_moved(
+            d, oracles.oracle_s_image(d, q), galois.index_action(d, q).perm))))
+    return pairs
+
+
+def _family_routes(d):
+    return (_wire(extension._family_choices.__wrapped__, _fresh(d)),
+            _wire(oracles.oracle_family_choices, _fresh(d)))
+
+
+@pytest.mark.parametrize("name,d", _BUILT_IN, ids=_IDS)
+def test_routes_from_earlier_work_match_their_full_routes(monkeypatch, name, d):
+    t = fusion_coefficients(_fresh(d))
+    got, full = _idempotent_routes(monkeypatch, d, t)
+    assert got == full and got["passed"]
+    for got, full in _moved_routes(d):
+        assert got == full
+    got, full = _family_routes(d)
+    assert got == full
+    if basic_stats(d).n_int is None:  # SU(2)_k for k > 1
+        assert got[0] == "NotIntegral"
+    else:
+        assert len(got) == 12
+
+
+@pytest.mark.parametrize("name,d,top", _LIMIT_DATA, ids=[c[0] for c in _LIMIT_DATA])
+def test_routes_from_earlier_work_match_under_every_limit(monkeypatch, name, d, top):
+    table = fusion_coefficients(_fresh(d)) if name[:4] != "ones" else None
+    outcomes = set()
+    for limit in _limits(d, top):
+        token = cyclo.set_conductor_limit(limit)
+        try:
+            pairs = [_family_routes(d)] + _moved_routes(d)
+            if table is not None:
+                pairs.append(_idempotent_routes(monkeypatch, d, table))
+        finally:
+            cyclo.reset_conductor_limit(token)
+        for got, full in pairs:
+            assert got == full, limit
+            outcomes.add(got[0] if isinstance(got, tuple) else "done")
+    # the ones data have no global dimension, and no integral ranks
+    assert {"TooLarge", "done"} <= outcomes or name[:4] == "ones"
+
+
+def test_absorption_falls_back_on_a_table_that_is_not_reciprocal(monkeypatch):
+    # S and T all ones: every xi_q(b_i) is 1, so the law is multiplicative
+    # for any table whose products each have one term, and each p_i is
+    # (1/3) sum b_j.  Here b_i b_j = b_0, and N_kj^0 = 1 != N_k0^j* for
+    # j != 0: b_k p_i = b_0, not p_i, which only the absorption sums find
+    one = cyclo.one(1)
+    d = ModularDatum(("0", "1", "2"), "0", (0, 2, 1), ((one,) * 3,) * 3, (one,) * 3)
+    t = FusionTable(size=3, coeffs=(((1, 0, 0),) * 3,) * 3)
+    assert verify_ring_homomorphisms(d, t)["multiplicative"].passed
+    got, full = _idempotent_routes(monkeypatch, d, t)
+    assert got == full == _outcome(oracles.oracle_verify_idempotent_laws, d, t)
+    assert not got["passed"]
+    assert {c["name"]: c.get("witness") for c in got["checks"]}["eigenvalue-absorption"] == [0, 0]
+
+
+def _dimension_swapping_datum():
+    """S = [[1, 1, 2], [1, i, -2i], [2, -2i, 4i]], dimensions 1, 1, 2, and
+    t = i off the unit: complex conjugation matches row 1 of its image with
+    row 2 of S once each is divided by its dimension, and row 2 with row
+    1, so q = 3 swaps labels of dimensions 1 and 2."""
+    one, i = cyclo.one(1), root_of_unity(4, 1)
+    s = ((one, one, 2 * one), (one, i, -2 * i), (2 * one, -2 * i, 4 * i))
+    return ModularDatum(("0", "1", "2"), "0", (0, 1, 2), s, (one, i, i))
+
+
+def test_moved_entries_fall_back_on_a_permutation_across_dimensions():
+    d = _dimension_swapping_datum()
+    assert axioms._s_symmetric(d) and basic_stats(d).dims_int == (1, 1, 2)
+    assert galois.index_action(d, 3).perm == (0, 2, 1)
+    for got, full in _moved_routes(d):
+        assert got == full
+    got = _outcome(verify_action_laws, _fresh(d))
+    assert got == _outcome(oracles.oracle_verify_action_laws, _fresh(d))
+    assert got["checks"][0] == {"name": "moves-s-entries", "passed": False,
+                                "witness": [3, 0, 1]}
+
+
+def _all_ones_t(d):
+    return ModularDatum(d.labels, d.unit, d.star, d.s_matrix, (cyclo.one(1),) * d.size)
+
+
+@pytest.mark.parametrize("name,d", [
+    ("radford3", _R3),
+    ("su2_3", su2_datum(3)),
+    # g = 3 with T = 1: w = 3 / sqrt(3) is not a root of unity
+    ("radford3-t-ones", _all_ones_t(_R3)),
+    ("radford3-s10-at-6", _ASYMMETRIC[0][1]),
+], ids=lambda x: x if isinstance(x, str) else "")
+def test_family_choices_raise_as_the_per_rank_route(name, d):
+    got, full = _family_routes(d)
+    assert got == full
+    expected = {"su2_3": "NotIntegral", "radford3-t-ones": "ChargeNotRootOfUnity"}
+    assert got[0] == expected[name] if name in expected else len(got) == 12
+
+
+def test_charges_check_the_rank_before_the_charge():
+    # 2 is no generalized rank of radford 3 with T = 1, whose charges are
+    # no roots of unity for any rank
+    d = _all_ones_t(_R3)
+    r = extension.enumerate_ranks(d)[0].value
+    assert _wire(extension.enumerate_charges, d, r)[0] == "ChargeNotRootOfUnity"
+    assert _wire(extension.enumerate_charges, d, 2 * r)[0] == "InvalidExtension"
+
+
+@pytest.mark.parametrize("degree", [1, 2, 4, 8, 16])
+def test_family_choices_fall_back_past_the_inverse_degree_bound(monkeypatch, degree):
+    # below the degree of the divisions by -r, ir and -ir their inverses
+    # raise TooLarge, and the family does where the per-rank route does
+    monkeypatch.setattr(cyclo, "MAX_INVERSE_DEGREE", degree)
+    outcomes = set()
+    for name, d in _BUILT_IN[:12]:
+        got, full = _family_routes(d)
+        assert got == full, name
+        outcomes.add(got[0] if isinstance(got[0], str) else "family")
+    assert outcomes == ({"TooLarge", "family"} if degree < 16 else {"family"})
+
+
+def test_family_choices_fall_back_under_a_limit_below_the_later_divisions():
+    # radford 5 with t_0 stored at 15: g and the first division lie at 15,
+    # ir = i sqrt(5) at 20, and the division by it at 60, which a limit
+    # from 20 to 59 refuses only there
+    t = list(_R5.t_diag)
+    t[0] = t[0].lift(15)
+    d = ModularDatum(_R5.labels, _R5.unit, _R5.star, _R5.s_matrix, tuple(t))
+    for limit in range(1, 62):
+        token = cyclo.set_conductor_limit(limit)
+        try:
+            got, full = _family_routes(d)
+        finally:
+            cyclo.reset_conductor_limit(token)
+        assert got == full, limit
+        if limit < 60:
+            reached = 15 if limit < 15 else 20 if limit < 20 else 60
+            assert got == ("TooLarge", f"conductor {reached} exceeds limit {limit}")
+        else:
+            assert len(got) == 12

@@ -356,3 +356,14 @@ def test_write_json_leaves_no_garbage_for_the_cycle_collector():
     finally:
         if enabled:
             gc.enable()
+
+
+def test_write_json_writes_an_analysis_payload_without_json_dumps(monkeypatch):
+    # its booleans and nulls are written by the writer itself; the bytes
+    # are json.dumps's, taken before the count starts
+    expected = _analysis_text()
+    calls = []
+    real = json.dumps
+    monkeypatch.setattr(json, "dumps", lambda *a, **k: calls.append(1) or real(*a, **k))
+    assert _run(["analyze", "gen:semion", "--json"]) == (0, expected)
+    assert calls == []
