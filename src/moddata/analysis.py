@@ -2,10 +2,14 @@
 
 ``build_analysis`` runs the full analysis chain on a datum and bundles
 its verdicts, and the handlers here implement every command but
-``congruence`` and ``lift-search``.  ``moddata.cli`` keeps the parser,
-``main``, the datum wire format and the two congruence handlers, and
-imports this module when one of these commands runs, so a cold
-congruence request never compiles it.
+``congruence`` and ``lift-search``.  A handler takes the parsed
+arguments, and the datum for a command that names one, and returns the
+command's payload; ``gen`` writes its datum to ``out`` itself.
+``moddata.cli.main`` loads the datum, prints the payload and maps its
+"passed" to the exit status.  ``moddata.cli`` also keeps the parser,
+the datum wire format and the two congruence handlers, and imports
+this module only when one of these commands runs, so a cold congruence
+request never compiles it.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from fractions import Fraction
 # each call, so a wrapper installed on those modules sees these calls
 from . import axioms, cli, cyclo, datum as datum_mod, extension
 from .datum import ModularDatum
-from .errors import ModdataError, NotIntegral
+from .errors import NotIntegral
 from .report import CheckReport, Frozen, Record, jsonable
 
 BUNDLE_SCHEMA = "moddata-bundle/1"
@@ -37,12 +41,9 @@ class AnalysisBundle(Record):
 
     @property
     def passed(self) -> bool:
-        for verdict in self.verdicts.values():
-            if isinstance(verdict, CheckReport) and not verdict.passed:
-                return False
-            if isinstance(verdict, dict) and verdict.get("passed") is False:
-                return False
-        return True
+        return all(
+            v.passed for v in self.verdicts.values() if isinstance(v, CheckReport)
+        )
 
     def to_json(self) -> dict:
         return {
@@ -83,10 +84,7 @@ def build_analysis(
     galois_projective = False
     try:
         verdicts["galois-action-laws"] = galois.verify_action_laws(d)
-        galois_ok, witness = galois.is_galois_datum(d)
-        gal_rep = CheckReport("galois-datum")
-        gal_rep.add("twist-condition", galois_ok, witness)
-        verdicts["galois-datum"] = gal_rep
+        verdicts["galois-datum"] = galois_rep = galois_datum_check(d)
         verdicts["fusion-symbol-analysis"] = galois.fusion_symbol_analysis(d)
         index_rep = CheckReport("verlinde-field-index")
         index_rep.add(
@@ -102,7 +100,7 @@ def build_analysis(
             projective_verdict = extension._projective_check(
                 d, stats.N_o, max_group_order
             ).projective_factors
-            galois_projective = bool(projective_verdict) and galois_ok
+            galois_projective = bool(projective_verdict) and galois_rep.passed
         verdicts["divisibility"] = galois.arithmetic_divisibility_checks(
             d, galois_projective_congruence=galois_projective
         )
@@ -126,12 +124,7 @@ def build_analysis(
                 "gauss-squared-power-observed", True, value=squared
             )
             verdicts["central-charge-powers"] = charge_rep
-            charges = {}
-            for idx, e in enumerate(family):
-                try:
-                    charges[str(idx)] = extension.additive_charge(e)
-                except ModdataError:
-                    charges[str(idx)] = None
+            charges = {str(i): cli._additive_charge(e) for i, e in enumerate(family)}
             congruence_rep = CheckReport("congruence")
             congruence_rep.add(
                 "projective-at-normalized-exponent",
@@ -153,6 +146,16 @@ def build_analysis(
         skip.add("skipped-not-integral", True, value=str(exc))
         verdicts["galois-suite"] = skip
     return bundle
+
+
+def galois_datum_check(d: ModularDatum) -> CheckReport:
+    """The twist condition of a Galois datum, with its witness."""
+    from . import galois
+
+    ok, witness = galois.is_galois_datum(d)
+    rep = CheckReport("galois-datum")
+    rep.add("twist-condition", ok, witness)
+    return rep
 
 
 def extension_family_check(d: ModularDatum) -> CheckReport:
@@ -240,32 +243,22 @@ def congruence_classify(
 # -- subcommand implementations ----------------------------------------------
 
 
-def _cmd_validate(args, out) -> int:
-    d = cli.load_datum(args.datum)
+def _cmd_validate(args, d: ModularDatum) -> dict:
     rep = axioms.validate_axioms(d)
-    payload = {"verdicts": {"axioms": jsonable(rep)}, "passed": rep.passed}
-    cli._emit(payload, args.json, out)
-    return 0 if rep.passed else 1
+    return {"verdicts": {"axioms": jsonable(rep)}, "passed": rep.passed}
 
 
-def _cmd_analyze(args, out) -> int:
-    d = cli.load_datum(args.datum)
-    bundle = build_analysis(
-        d,
-        extensions=args.extensions,
-        max_group_order=args.max_group_order,
-    )
-    payload = bundle.to_json()
-    cli._emit(payload, args.json, out)
-    return 0 if bundle.passed else 1
+def _cmd_analyze(args, d: ModularDatum) -> dict:
+    return build_analysis(
+        d, extensions=args.extensions, max_group_order=args.max_group_order
+    ).to_json()
 
 
-def _cmd_fusion_table(args, out) -> int:
+def _cmd_fusion_table(args, d: ModularDatum) -> dict:
     from . import fusion
 
-    d = cli.load_datum(args.datum)
     table = fusion.fusion_coefficients(d)
-    payload = {
+    return {
         "labels": list(d.labels),
         "coefficients": [
             [list(row) for row in plane] for plane in table.coeffs
@@ -273,56 +266,48 @@ def _cmd_fusion_table(args, out) -> int:
         "violations": jsonable(list(table.violations)),
         "passed": not table.violations,
     }
-    if args.json:
-        cli._emit(payload, True, out)
-    else:
-        labels = d.labels
-        width = max(2, max(len(x) for x in labels) + 1)
-        for i, lab_i in enumerate(labels):
-            print(f"N[{lab_i}, -, -]:", file=out)
-            header = " " * width + "".join(f"{lab:>{width}}" for lab in labels)
-            print(header, file=out)
-            for j, lab_j in enumerate(labels):
-                row = "".join(
-                    f"{table.coeff(i, j, k):>{width}}" for k in range(d.size)
-                )
-                print(f"{lab_j:>{width}}" + row, file=out)
-            print(file=out)
-    return 0 if not table.violations else 1
 
 
-def _cmd_galois_check(args, out) -> int:
+def _render_fusion_table(payload: dict, out) -> None:
+    """The text form of fusion-table: the plane N[i, -, -] of each label."""
+    labels = payload["labels"]
+    width = max(2, max(len(x) for x in labels) + 1)
+    header = " " * width + "".join(f"{lab:>{width}}" for lab in labels)
+    for lab_i, plane in zip(labels, payload["coefficients"]):
+        print(f"N[{lab_i}, -, -]:", file=out)
+        print(header, file=out)
+        for lab_j, row in zip(labels, plane):
+            cells = "".join(f"{x:>{width}}" for x in row)
+            print(f"{lab_j:>{width}}{cells}", file=out)
+        print(file=out)
+
+
+def _cmd_galois_check(args, d: ModularDatum) -> dict:
     from . import galois
 
-    d = cli.load_datum(args.datum)
     laws = galois.verify_action_laws(d)
-    galois_ok, witness = galois.is_galois_datum(d)
-    gal_rep = CheckReport("galois-datum")
-    gal_rep.add("twist-condition", galois_ok, witness)
+    galois_rep = galois_datum_check(d)
     perms = {
         str(q): list(galois.index_action(d, q).perm)
         for q in galois.units_mod(datum_mod.basic_stats(d).N_o)
     }
-    payload = {
+    return {
         "verdicts": {
             "galois-action-laws": jsonable(laws),
-            "galois-datum": jsonable(gal_rep),
+            "galois-datum": jsonable(galois_rep),
         },
         "permutations": perms,
         "field_index": galois.verlinde_field_index(d),
-        "passed": laws.passed and galois_ok,
+        "passed": laws.passed and galois_rep.passed,
     }
-    cli._emit(payload, args.json, out)
-    return 0 if payload["passed"] else 1
 
 
-def _cmd_symbols(args, out) -> int:
+def _cmd_symbols(args, d: ModularDatum) -> dict:
     from . import galois
 
-    d = cli.load_datum(args.datum)
     table = galois.fusion_symbol_table(d)
     analysis = galois.fusion_symbol_analysis(d)
-    payload = {
+    return {
         "modulus": table.modulus,
         "symbols": {
             str(q): jsonable(v) for q, v in sorted(table.values.items())
@@ -330,24 +315,19 @@ def _cmd_symbols(args, out) -> int:
         "verdicts": {"fusion-symbol-analysis": jsonable(analysis)},
         "passed": analysis.passed,
     }
-    cli._emit(payload, args.json, out)
-    return 0 if analysis.passed else 1
 
 
-def _cmd_extensions(args, out) -> int:
-    d = cli.load_datum(args.datum)
+def _cmd_extensions(args, d: ModularDatum) -> dict:
     family = extension.extension_family(d)
     check = extension_family_check(d)
-    payload = {
+    return {
         "extensions": [cli._extension_entry(e, i) for i, e in enumerate(family)],
         "verdicts": {"extension-family": jsonable(check)},
         "passed": check.passed,
     }
-    cli._emit(payload, args.json, out)
-    return 0 if check.passed else 1
 
 
-def _cmd_gen(args, out) -> int:
+def _cmd_gen(args, out) -> None:
     if args.kind == "radford":
         from . import constructors
 
@@ -362,10 +342,9 @@ def _cmd_gen(args, out) -> int:
             handle.write(text)
     else:
         out.write(text)
-    return 0
 
 
-def _cmd_gauss_sum(args, out) -> int:
+def _cmd_gauss_sum(args) -> dict:
     from . import constructors
 
     cli._positive("--n", args.n)
@@ -388,25 +367,16 @@ def _cmd_gauss_sum(args, out) -> int:
             payload["jacobi_symbol"] = jac
             payload["twist_matches_jacobi"] = agrees
             payload["passed"] = payload["passed"] and agrees
-    cli._emit(payload, args.json, out)
-    return 0 if payload["passed"] else 1
+    return payload
 
 
-def _cmd_cocycle(args, out) -> int:
+def _cmd_cocycle(args) -> dict:
     from . import constructors
 
     cli._positive("--n", args.n)
     c = constructors.cocycle_omega(args.n, args.zeta)
-    if args.check:  # refused, if at all, before the table is printed
-        ok, witness = constructors.verify_3cocycle(c)
-    payload = {
-        "n": args.n,
-        "zeta_exponent": args.zeta,
-        "table": c.table,
-    }
+    payload = {"n": args.n, "zeta_exponent": args.zeta, "table": c.table}
     if args.check:
-        payload["cocycle_identity"] = ok
-        payload["witness"] = jsonable(witness)
-        payload["passed"] = ok
-    cli._emit(payload, args.json, out)
-    return 0 if payload.get("passed", True) else 1
+        ok, witness = constructors.verify_3cocycle(c)
+        payload.update(cocycle_identity=ok, witness=jsonable(witness), passed=ok)
+    return payload

@@ -1,8 +1,8 @@
 """Command-line front end and the datum wire format.
 
-Commands are thin shells over the library: each one assembles the same
-payload a direct library call produces and prints it as text or JSON.
-Exit codes: 0 all asserted checks passed, 1 a check failed, 2 usage or
+A handler maps its arguments, and the datum ``main`` loads if the command
+names one, to the payload a library call makes; ``main`` prints it as
+text or JSON.  Exit codes: 0 the payload passed, 1 it failed, 2 usage or
 malformed input, 3 a resource bound was exceeded.
 
 This module holds what a cold ``congruence`` or ``lift-search`` request
@@ -164,7 +164,7 @@ def parse_datum(text: str) -> ModularDatum:
     offending node."""
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError or too many digits
         raise SchemaError("$", f"invalid JSON: {exc}") from exc
     except RecursionError:
         raise SchemaError("$", "invalid JSON: nested too deeply") from None
@@ -287,24 +287,21 @@ def load_datum(ref: str) -> ModularDatum:
 
 
 def _render_report_text(payload: dict, out) -> None:
-    def line(text=""):
-        print(text, file=out)
-
     verdicts = payload.get("verdicts", {})
     report = payload.get("report")
     if report:
-        line("derived quantities:")
+        print("derived quantities:", file=out)
         for key in ("n", "N", "N_o", "dims", "g", "g_rec", "normalized", "integral"):
             if key in report:
-                line(f"  {key} = {_value_text(report[key])}")
+                print(f"  {key} = {_value_text(report[key])}", file=out)
     for name, value in payload.items():
         if name in ("verdicts", "report", "datum", "schema", "passed"):
             continue
-        line(f"{name} = {_value_text(value)}")
+        print(f"{name} = {_value_text(value)}", file=out)
     for name, verdict in verdicts.items():
         if isinstance(verdict, dict) and "checks" in verdict:
             status = "PASS" if verdict.get("passed") else "FAIL"
-            line(f"[{status}] {name}")
+            print(f"[{status}] {name}", file=out)
             for check in verdict["checks"]:
                 mark = "ok" if check.get("passed") else "FAIL"
                 extra = ""
@@ -312,11 +309,11 @@ def _render_report_text(payload: dict, out) -> None:
                     extra = f" = {_value_text(check['value'])}"
                 if not check.get("passed") and "witness" in check:
                     extra += f" ; witness: {_value_text(check['witness'])}"
-                line(f"    {mark:4} {check['name']}{extra}")
+                print(f"    {mark:4} {check['name']}{extra}", file=out)
         else:
-            line(f"[info] {name}: {_value_text(verdict)}")
+            print(f"[info] {name}: {_value_text(verdict)}", file=out)
     if "passed" in payload:
-        line(f"overall: {'PASS' if payload['passed'] else 'FAIL'}")
+        print(f"overall: {'PASS' if payload['passed'] else 'FAIL'}", file=out)
 
 
 def _value_text(value) -> str:
@@ -330,27 +327,23 @@ def _value_text(value) -> str:
     return str(value)
 
 
-def _emit(payload: dict, as_json: bool, out) -> None:
-    if as_json:
-        print(write_json(payload), file=out)
-    else:
-        _render_report_text(payload, out)
-
-
 # -- the congruence commands; the others are in moddata.analysis --------------
 
 
-def _extension_entry(e, idx):
+def _additive_charge(e):
     try:
-        charge = extension.additive_charge(e)
+        return extension.additive_charge(e)
     except ModdataError:
-        charge = None
+        return None
+
+
+def _extension_entry(e, idx):
     return {
         "index": idx,
         "rank": jsonable(e.rank),
         "charge": jsonable(e.charge),
         "is_rank": e.is_rank,
-        "additive_charge_mod_24": charge,
+        "additive_charge_mod_24": _additive_charge(e),
     }
 
 
@@ -372,8 +365,7 @@ def _lift_search(d: ModularDatum, level: int, args) -> dict:
     }
 
 
-def _cmd_congruence(args, out) -> int:
-    d = load_datum(args.datum)
+def _cmd_congruence(args, d: ModularDatum) -> dict:
     level = _level(args, d)
     projective = extension._projective_check(d, level, args.max_group_order)
     payload = {
@@ -386,16 +378,12 @@ def _cmd_congruence(args, out) -> int:
     }
     if not args.projective:
         payload["lift_search"] = _lift_search(d, level, args)
-    _emit(payload, args.json, out)
-    return 0 if payload["passed"] else 1
+    return payload
 
 
-def _cmd_lift_search(args, out) -> int:
-    d = load_datum(args.datum)
+def _cmd_lift_search(args, d: ModularDatum) -> dict:
     level = _level(args, d)
-    payload = {"level": level, **_lift_search(d, level, args), "passed": True}
-    _emit(payload, args.json, out)
-    return 0
+    return {"level": level, **_lift_search(d, level, args), "passed": True}
 
 
 # -- argument parsing ---------------------------------------------------------
@@ -555,7 +543,17 @@ def main(argv=None, out=None) -> int:
             from . import analysis
 
             func = getattr(analysis, func)
-        return func(args, out)
+        if args.command == "gen":  # it writes its own output
+            func(args, out)
+            return 0
+        payload = func(args, load_datum(args.datum)) if "datum" in args else func(args)
+        if args.json:
+            print(write_json(payload), file=out)
+        elif args.command == "fusion-table":  # a table, not a report
+            analysis._render_fusion_table(payload, out)
+        else:
+            _render_report_text(payload, out)
+        return 0 if payload.get("passed", True) else 1  # cocycle's may not say
     except TooLarge as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -66,9 +66,9 @@ from moddata.report import CheckReport
 def built_in_data():
     """(name, datum) for each built-in datum the differential tests run
     over: every Galois conjugate of radford 3 to 9, radford 11, the
-    products semion x semion and radford 3 x semion, and SU(2)_k for
-    k <= 6, whose fusion products have up to k/2 + 1 terms where every
-    other datum here has one."""
+    products semion x semion and radford 3 x semion, SU(2)_k for k <= 6,
+    whose fusion products have up to k/2 + 1 terms where every other
+    datum here has one, and radford 3 x semion with its unit moved last."""
     data = [("trivial", trivial_datum()), ("semion", semion_datum())]
     for n in (3, 5, 7, 9):
         data += [
@@ -78,11 +78,25 @@ def built_in_data():
         ]
     data.append(("radford11", radford_datum(11)))
     data.append(("semion2", kronecker_product(semion_datum(), semion_datum())))
-    data.append(
-        ("radford3*semion", kronecker_product(radford_datum(3), semion_datum()))
-    )
+    product = kronecker_product(radford_datum(3), semion_datum())
+    data.append(("radford3*semion", product))
     data += [(f"su2_{k}", su2_datum(k)) for k in range(1, 7)]
+    # every other datum here has its unit at index 0
+    data.append(("radford3*semion-unit-last", unit_last(product)))
     return data
+
+
+def unit_last(d):
+    """d with its labels reordered so that the unit is the last one."""
+    order = [i for i in range(d.size) if i != d.o] + [d.o]
+    where = {old: new for new, old in enumerate(order)}
+    return ModularDatum(
+        labels=tuple(d.labels[i] for i in order),
+        unit=d.unit,
+        star=tuple(where[d.star[i]] for i in order),
+        s_matrix=tuple(tuple(d.s_matrix[i][j] for j in order) for i in order),
+        t_diag=tuple(d.t_diag[i] for i in order),
+    )
 
 
 def oracle_cyclic_datum(n):

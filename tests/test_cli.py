@@ -276,6 +276,16 @@ def test_cli_extensions_listing():
     assert charges == [1, 3, 5, 7, 9, 11, 13, 15, 17, 19, 21, 23]
 
 
+def test_cli_extensions_of_a_non_integral_datum_have_no_additive_charge():
+    # su2_2 has central charge 3/2, so no member's charge is a 24th root
+    # of unity: each additive charge is null, and the family laws pass
+    code, text = run_cli(["extensions", "gen:su2:2", "--json"])
+    assert code == 0
+    payload = json.loads(text)
+    assert payload["passed"] is True
+    assert [e["additive_charge_mod_24"] for e in payload["extensions"]] == [None] * 12
+
+
 def test_cli_fusion_table_text():
     code, text = run_cli(["fusion-table", "gen:semion"])
     assert code == 0
@@ -688,6 +698,34 @@ def test_deeply_nested_json_is_usage_error(command, tmp_path, capsys):
     _one_line_error(capsys, "error: $: invalid JSON: nested too deeply")
 
 
+# every command that reads a datum file, the file's path to come last
+_DATUM_COMMANDS = [
+    ["validate"], ["analyze"], ["fusion-table"], ["galois-check"], ["symbols"],
+    ["extensions"], ["congruence", "--level", "4"], ["lift-search", "--level", "4"],
+    ["gen", "product", "gen:semion"],
+]
+
+
+@pytest.mark.skipif(cyclo._max_digits() == 0, reason="int() converts any length")
+@pytest.mark.parametrize("site", [("S", 0, 0, "conductor"), ("T", 1, "coeffs", 0)])
+@pytest.mark.parametrize("command", _DATUM_COMMANDS)
+def test_integer_literal_past_the_digit_limit_is_usage_error(
+    site, command, tmp_path, capsys
+):
+    # json.loads refuses it with a plain ValueError, not a JSONDecodeError
+    obj = serialize_datum(semion_datum())
+    node = obj
+    for key in site[:-1]:
+        node = node[key]
+    node[site[-1]] = "@"
+    path = tmp_path / "digits.json"
+    path.write_text(json.dumps(obj).replace('"@"', "7" * 5000))
+    code, text = run_cli([*command, str(path)])
+    assert code == 2
+    assert text == ""
+    _one_line_error(capsys, "error: $: invalid JSON: Exceeds the limit")
+
+
 _HUGE = 2**61 - 1  # prime: factorising it by trial division never ends
 
 
@@ -976,9 +1014,53 @@ def test_huge_level_is_resource_error():
     )
 
 
-# sha256 of stdout and the exit code of the commands that run the projective
-# check and the lift search, on five data files: pinned on the code before the
-# check was put behind one function, so any change to these bytes shows here
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["validate", "gen:semion"], ["analyze", "gen:semion"],
+        ["fusion-table", "gen:radford:3"], ["galois-check", "gen:semion"],
+        ["symbols", "gen:semion"], ["extensions", "gen:semion"],
+        ["congruence", "gen:semion", "--level", "2"],
+        ["lift-search", "gen:semion", "--level", "4"],
+        ["gauss-sum", "--n", "7"], ["cocycle", "--n", "3"],
+    ],
+)
+def test_a_handler_returns_the_payload_main_prints(argv, monkeypatch):
+    # the handler neither loads the datum nor prints: main does both, and
+    # maps the payload's "passed" to the exit status
+    from moddata import analysis, extension
+
+    monkeypatch.delenv(cli.ENV_MAX_GROUP_ORDER, raising=False)
+    code, text = run_cli([*argv, "--json"])
+    args = cli.build_parser().parse_args([*argv, "--json"])
+    if "max_group_order" in args:
+        args.max_group_order = extension.DEFAULT_MAX_GROUP_ORDER
+    func = args.func if callable(args.func) else getattr(analysis, args.func)
+    if "datum" in args:
+        payload = func(args, load_datum(args.datum))
+    else:
+        payload = func(args)
+    assert type(payload) is dict
+    assert text == cli.write_json(payload) + "\n"
+    assert code == (0 if payload.get("passed", True) else 1)
+
+
+def test_gen_writes_its_own_output_and_returns_nothing():
+    from moddata import analysis
+
+    out = io.StringIO()
+    args = cli.build_parser().parse_args(["gen", "semion"])
+    assert analysis._cmd_gen(args, out) is None
+    assert out.getvalue() == run_cli(["gen", "semion"])[1]
+
+
+# sha256 of stdout and the exit code of each command on seven data files.  The
+# first six commands, which run the projective check and the lift search, were
+# pinned on the code before the check was put behind one function; the text and
+# JSON forms of the other datum commands, and the su2_2 and semion-t8 data,
+# before the handlers returned their payloads to main.  The su2_2 datum is not
+# integral, and semion-t8, the semion with an order-8 twist, fails its axioms,
+# so every exit code is pinned with its output
 _PINNED_COMMANDS = (
     ("analyze", "--extensions", "--json"),
     ("congruence",),
@@ -986,6 +1068,12 @@ _PINNED_COMMANDS = (
     ("congruence", "--level", "2"),
     ("congruence", "--level", "2", "--json"),
     ("lift-search", "--json"),
+) + tuple(
+    (command, *flags)
+    for command in (
+        "validate", "analyze", "fusion-table", "galois-check", "symbols", "extensions"
+    )
+    for flags in ((), ("--json",))
 )
 _PINNED_DATA = {
     "trivial": constructors.trivial_datum,
@@ -993,6 +1081,11 @@ _PINNED_DATA = {
     "radford3": lambda: radford_datum(3),
     "radford5-zeta2": lambda: radford_datum(5, 2),
     "semion-semion": lambda: kronecker_product(semion_datum(), semion_datum()),
+    "su2_2": lambda: constructors.su2_datum(2),
+    "semion-t8": lambda: ModularDatum(
+        ("0", "1"), "0", (0, 1), semion_datum().s_matrix,
+        (cyclo.one(1), cyclo.root_of_unity(8, 1)),
+    ),
 }
 _PINNED_BYTES = {
     "trivial": (
@@ -1002,6 +1095,18 @@ _PINNED_BYTES = {
         (0, "e80f2c6dd38e9a23e826f9eda860bc80d41facf70ba9f1f1eb1c4918f7343f40"),
         (0, "27bf521b60d2e2767cc3fdc6e59227b3fff6317094f3022ed6d239da61214158"),
         (0, "0f5bc78273e5cc110bfec185fb22ddb5c4f890b8555cd818897a2b5a33ac628d"),
+        (0, "98645032b89a19cba4da9918b9a0b63353eec6fe836a083be50bafaac08d1337"),
+        (0, "2ff1c75848509b3c6e51026230a14d56d6b33ca400aa2fad0880b3b43696a5ea"),
+        (0, "36e890e171ffdaec4a4fd192a2f9d33890b61a6a17d9ca3eaa9cce5c4208b818"),
+        (0, "816d0befc03d7b80b7416ea13c722d18511d939e7bcbd78423ef92bea3eef812"),
+        (0, "89745a13fcf2cc84e757ff6fb570ca7960f3b0902d83c2a6c262a7c6754a14fb"),
+        (0, "ef48ae160c13461b8adc8862a944bb79a874c9c9cff06d062eabbcd403daa311"),
+        (0, "1817ffdd290b72a89ada5a8a8c774589f205760374b0b9d90a4fb1024cb6b7f7"),
+        (0, "e2ba82af8892f270a8e7ff4a375b45e2f0ea5a0e88b3607d0b69c8974bb0e69a"),
+        (0, "17899ed7749ee3a881224c410bb3b9e51d4564f2b32fbd7039817c6b5df0146e"),
+        (0, "2512a7c121aade9a3612aae9c3c72d80df10c458e60e6a94ebdfdff2bd58f6bb"),
+        (0, "de0894d8a2a2c99ac491f61efe7e6c6fab485358089534e2c783af87f7e02c7a"),
+        (0, "14295dbc97f3524f16c29046236b30cdebdb8fbe265676a8be2c2f1dc1087810"),
     ),
     "semion": (
         (0, "2fa9efd17386c2e2fd6660befb204de86e54aae99849461b770bc50578dd74db"),
@@ -1010,6 +1115,18 @@ _PINNED_BYTES = {
         (1, "01fe568c70704d0c143c2295754fb1ae2a4d7f458d0e4727c977fd5cd70a7c19"),
         (1, "27ed956695a856621091395136b7bde457638f9fc9e46a7a5313014f8413920e"),
         (0, "666cee06b5fa06a1b3188e9ba0b0ebc76308b08841b40bb597d2163accd0b043"),
+        (0, "c5552936355326a62d507e153e66f3f463bd4110cfeebcb0a5c19da5cf2045ef"),
+        (0, "8904b5d46a2555ae5403bd4a0d23eee880159d5df56242bbc366d4d20255bbc0"),
+        (0, "bd9e2e9c044fc161a2095d841a0995f2f1504c0c560ad398231cb09e39cf91c0"),
+        (0, "7cc772464c6c219545bb78bda49bdbb24ce1018d52a4a2311ff72636f3a6a68d"),
+        (0, "cca81f3bb34479095fca284491fad40173734a0c8bf67a88c11962f9af0c7627"),
+        (0, "e9ecbf07a401614b6c5e9464bb9c6e8a17e68eb173b0e41ed77af0f75d8f9ca5"),
+        (0, "0ddb0cc86c463b8279f0f296aac9485fe07c9a873e6920134e8ca88439fcb649"),
+        (0, "9a67071783bcbbe288ba4a7eeaf0e19d23f0b519659f3dfb43e43770dc90ec14"),
+        (0, "8a6b9d269f284c0dd88e4adea8d291c11349974cc1fb5e317afa6c52cb3f0557"),
+        (0, "5de2e5ff2ee30b26d13b3c5ca6188a373405576a3071337ef4965bb7a243502d"),
+        (0, "7968787f335e5959ec25f4b56b66a36cadb8d180b931c16b1eea0d6a73194e67"),
+        (0, "27a14e93cee092ed55559f27772133e5f76b411c8440002a9baee619af1d7b11"),
     ),
     "radford3": (
         (0, "bba6322e597242554715a0e2ade160601715f1cf2e0c064b78ff89e1d2f7a093"),
@@ -1018,6 +1135,18 @@ _PINNED_BYTES = {
         (1, "d760647e300a07edd433897e5aad07a8329d91a6279ff3951308752a9aefcf59"),
         (1, "3110d6ed060de524a07a1ff7c9fc6855124f0dd8c88f23a221d78fc0ec98b5a4"),
         (0, "ef5a809a36bd7b6a1ac04e128a2cbe4ff3cd82e8fc5ea234f212ffa102237c85"),
+        (0, "3fc80865b5885c7f636421065f49b15328c63354e4188dae25b124fada4d606b"),
+        (0, "a51d1747c7f0098685feabb4d8055dcb2ed989035d847a96fa44075f8e436486"),
+        (0, "b7237dd9dcdb49c07f8403b695902095d253831ca9397f18757c17cd9dedd98a"),
+        (0, "3699868318d19805d1c4e0951096cf93f6acc8d6c116852b658618cdc25f622e"),
+        (0, "6b33753e32b0a97a85f24c22d8e67f709d0e00d2631c343d5e238b7f79d929ec"),
+        (0, "586699c3168c0e02438f47f41aeae4b1a0722306770507d9433e121e096ee6d1"),
+        (0, "07fc6e3f3055e0c3ae7ad269de6b94dfbb34e611280270dd942f7e6944e69010"),
+        (0, "21288285d23ba31e26ad2be121d2caecf46ad5f77cf32c01c6ba27d68eb3e3d6"),
+        (0, "6a746a2782c3a1a72fea4c0f8c2e303b8abf8443584ad7378771cd42dee8ad7f"),
+        (0, "1018d56985e43fe4370daa6a8fdd109482577f784be34c16274d2d857ea32b2a"),
+        (0, "d396eee5de29a43a6de60fde95d337df383f4b5534e672344a39d1a407edd40e"),
+        (0, "03f128ed8c3211a077043ddd08732ba5f0eea2e711fb4b5fa25a8fc97cc1868b"),
     ),
     "radford5-zeta2": (
         (0, "31aef372e59ba43929e2cbafb2c640d3d2e8fc78d924b254be05d8c2928a83b2"),
@@ -1026,6 +1155,18 @@ _PINNED_BYTES = {
         (1, "abc5b0eb7d3bc3b88301db5f19a8ebf285a1c2151e8d1da38c76e09aeadefa1b"),
         (1, "d54cd41b869ff2d2a60213abe2a96e0e9714cd72ff2a4c92255d41b2befb5962"),
         (0, "78f36348704b312127509ae597e9503dca5abf4bd17f58371303ebdc7c80821e"),
+        (0, "ede34c581d16b9d7b946fb507ed15227cd11d307e472bb9f810bf8f25aab75b5"),
+        (0, "9fea67d3a6371222b68091c20993286d460e9e6235209d0e33706299cf5f1db5"),
+        (0, "723dac1f098f38cc05e9983e5e7688fb990194e08dab25ef4710c98e55702d27"),
+        (0, "eb44014a26a79705e914c2ce1aaabfec5ea50b54181382d251b6b65491853aea"),
+        (0, "61c2981ff37391685038c4be04a59bf68667a5967349e5e88019ce493f3d1f73"),
+        (0, "642c8455a653bafb378fa47ad0b0184f4aa6d7f29147885e3a42dd131c5fd072"),
+        (0, "b4d3c2dc91261610d348b4727e2ea38c66da81686de8b87ee96abd3fcb316a5d"),
+        (0, "f8bbd430bfc4b1508c03bab0caa408f1eb6254ee14ef1e115e7ae4de73b29226"),
+        (0, "fb54ee4eff5afd913d60f36b087071a6bf45e1fa78b84d1c9dcd62ef38585f59"),
+        (0, "01cd257e35549931972ee9aaa6f6cc591411d2438f4c6363b8f9d922c8d38c89"),
+        (0, "2c463f141d83021deae5d0987e638b2ce1a7e348d0c28750f0072902c9e45348"),
+        (0, "e70b0cdb81fb92a633d32e454cbb79b4d9c52331c0bd14eafef713d3a516b8a8"),
     ),
     "semion-semion": (
         (0, "29b43cdb6bcc62baa610239066e8806f85aff7cbdd60c689f5bb71d1f96989d4"),
@@ -1034,6 +1175,58 @@ _PINNED_BYTES = {
         (1, "28cf3c69c60a7eae067c46fda886010fc30ec3d1df23342b44390552c9f7b583"),
         (1, "e169b8c592c1502adde0abc9cc0cbd16fafa981995dc666acf692cc0cafdac21"),
         (0, "2c09213de0aa9b16b950a8e10fba36e7fb5cba28c6e81cf176987aa2e545f6ef"),
+        (0, "5ca9b8a6fb21dac39a2f873b277889925ece44db8c2e2eef2673ed5a2c5001e8"),
+        (0, "48da8fff3229f060d32ac95c7c576d3fd22160d9eefcb9ef4f2cb25d0db00f67"),
+        (0, "6b5a85059ce07499eeaa6c606040c831c5e95856f094cdbf9488d7edc1ab0299"),
+        (0, "d0732f9e4399a711b2370c9d7d7594678e77721cb2777e16c88ce0cef040e447"),
+        (0, "6d91e7cba90d7cad5ba99dc990cd936b529fbe242644688a93a581770c9c9490"),
+        (0, "efd75122ce00e0fb30a355d255b9755a9efaf2c23d131748ef8a9e00c9dfbd51"),
+        (0, "a3f8d6456637d6d1402a9faf3bd271adac97565f4cd30b9ce320ffa65041fabe"),
+        (0, "9209af023e2ed3ee8d57c2bff3f99a4b89b4875ddf7f92e38d8a659940ea54d7"),
+        (0, "c495dd2da3c4f9113584de2b31d73fdcff5cd6e056b87b4a68919dddaa79847b"),
+        (0, "c913fc99c8bdd503a4d9e3b98c00dff9bed92d9e999a550ab2c07fa4bb03a649"),
+        (0, "bf36d244d4daa926bef80e8f9e1e6dbd9a468102ae644a2f3871031e4d3b9dec"),
+        (0, "a432ddde27a9afb16846a6e4691c843561037557a1d53f300b58c7e0dc5b6ca4"),
+    ),
+    "su2_2": (
+        (0, "8dbf682df8d96aa6879281dfc38aa1c80ab577873c2dd831bbebe0f90df6e797"),
+        (0, "4ddd03d33072aadf984b94c7372cd78b392ed3a6f64da7044827140df98360af"),
+        (0, "f1a7fb98663c319284f3131862826c85642f176a8b7359dfde0ed6b26d42ba2c"),
+        (1, "5b732ebc80a8ba67e33d83328b67428a65ee0452bd32ae3b5c4c7014fc3cf7d5"),
+        (1, "bdad5e2201a29948560966238858dfab568c951df940ae2f45c4f7b3c6111593"),
+        (0, "b83c46d1d03c9cb592181171d756d7836558d18e5e76d2f7c51c20a1f12056fe"),
+        (0, "c10420c692803e4be017f6d5c192a1bdc79aa142c344dfa93bcd3d4aea4e9abf"),
+        (0, "714ee422b18c42ca0e68f529316e62cfbf43994dd2aed5c6c6327462e167b369"),
+        (0, "e9bb3d629cd86fc291960575688e9dc62e6f2ad5b17b83e64b9ba7fffc63f642"),
+        (0, "8dbf682df8d96aa6879281dfc38aa1c80ab577873c2dd831bbebe0f90df6e797"),
+        (0, "57c62eaa48e5759ca7ebd9bc00adf5f2bcea7d033c99bf5de9bc1cd23667c355"),
+        (0, "4597a9de237db7bb44a2292b34e6ad966a30393947960c12f47a93bb4aacdd9d"),
+        (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+        (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+        (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+        (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+        (0, "500a04c1522837168733b266204b64863c31ca6060a39171421b326e95c9eb30"),
+        (0, "a3a470ea1ee1843e77b48b6421d6aece925dc5d2d2dce8a6daf372ceda92e1ce"),
+    ),
+    "semion-t8": (
+        (1, "04d6b1d072c68542d66ccf2622590a1a92b3f692eb2af20f5ae800b49e8839db"),
+        (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+        (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+        (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+        (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+        (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+        (1, "34776dab2934cdfbc2f7cc2d83d795c85ef2bb3a76a7ae3c53a75f5374766392"),
+        (1, "009b7896bcf59a8a4c21dbed15c9684067b2acdde9c1ab6bf80b88948ab43947"),
+        (1, "34776dab2934cdfbc2f7cc2d83d795c85ef2bb3a76a7ae3c53a75f5374766392"),
+        (1, "04d6b1d072c68542d66ccf2622590a1a92b3f692eb2af20f5ae800b49e8839db"),
+        (0, "cca81f3bb34479095fca284491fad40173734a0c8bf67a88c11962f9af0c7627"),
+        (0, "e9ecbf07a401614b6c5e9464bb9c6e8a17e68eb173b0e41ed77af0f75d8f9ca5"),
+        (1, "3e989f5698924da116987430889b6f91b12809c7ff179b32327db5af3811a20e"),
+        (1, "4df59fe8f412c1c45e85fd278a0fb33bec191e40db64152479d7571d8f5372f1"),
+        (1, "1dc66039333a32d9f3d13a1a99546a530b9a95c4e8c58169a6d2643a27521099"),
+        (1, "6219764c008bcf869118af3a86de149a23c505ff3e7b8f5ad7de401f6019c13a"),
+        (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+        (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ),
 }
 

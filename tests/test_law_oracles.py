@@ -608,7 +608,7 @@ def test_fusion_coefficients_match_the_verlinde_fold():
     # each built-in datum, and its twin for each label k but the unit;
     # most twins have no global dimension, the rest have violations
     data = [d for _, d in _BUILT_IN]
-    data += [_sign_twisted(d, k) for d in data for k in range(1, d.size)]
+    data += [_sign_twisted(d, k) for d in data for k in range(d.size) if k != d.o]
     violations = 0
     for d in data:
         got = _result(fusion.fusion_coefficients.__wrapped__, d)
@@ -620,7 +620,9 @@ def test_fusion_coefficients_match_the_verlinde_fold():
         assert jsonable(got.coeffs) == jsonable(expected.coeffs)
         assert jsonable(got.violations) == jsonable(expected.violations)
         violations += len(got.violations)
-    assert violations == 338
+    # 12 of them in the twins of radford3*semion-unit-last, as many as in
+    # those of radford3*semion, whose relabelling it is
+    assert violations == 338 + 12
 
 
 # -- axiom 4 and the Verlinde sums against their entry-by-entry routes -------
