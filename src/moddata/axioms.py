@@ -65,9 +65,7 @@ def _symmetric_product(rows, cols) -> tuple:
     out = [[None] * m for _ in range(m)]
     for i, row in enumerate(rows):
         for j in range(i, m):
-            col = cols[j]
-            c = lcm(row.conductor, col.conductor)
-            out[i][j] = out[j][i] = cyclo._lifted_dot(c, row.at(c), col.at(c))
+            out[i][j] = out[j][i] = row.dot(cols[j])
     return tuple(map(tuple, out))
 
 

@@ -632,6 +632,12 @@ class Lifted:
                 ops.append((nonzero, x.den) if nonzero else None)
         return ops
 
+    def dot(self, other) -> CycloNum:
+        """The sum of products with other, at the lcm of both conductors."""
+        a, b = self.conductor, other.conductor
+        m = a if a == b else lcm(a, b)
+        return _lifted_dot(m, self.at(m), other.at(m))
+
 
 def _sum_terms(m: int, terms) -> CycloNum:
     """The sum of w * x * y over the terms (x, y, w): x and y operands at
@@ -683,9 +689,7 @@ def dot(xs, ys) -> CycloNum:
         raise DimensionMismatch(f"sum of products over {len(xs)} and {len(ys)} terms")
     if not xs:
         return zero(1)
-    lx, ly = Lifted(xs), Lifted(ys)
-    m = lcm(lx.conductor, ly.conductor)
-    return _lifted_dot(m, lx.at(m), ly.at(m))
+    return Lifted(xs).dot(Lifted(ys))
 
 
 def galois_apply(x: CycloNum, q: int) -> CycloNum:

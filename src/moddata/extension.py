@@ -63,16 +63,15 @@ class RankOption(Frozen):
 
 def enumerate_ranks(d: ModularDatum):
     """The four solutions of D^4 = n^2, namely +-sqrt(n) and +-i sqrt(n),
-    flagged by whether D^2 = n."""
+    flagged by whether D^2 = n, which holds for +-sqrt(n) only, as
+    (+-i sqrt(n))^2 = -n and n > 0."""
     stats = basic_stats(d)
     if stats.n_int is None or stats.n_int <= 0:
         raise NotIntegral("ranks require a positive integer global dimension")
     r = cyclo.sqrt_integer(stats.n_int)
-    i4 = root_of_unity(4, 1)
-    out = []
-    for value in (r, -r, i4 * r, -(i4 * r)):
-        out.append(RankOption(value=value, is_rank=value * value == stats.n))
-    return out
+    ir = root_of_unity(4, 1) * r
+    return [RankOption(value=value, is_rank=k < 2)
+            for k, value in enumerate((r, -r, ir, -ir))]
 
 
 def enumerate_charges(d: ModularDatum, rank: CycloNum):

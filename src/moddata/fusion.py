@@ -184,8 +184,7 @@ def fusion_coefficients(d: ModularDatum) -> FusionTable:
         for c in range(b, m):
             if unit_row and c == o:
                 continue
-            mc = lcm(pab.conductor, rows[c].conductor)
-            sums[a, b, c] = cyclo._lifted_dot(mc, pab.at(mc), rows[c].at(mc))
+            sums[a, b, c] = pab.dot(rows[c])
     violations = []
     coeffs = []
     for i in range(m):
@@ -415,11 +414,8 @@ def verify_idempotent_laws(d: ModularDatum, t: FusionTable) -> CheckReport:
             for l in range(m)
         )), None) for i, p in enumerate(lifted)]
 
-    def value(i, j):  # xi_j(p_i), compared by value only
-        mij = lcm(lifted[i].conductor, rows[j].conductor)
-        return cyclo._lifted_dot(mij, lifted[i].at(mij), rows[j].at(mij))
-
-    values = [[value(i, j) for j in range(m)] for i in range(m)]
+    # values[i][j] = xi_j(p_i), compared by value only
+    values = [[p.dot(row) for row in rows] for p in lifted]
 
     def product_is(i, j, c):  # whether p_i p_j == c p_j
         if unabsorbed[j] is None:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from math import gcd, lcm
 
 from . import cyclo, linalg
-from .axioms import _axioms_1_to_4, _gauss_sum_inverse, _s_symmetric
+from .axioms import _axioms_1_to_4, _gauss_sum_inverse
 from .cyclo import CycloNum
 from .datum import DatumStats, ModularDatum, basic_stats, derived
 from .errors import (
@@ -149,43 +149,39 @@ def _normalized_keys(d: ModularDatum, s) -> tuple:
 
 @derived
 def _lifted_s(d: ModularDatum):
-    """(C, S, lookup): S lifted to C, the common conductor of its entries,
-    and the lookup from the key of each normalized row s_ik / n_i to the
-    indices of the rows that have it.  Needs an integral datum."""
+    """(C, S, lookup, symmetric): S lifted to C, the common conductor of
+    its entries, the lookup from the key of each normalized row s_ik / n_i
+    to the indices of the rows that have it, and whether S at C is
+    symmetric.  At C two entries are equal iff their stored forms are, so
+    the image of a symmetric S is symmetric.  Needs an integral datum."""
     c = linalg.common_conductor(d.s_matrix)
     s = linalg.mat_lift(d.s_matrix, c)
     lookup = {}
     for i, key in enumerate(_normalized_keys(d, s)):
         lookup.setdefault(key, []).append(i)
-    return c, s, lookup
+    return c, s, lookup, s == tuple(zip(*s))
 
 
 def _s_image(d: ModularDatum, q: int) -> tuple:
     """S at C under the automorphism z -> z^q of Q(zeta_N_o), for
     0 <= q < N_o a unit: q lifted to a unit modulo lcm(C, N_o) and read
-    modulo C, the automorphism index_action matches rows by.  With S
-    symmetric in representation, so is its image: the entries on and
-    above the diagonal are moved, and mirrored below."""
+    modulo C, the automorphism index_action matches rows by.  Each
+    distinct entry of S at C is moved once."""
     n_o = basic_stats(d).N_o
-    c, s, _ = _lifted_s(d)
+    c, s, _, _ = _lifted_s(d)
     u = unit_lift(q, n_o, lcm(c, n_o)) % c
     if u == 1 % c:
         return s
-    if not _s_symmetric(d):
-        return tuple(tuple(cyclo.galois_apply(x, u) for x in row) for row in s)
-    m = d.size
-    image = [[None] * m for _ in range(m)]
-    for i, row in enumerate(s):
-        for j in range(i, m):
-            image[i][j] = image[j][i] = cyclo.galois_apply(row[j], u)
-    return tuple(map(tuple, image))
+    distinct = {(x.den, x.nums): x for row in s for x in row}
+    images = {key: cyclo.galois_apply(x, u) for key, x in distinct.items()}
+    return tuple(tuple(images[x.den, x.nums] for x in row) for row in s)
 
 
 def _action_units(d: ModularDatum) -> list:
     """The units modulo N_o, for a walk that makes the image of S under
     each: m^2 phi(C) coefficients, none when C <= 2 and every unit fixes
     S."""
-    c, _, _ = _lifted_s(d)
+    c, _, _, _ = _lifted_s(d)
     per_unit = d.size ** 2 * cyclo.euler_phi(c) if c > 2 else 0
     return _bounded_images("S", basic_stats(d).N_o, per_unit)
 
@@ -208,9 +204,9 @@ def _index_action(d: ModularDatum, q: int) -> tuple:
     """(the permutation of q, the first pair at which the image of S
     under q is not moved by it, see _first_moved).  The image is made
     once, here, and not kept; it is scanned only where the permutation
-    moves some label to one of another dimension, or S is not symmetric
-    in representation."""
-    _, _, lookup = _lifted_s(d)
+    moves some label to one of another dimension, or S at C is not
+    symmetric."""
+    _, _, lookup, symmetric = _lifted_s(d)
     image = _s_image(d, q)
     perm = []
     for i, key in enumerate(_normalized_keys(d, image)):
@@ -226,7 +222,7 @@ def _index_action(d: ModularDatum, q: int) -> tuple:
     # n_i and n_p(i); where those are equal, so are the rows, and with S
     # symmetric, its image is too, so image_ij = s_p(j)i = s_i,p(j)
     dims = basic_stats(d).dims_int
-    if _s_symmetric(d) and all(dims[j] == n for j, n in zip(perm, dims)):
+    if symmetric and all(dims[j] == n for j, n in zip(perm, dims)):
         moved = None
     else:
         moved = _first_moved(d, image, perm)
@@ -235,15 +231,10 @@ def _index_action(d: ModularDatum, q: int) -> tuple:
 
 def _first_moved(d: ModularDatum, image, perm) -> tuple | None:
     """The first (i, j) in row-major order at which an image of S is not
-    S with its rows, or its columns, moved by perm, or None.  With S
-    symmetric in representation the law is symmetric in (i, j), and is
-    scanned on and above the diagonal."""
-    _, s, _ = _lifted_s(d)
-    m = d.size
-    symmetric = _s_symmetric(d)
-    return next(((i, j) for i, row in enumerate(image)
-                 for j in range(i if symmetric else 0, m)
-                 if row[j] != s[perm[i]][j] or row[j] != s[i][perm[j]]), None)
+    S with its rows, or its columns, moved by perm, or None."""
+    _, s, _, _ = _lifted_s(d)
+    return next(((i, j) for i, row in enumerate(image) for j, x in enumerate(row)
+                 if x != s[perm[i]][j] or x != s[i][perm[j]]), None)
 
 
 def verify_action_laws(d: ModularDatum) -> CheckReport:
@@ -258,7 +249,7 @@ def verify_action_laws(d: ModularDatum) -> CheckReport:
     rep = CheckReport("galois-action-laws")
     m = d.size
     o = d.o
-    _, s, _ = _lifted_s(d)
+    _, s, _, symmetric = _lifted_s(d)
     perms = {q: index_action(d, q) for q in units}
 
     # the first pair at which each image of S fails is kept with the
@@ -303,7 +294,6 @@ def verify_action_laws(d: ModularDatum) -> CheckReport:
     # P[i][j] = 1 iff i = p(j), so S P = P^T S iff s_i,p(j) = s_p(i),j,
     # which is symmetric in (i, j) with S; and P C = C P iff
     # p^-1 star = star p^-1, that is iff p commutes with star
-    symmetric = _s_symmetric(d)
     w = next((
         q for q, gp in perms.items()
         if q in unstarred

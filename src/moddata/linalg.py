@@ -10,7 +10,6 @@ from __future__ import annotations
 from math import lcm
 
 from . import cyclo
-from .cyclo import CycloNum
 from .errors import NonInvertibleInput
 
 
@@ -31,15 +30,7 @@ def mat_mul(a, b) -> tuple:
     for a matrix of one conductor, once in all."""
     rows = [cyclo.Lifted(row) for row in a]
     cols = [cyclo.Lifted(col) for col in zip(*b)]
-    out = []
-    for row in rows:
-        out_row = []
-        for col in cols:
-            ri, cj = row.conductor, col.conductor
-            m = ri if ri == cj else lcm(ri, cj)
-            out_row.append(cyclo._lifted_dot(m, row.at(m), col.at(m)))
-        out.append(tuple(out_row))
-    return tuple(out)
+    return tuple(tuple(row.dot(col) for col in cols) for row in rows)
 
 
 def mat_mul_diag(a, diag) -> tuple:

@@ -397,6 +397,20 @@ def test_cli_gen_analyze_pipeline(tmp_path):
     assert code == 0
 
 
+def test_galois_check_reads_s_by_value_not_by_storage(tmp_path):
+    # radford 5, and the same datum with s_12 stored at conductor 15:
+    # symmetric in value but not in storage, and the same report
+    obj = serialize_datum(radford_datum(5))
+    plain = tmp_path / "r5.json"
+    plain.write_text(json.dumps(obj))
+    obj["S"][1][2] = cyclo.to_json(radford_datum(5).s(1, 2).lift(15))
+    lifted = tmp_path / "r5-s12-at-15.json"
+    lifted.write_text(json.dumps(obj))
+    expected = run_cli(["galois-check", str(plain), "--json"])
+    assert expected[0] == 0
+    assert run_cli(["galois-check", str(lifted), "--json"]) == expected
+
+
 def test_console_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-c",

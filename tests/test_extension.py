@@ -128,6 +128,43 @@ def test_homogeneous_relations():
             )
 
 
+def test_extensions_that_break_a_relation_or_the_charge_parity_are_refused():
+    # each built directly, past make_extension, on a member of radford 3's
+    # family: a doubled rank makes S'^4 = E/16, a negated charge makes
+    # (T'S')^3 = -S'^2, and charge z_24 has odd additive charge 1 where
+    # an odd exponent and an honest rank force it even
+    rank, charge, is_rank = extension._family_choices(radford_datum(3))[0]
+    assert is_rank and basic_stats(radford_datum(3)).N % 2 == 1
+    cases = [
+        (2 * rank, charge, homogeneous_matrices, "S'^4 is not the identity"),
+        (rank, -charge, homogeneous_matrices, "(T'S')^3 is not S'^2"),
+        (rank, root_of_unity(24, 1), additive_charge,
+         "odd-exponent datum with a rank has odd additive charge 1"),
+    ]
+    for rank_, charge_, check, message in cases:
+        e = extension.ExtendedDatum(datum=radford_datum(3), rank=rank_,
+                                    charge=charge_, is_rank=True)
+        with pytest.raises(InvalidExtension) as info:
+            check(e)
+        assert str(info.value) == message
+
+
+def test_rank_flags_are_whether_the_square_is_n():
+    # enumerate_ranks writes the flags True, True, False, False; each is
+    # D^2 = n, checked here by the product
+    checked = 0
+    for name, d in built_in_data():
+        stats = basic_stats(d)
+        if not stats.integral:
+            continue
+        ranks = enumerate_ranks(d)
+        assert [r.is_rank for r in ranks] == [
+            r.value * r.value == stats.n for r in ranks
+        ], name
+        checked += 1
+    assert checked > 0
+
+
 def test_make_extension_rejects_bad_pairs():
     d = semion_datum()
     with pytest.raises(InvalidExtension):

@@ -6,12 +6,12 @@ permutations, involutions and Dehn diagonals.  The counts pin that the
 structural routes do no matrix products and multiply out no idempotents
 on valid data.  The readers of the Galois action (index_action,
 is_galois_datum, verlinde_field_index) give the result or exception of
-their per-entry oracles, and apply each unit once to each entry of S.
-Axiom 4 and the Verlinde sums give the reports, tables and TooLarge of
-their entry-by-entry and ordered-sum oracles, under every conductor
-limit up to the lcm of a datum's conductors; a TooLarge names the
-conductor of a sum the route makes, over the limit, which need not be
-the one the oracle's first sum over it has.  No kernel sum runs over
+their per-entry oracles, and apply each unit once to each distinct
+entry of S.  Axiom 4 and the Verlinde sums give the reports, tables and
+TooLarge of their entry-by-entry and ordered-sum oracles, under every
+conductor limit up to the lcm of a datum's conductors; a TooLarge names
+the conductor of a sum the route makes, over the limit, which need not
+be the one the oracle's first sum over it has.  No kernel sum runs over
 the limit."""
 
 from collections import Counter
@@ -317,8 +317,8 @@ def test_action_laws_make_no_matrix_product(monkeypatch):
 
 def test_action_readers_image_each_entry_once_per_unit(monkeypatch):
     # no law applies sigma per entry: each image of S is made once, for
-    # each unit but 1, on and above the diagonal of the symmetric S, so
-    # 5 * 28 galois_apply, under |U(7)| 7^2 = 294
+    # each unit but 1, by moving each of the 7 distinct entries of S once,
+    # so 5 * 7 galois_apply, under |U(7)| 7^2 = 294
     d = radford_datum(7)
     sigmas = _counting(monkeypatch, galois, "sigma")
     applies = _counting(monkeypatch, cyclo, "galois_apply")
@@ -328,11 +328,11 @@ def test_action_readers_image_each_entry_once_per_unit(monkeypatch):
     assert galois.is_galois_datum(d) == (True, None)
     assert galois.verlinde_field_index(d) == 1
     assert sigmas == []
-    assert len(applies) == 5 * 28
+    assert len(applies) == 5 * 7
 
 
 def test_analyze_galois_apply_count(monkeypatch):
-    # 140 for the images of S, 5 * 28 on and above the diagonal; 24 in
+    # 35 for the images of S, 5 * 7 distinct entries; 24 in
     # sigma for the 6 images of the Gauss sum and the cocycle law at the
     # 3 generators 1, 2, 3 of the units times the 6 units; 5 in the one
     # inverse of g
@@ -340,7 +340,7 @@ def test_analyze_galois_apply_count(monkeypatch):
 
     applies = _counting(monkeypatch, cyclo, "galois_apply")
     assert build_analysis(radford_datum(7)).passed
-    assert len(applies) == 169
+    assert len(applies) == 64
 
 
 def test_idempotent_laws_multiply_nothing_on_valid_data(monkeypatch):
@@ -1035,6 +1035,20 @@ def test_images_of_s_and_their_scans_match_the_full_routes(name, d):
     for q in galois.units_mod(basic_stats(d).N_o):
         assert _wire(galois._s_image, d, q) == _wire(oracles.oracle_s_image, d, q)
         assert _wire(galois.index_action, d, q) == _wire(oracles.oracle_index_action, d, q)
+
+
+def test_s_symmetric_at_its_conductor_takes_no_scan(monkeypatch):
+    # s_12 stored at 15 and s_21 at 5: symmetric in value only, and
+    # symmetric once S is lifted to its conductor 15, which is all the
+    # Galois layer reads, so no image of S is scanned
+    d = _with_s(_R5, {(1, 2): _R5.s(1, 2).lift(15)})
+    assert not axioms._s_symmetric(d)
+    scans = _counting(monkeypatch, galois, "_first_moved")
+    units = galois.units_mod(basic_stats(d).N_o)
+    perms = [galois.index_action(d, q) for q in units]
+    assert perms == [galois.index_action(_fresh(_R5), q) for q in units]
+    assert _outcome(verify_action_laws, d) == _outcome(verify_action_laws, _fresh(_R5))
+    assert scans == []
 
 
 @pytest.mark.parametrize("name", ["radford5^1", "radford7^3", "radford3*semion",
