@@ -45,8 +45,6 @@ _BRACKETS = {list: "[]", tuple: "[]", dict: "{}"}
 
 
 def _cyclo_from_node(obj, path: str) -> CycloNum:
-    if not isinstance(obj, dict):
-        raise SchemaError(path, "expected an object with conductor and coeffs")
     try:
         return cyclo.from_json(obj)
     except TooLarge as exc:
@@ -299,19 +297,16 @@ def _render_report_text(payload: dict, out) -> None:
             continue
         print(f"{name} = {_value_text(value)}", file=out)
     for name, verdict in verdicts.items():
-        if isinstance(verdict, dict) and "checks" in verdict:
-            status = "PASS" if verdict.get("passed") else "FAIL"
-            print(f"[{status}] {name}", file=out)
-            for check in verdict["checks"]:
-                mark = "ok" if check.get("passed") else "FAIL"
-                extra = ""
-                if "value" in check:
-                    extra = f" = {_value_text(check['value'])}"
-                if not check.get("passed") and "witness" in check:
-                    extra += f" ; witness: {_value_text(check['witness'])}"
-                print(f"    {mark:4} {check['name']}{extra}", file=out)
-        else:
-            print(f"[info] {name}: {_value_text(verdict)}", file=out)
+        status = "PASS" if verdict.get("passed") else "FAIL"
+        print(f"[{status}] {name}", file=out)
+        for check in verdict["checks"]:
+            mark = "ok" if check.get("passed") else "FAIL"
+            extra = ""
+            if "value" in check:
+                extra = f" = {_value_text(check['value'])}"
+            if not check.get("passed") and "witness" in check:
+                extra += f" ; witness: {_value_text(check['witness'])}"
+            print(f"    {mark:4} {check['name']}{extra}", file=out)
     if "passed" in payload:
         print(f"overall: {'PASS' if payload['passed'] else 'FAIL'}", file=out)
 

@@ -568,8 +568,7 @@ def lift_conductor(x: CycloNum, conductor: int) -> CycloNum:
 
 
 def _common(a: CycloNum, b: CycloNum):
-    if a.conductor == b.conductor:
-        return a, b
+    """a and b, of different conductors, lifted to the lcm of theirs."""
     m = lcm(a.conductor, b.conductor)
     return a.lift(m), b.lift(m)
 
@@ -600,20 +599,19 @@ _ONE = ([(0, 1)], 1)
 class Lifted:
     """A vector of CycloNum lifted once to each conductor it is summed at.
     conductor is the lcm of its entries' conductors, zeros included,
-    uniform whether every entry is at it, and low the least of them.
+    and low the least of them.
     at(m) is the vector at m as operands of _sum_terms: for each entry,
     (its nonzero coordinates [(i, c), ...], den), or None for a zero or
     for an entry whose conductor does not divide m, which a sum at m
     must not involve.  It checks the limit on a sum at m, then makes the
     lift on first use and keeps it."""
 
-    __slots__ = ("xs", "conductor", "uniform", "low", "_at")
+    __slots__ = ("xs", "conductor", "low", "_at")
 
     def __init__(self, xs):
         self.xs = xs
         conductors = {x.conductor for x in xs}
         self.conductor = lcm(*conductors)
-        self.uniform = len(conductors) < 2
         self.low = min(conductors, default=1)
         self._at = {}
 

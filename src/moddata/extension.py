@@ -345,12 +345,9 @@ class CongruenceReport(Frozen):
 
 
 def _proj_normalize(mat):
-    for row in mat:
-        for x in row:
-            if not x.is_zero():
-                scale = x.inverse()
-                return linalg.mat_scale(mat, scale)
-    raise InvalidExtension("zero matrix has no projective representative")
+    """mat, which is invertible, scaled so its first nonzero entry is 1."""
+    x = next(x for row in mat for x in row if not x.is_zero())
+    return linalg.mat_scale(mat, x.inverse())
 
 
 def factor_check(
@@ -393,8 +390,6 @@ def factor_check(
         t_diag = tuple(t_lift[i][i] for i in range(m))
 
     identity = linalg.mat_identity(m, conductor)
-    if projective:
-        identity = _proj_normalize(identity)
     # edges compare and cache indices of distinct matrices, not keys
     matrices = [identity]
     index = {linalg.mat_key(identity): 0}

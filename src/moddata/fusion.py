@@ -90,13 +90,9 @@ class FusionTable(Frozen):
 def _sum_is_product(terms, u: cyclo.Lifted, v: cyclo.Lifted, a: int, b: int) -> bool:
     """Whether the sum of n u_k over the sparse terms (k, n) is v_a u_b:
     one kernel sum of the difference, over the vectors lifted once, at
-    the lcm conductor of the entries it involves; for two vectors each
-    of one conductor, the lcm of those."""
-    if u.uniform and v.uniform:
-        m = lcm(u.conductor, v.conductor)
-    else:
-        m = lcm(v.xs[a].conductor, u.xs[b].conductor,
-                *[u.xs[k].conductor for k, _ in terms])
+    the lcm conductor of the entries it involves."""
+    m = lcm(v.xs[a].conductor, u.xs[b].conductor,
+            *[u.xs[k].conductor for k, _ in terms])
     us, vs = u.at(m), v.at(m)
     diff = [(us[k], cyclo._ONE, n) for k, n in terms if us[k]]
     if vs[a] and us[b]:
@@ -211,6 +207,10 @@ def fusion_coefficients(d: ModularDatum) -> FusionTable:
     )
 
 
+# the d._memo key of d's own table, which rebinding the name does not change
+_KEPT_TABLE = (fusion_coefficients,)
+
+
 def multiply(x: FusionElement, y: FusionElement, t: FusionTable) -> FusionElement:
     """Bilinear extension of the basis product given by the table.
 
@@ -266,14 +266,29 @@ def _xi_matrix(d: ModularDatum) -> tuple:
     return tuple(rows)
 
 
-@derived
-def _multiplicative_witness(d: ModularDatum, terms: tuple, limit: int):
+def _verlinde_laws_hold(d: ModularDatum, t: FusionTable) -> bool:
+    """Whether the multiplicative law holds on t by the Verlinde theorem,
+    with no sum of it over the limit: t is the table fusion_coefficients
+    keeps on d, with no violation, star is an involution, S is symmetric
+    in value at its common conductor, under the limit, and so is each row
+    of xi, within which each law sums.  There N_ij^k = F(i, j, k*), and
+    S^2 = nC gives S C S = nI, so the sum over k of N_ij^k s_kq is
+    s_iq s_jq / s_oq.  Nothing here can raise."""
+    if d._memo.get(_KEPT_TABLE) is not t or t.violations:
+        return False
+    m, s, star = d.size, d.s_matrix, d.star
+    limit = cyclo.get_conductor_limit()
+    return (all(star[star[i]] == i for i in range(m))
+            and lcm(*[x.conductor for row in s for x in row]) <= limit
+            and (_s_symmetric(d) or all(s[i][j] == s[j][i]
+                                        for i in range(m) for j in range(i + 1, m)))
+            and all(lcm(*[x.conductor for x in row]) <= limit
+                    for row in _xi_matrix(d)))
+
+
+def _multiplicative_witness(d: ModularDatum, terms: tuple):
     """The first (q, i, j) with xi_q(b_i b_j) != xi_q(b_i) xi_q(b_j), or
-    None, for the table of these sparse terms: the scan of
-    verify_ring_homomorphisms, which verify_idempotent_laws reads
-    eigenvalue absorption off.  Kept on the datum per table, by its
-    terms, as a table with violations has no hash, and per conductor
-    limit, as a lower limit stops the scan with TooLarge."""
+    None, for the table of these sparse terms, by one sum per law."""
     m = d.size
     rows = [cyclo.Lifted(row) for row in _xi_matrix(d)]
     # xi_q(b_i b_j) is the sum over the nonzero N_ij^k of N_ij^k xi_q(b_k);
@@ -292,7 +307,7 @@ def verify_ring_homomorphisms(d: ModularDatum, t: FusionTable) -> CheckReport:
     rep = CheckReport("fusion-homomorphisms")
     m = d.size
     xi = _xi_matrix(d)
-    w = _multiplicative_witness(d, t.terms, cyclo.get_conductor_limit())
+    w = None if _verlinde_laws_hold(d, t) else _multiplicative_witness(d, t.terms)
     rep.add("multiplicative", w is None, w)
     w = next(
         (
@@ -338,8 +353,8 @@ def idempotents(d: ModularDatum, t: FusionTable):
 
 @derived
 def _idempotents(d: ModularDatum, terms: tuple, limit: int) -> tuple:
-    """The idempotents of the table of these sparse terms, kept as
-    _multiplicative_witness is."""
+    """The idempotents of the table of these sparse terms, kept per table
+    by its terms (a table with violations has no hash) and per limit."""
     m = d.size
     stats = basic_stats(d)
     b_a = _duality_element(d, terms)
@@ -360,39 +375,15 @@ def _idempotents(d: ModularDatum, terms: tuple, limit: int) -> tuple:
     return tuple(out)
 
 
-def _absorbs_by_multiplicativity(d: ModularDatum, t: FusionTable, ps) -> bool:
-    """Whether every b_k p_i = xi_i(b_k) p_i follows from the
-    multiplicative law.  The constructed p_i is c_i (xi_i(b_j*))_j, so
-    where N_kj^l = N_kl*^j* for all j, k, l, coefficient l of b_k p_i is
-    c_i xi_i(b_k b_l*): absorption at (i, k, l) is the law at (i, k, l*).
-    So with the table reciprocal, each p_i the constructed one,
-    coefficient by coefficient, and no multiplicative witness, every p_i
-    absorbs.  No limit is checked here: the constructed p_i lie at the
-    lcm of the conductors of xi_i, where their construction summed under
-    this limit, and every absorption and multiplicative sum lies within
-    those lcms."""
-    m, star, coeffs = d.size, d.star, t.coeffs
-    if not all(coeffs[k][star[l]][star[j]] == n
-               for k in range(m) for j in range(m) for l, n in t.terms[k][j]):
-        return False
-
-    def key(p):
-        return [(x.conductor, x.den, x.nums) for x in p.coeffs]
-
-    limit = cyclo.get_conductor_limit()
-    built = _idempotents(d, t.terms, limit)
-    return (list(map(key, ps)) == list(map(key, built))
-            and _multiplicative_witness(d, t.terms, limit) is None)
-
-
 def verify_idempotent_laws(d: ModularDatum, t: FusionTable) -> CheckReport:
     """Orthogonal idempotents summing to the unit, dual to the evaluation
     maps, and absorbing multiplication by their eigenvalue.  Where p_j
     absorbs every b_k, p_i p_j = xi_j(p_i) p_j by bilinearity, so its
     idempotent and orthogonality laws are read off the values xi_j(p_i);
-    products with any other p_j are multiplied out.  Absorption itself is
-    read off the multiplicative law where _absorbs_by_multiplicativity
-    finds that it follows, and summed otherwise."""
+    products with any other p_j are multiplied out.  Absorption is summed
+    unless _verlinde_laws_hold and each p_i is the kept c_i (xi_i(b_j*))_j:
+    F is symmetric, so N_kj^l = N_kl*^j*, and absorption at (i, k, l) is
+    the multiplicative law at (i, k, l*)."""
     rep = CheckReport("idempotent-laws")
     m = d.size
     o = d.o
@@ -402,7 +393,9 @@ def verify_idempotent_laws(d: ModularDatum, t: FusionTable) -> CheckReport:
     lifted = [cyclo.Lifted(p.coeffs) for p in ps]
     # unabsorbed[i]: the first k with b_k p_i != xi_i(b_k) p_i, or None
     unabsorbed = [None] * m
-    if not _absorbs_by_multiplicativity(d, t, ps):
+    kept = _verlinde_laws_hold(d, t) and _idempotents(
+        d, t.terms, cyclo.get_conductor_limit())
+    if not (kept and all(p is q for p, q in zip(ps, kept))):
         # by_output[k][l]: the nonzero (j, N_kj^l); coefficient l of b_k x
         # is the sum of N_kj^l x_j
         by_output = [[[] for _ in range(m)] for _ in range(m)]

@@ -216,8 +216,6 @@ def _index_action(d: ModularDatum, q: int) -> tuple:
                 f"row {i} has {len(matches)} matches under q={q}"
             )
         perm.append(matches[0])
-    if sorted(perm) != list(range(d.size)):
-        raise NoUniqueMatch("matched rows do not form a permutation")
     # row i of the image and row p(i) of S have one key once divided by
     # n_i and n_p(i); where those are equal, so are the rows, and with S
     # symmetric, its image is too, so image_ij = s_p(j)i = s_i,p(j)

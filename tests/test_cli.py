@@ -397,6 +397,51 @@ def test_cli_gen_analyze_pipeline(tmp_path):
     assert code == 0
 
 
+def _semion_changed(tmp_path, change):
+    obj = serialize_datum(semion_datum())
+    change(obj)
+    path = tmp_path / "changed.json"
+    path.write_text(json.dumps(obj))
+    return str(path)
+
+
+def _set(node, key, value):
+    node[key] = value
+
+
+@pytest.mark.parametrize(
+    "change,message",
+    [
+        (lambda o: _set(o["S"][1], 0, cyclo.to_json(cyclo.zero(1))),
+         "error: a first-column entry of S vanishes"),
+        (lambda o: _set(o["T"], 0, cyclo.to_json(cyclo.from_rational(2))),
+         "error: t_o is not a root of unity"),
+        (lambda o: _set(o["T"], 1, cyclo.to_json(cyclo.from_rational(2))),
+         "error: t_1 is not a root of unity"),
+    ],
+)
+def test_congruence_on_a_datum_without_invariants_fails_in_one_line(
+    tmp_path, capsys, change, message
+):
+    code, text = run_cli(["congruence", _semion_changed(tmp_path, change), "--level", "4"])
+    assert (code, text) == (1, "")
+    _one_line_error(capsys, message + "\n")
+
+
+@pytest.mark.parametrize(
+    "change,message",
+    [
+        (lambda o: o.pop("T"), "error: $.T: missing required field"),
+        (lambda o: _set(o, "labels", ["0", "0"]), "error: $.labels: labels must be distinct"),
+        (lambda o: _set(o, "S", o["S"][:1]), "error: $.S: must be a 2x2 matrix"),
+    ],
+)
+def test_validate_names_the_malformed_field(tmp_path, capsys, change, message):
+    code, text = run_cli(["validate", _semion_changed(tmp_path, change)])
+    assert (code, text) == (2, "")
+    _one_line_error(capsys, message + "\n")
+
+
 def test_galois_check_reads_s_by_value_not_by_storage(tmp_path):
     # radford 5, and the same datum with s_12 stored at conductor 15:
     # symmetric in value but not in storage, and the same report

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 import oracles
@@ -71,6 +73,47 @@ def test_validation_total_on_garbage_entries():
     assert not rep.passed
     assert not rep["axiom1-s-symmetric"].passed
     assert not rep["axiom1-t-finite-order"].passed
+
+
+def _two_labels(s, t=None):
+    """The datum on labels 0 and 1 with this S, rational entries given as
+    Fractions, the identity star and T = 1 unless given."""
+    s = tuple(tuple(x if isinstance(x, CycloNum) else cyclo.from_rational(x) for x in row)
+              for row in s)
+    return ModularDatum(("0", "1"), "0", (0, 1), s, t or (cyclo.one(1),) * 2)
+
+
+@pytest.mark.parametrize(
+    "d,check,witness",
+    [
+        # S^2 = 0: the constant n exists and is zero
+        (_two_labels([[1, 1], [-1, -1]]), "axiom3-s-squared", ["n", "zero"]),
+        (_two_labels(semion_datum().s_matrix, (cyclo.one(1), cyclo.zero(1))),
+         "axiom4-proportionality", "T is not invertible"),
+        # S^2 = I, but the Verlinde sums divide by s_01 = 0
+        (_two_labels([[1, 0], [1, -1]]), "axiom5-verlinde-integrality",
+         "unit row of S has a zero entry"),
+    ],
+)
+def test_degenerate_data_fail_their_axiom_with_its_witness(d, check, witness):
+    rep = validate_axioms(d).to_json()
+    assert not rep["passed"]
+    assert {c["name"]: c.get("witness") for c in rep["checks"]}[check] == witness
+
+
+@pytest.mark.parametrize(
+    "s,message",
+    [
+        ([[1, 1], [1, 1]], "S^2 is not a multiple of C: witness (0, 1, "),
+        # S^2 = 2I, and 1 + (1/2)^2 is not 2
+        ([[1, 2], [Fraction(1, 2), -1]],
+         "global dimension from S^2 disagrees with the sum of squared dimensions"),
+    ],
+)
+def test_derive_report_needs_one_global_dimension(s, message):
+    with pytest.raises(InvalidDatum) as err:
+        derive_report(_two_labels(s))
+    assert str(err.value).startswith(message)
 
 
 def test_semion_report_values():

@@ -879,7 +879,7 @@ def test_law_rows_that_mix_conductors_sum_at_their_laws_conductors(monkeypatch):
     sums = []
     real = cyclo._sum_terms
     monkeypatch.setattr(cyclo, "_sum_terms", lambda m, terms: sums.append(m) or real(m, terms))
-    assert verify_ring_homomorphisms(d, t).passed
+    assert fusion._multiplicative_witness(d, t.terms) is None
     m = d.size
     laws = Counter(lcm(*[xi[q][k].conductor for k in (i, j, *[k for k, _ in t.terms[i][j]])])
                    for q in range(m) for i in range(m) for j in range(i, m))
@@ -1185,19 +1185,20 @@ def test_action_laws_keep_no_image_of_s():
 
 # -- laws from work the chain already did --------------------------------------
 #
-# Eigenvalue absorption is read off the multiplicative law, moves-s-entries
-# off the dimensions the permutation keeps, and the charges of -r, ir and
-# -ir off the exponent of the first rank's.  Each is compared with its full
-# route: the absorption sums, the scan of the image of S and one division
-# per rank.
+# Eigenvalue absorption follows from the Verlinde theorem on a datum's own
+# table, moves-s-entries from the dimensions the permutation keeps, and the
+# charges of -r, ir and -ir from the exponent of the first rank's.  Each is
+# compared with its full route: the absorption sums, the scan of the image
+# of S and one division per rank.
 
 
 def _idempotent_routes(monkeypatch, d, t):
-    """(read off multiplicativity, full route) outcome of the idempotent
-    laws of t, each on a copy of d that has nothing derived yet."""
+    """(route taken, full route) outcome of the idempotent laws of t, each
+    on a copy of d that has nothing derived yet; the full route with the
+    Verlinde gate switched off."""
     got = _outcome(verify_idempotent_laws, _fresh(d), t)
     with monkeypatch.context() as m:
-        m.setattr(fusion, "_absorbs_by_multiplicativity", lambda *args: False)
+        m.setattr(fusion, "_verlinde_laws_hold", lambda *args: False)
         return got, _outcome(verify_idempotent_laws, _fresh(d), t)
 
 
@@ -1352,3 +1353,101 @@ def test_family_choices_fall_back_under_a_limit_below_the_later_divisions():
             assert got == ("TooLarge", f"conductor {reached} exceeds limit {limit}")
         else:
             assert len(got) == 12
+
+
+# -- the Verlinde theorem on a datum's own table --------------------------------
+#
+# On the table fusion_coefficients keeps on a datum, with no violation and
+# S symmetric, every evaluation map is multiplicative and every constructed
+# idempotent absorbs, so neither law is summed.  The gate is checked
+# against the scan, the absorption sums and the oracles; off the gate the
+# laws are summed as before.
+
+
+def _routes_agree(checks):
+    return all(got == expected for got, expected in checks)
+
+
+@pytest.mark.parametrize("name,d", _BUILT_IN, ids=_IDS)
+def test_verlinde_theorem_holds_where_the_scan_finds_it(monkeypatch, name, d):
+    d = _fresh(d)
+    t = fusion_coefficients(d)
+    assert fusion._verlinde_laws_hold(d, t)
+    sums = _counting(monkeypatch, fusion, "_sum_is_product")
+    checks = _fusion_checks(d, t)
+    assert sums == [] and _routes_agree(checks)
+    assert fusion._multiplicative_witness(d, t.terms) is None and sums
+    monkeypatch.setattr(fusion, "_verlinde_laws_hold", lambda *args: False)
+    assert _fusion_checks(d, t) == checks
+
+
+def test_s_symmetric_in_value_only_takes_the_gate(monkeypatch):
+    # radford 5 with s_12 stored at conductor 15: S is compared at its
+    # common conductor, and its table and reports are radford 5's
+    d = _with_s(_R5, {(1, 2): _R5.s(1, 2).lift(15)})
+    assert not axioms._s_symmetric(d)
+    t = fusion_coefficients(d)
+    assert fusion._verlinde_laws_hold(d, t)
+    sums = _counting(monkeypatch, fusion, "_sum_is_product")
+    checks = _fusion_checks(d, t)
+    assert sums == [] and _routes_agree(checks)
+    assert checks == _fusion_checks(_R5, fusion_coefficients(_R5))
+
+
+def _kept_table(monkeypatch, d):
+    """The table fusion_coefficients keeps on d, made with S^2 = nC taken
+    as given, for n = 5 of radford 5."""
+    with monkeypatch.context() as m:
+        m.setattr(fusion, "_global_dimension_from_square", lambda d: (cyclo.from_rational(5), None))
+        t = fusion_coefficients(d)
+    assert fusion_coefficients(d) is t
+    return d, t
+
+
+def _gate_off_cases(monkeypatch):
+    """(name, datum, table) on which the gate is off, each with one of its
+    conditions failing."""
+    d = _fresh(_R5)
+    t = fusion_coefficients(d)
+    s = [list(row) for row in _R5.s_matrix]
+    s[1], s[2] = s[2], s[1]  # rows of labels 1 and 2 swapped: no longer symmetric
+    two = cyclo.from_rational(2)
+    # S^2 = 5I, and N_11^1 = (8 - 1/2) / 5 is not an integer
+    violating = ModularDatum(("0", "1"), "0", (0, 1), ((cyclo.one(1), two), (two, -cyclo.one(1))),
+                             (cyclo.one(1),) * 2)
+    return [
+        ("equal-table", d, FusionTable(size=t.size, coeffs=t.coeffs, violations=t.violations)),
+        ("changed-table", d, _changed(t, 2, 4, 3, True)),
+        ("violations", violating, fusion_coefficients(violating)),
+        ("star-not-involution", *_kept_table(
+            monkeypatch, ModularDatum(_R5.labels, _R5.unit, (0, 2, 3, 4, 1), _R5.s_matrix, _R5.t_diag))),
+        ("asymmetric-s", *_kept_table(
+            monkeypatch, ModularDatum(_R5.labels, _R5.unit, _R5.star, tuple(map(tuple, s)), _R5.t_diag))),
+    ]
+
+
+def test_gate_is_off_where_a_condition_of_the_theorem_fails(monkeypatch):
+    cases = _gate_off_cases(monkeypatch)
+    # only the violations case has violations
+    assert [bool(t.violations) for _, _, t in cases] == [False, False, True, False, False]
+    for name, d, t in cases:
+        assert not fusion._verlinde_laws_hold(d, t), name
+        assert _routes_agree(_fusion_checks(d, t)), name
+
+
+def test_gate_is_off_under_a_limit_below_a_row_of_xi():
+    # radford3-lifted: rows of xi at 3, 15 and 21, and S at 105; its table
+    # kept from the default limit, the laws checked under each lower one
+    d = _fresh(_LIMIT_DATA[0][1])
+    t = fusion_coefficients(d)
+    xi = fusion._xi_matrix(d)
+    assert [lcm(*[x.conductor for x in row]) for row in xi] == [3, 15, 21]
+    taken = []
+    for limit in range(1, 106):
+        token = cyclo.set_conductor_limit(limit)
+        try:
+            taken.append(fusion._verlinde_laws_hold(d, t))
+            assert _routes_agree(_fusion_checks(d, t)), limit
+        finally:
+            cyclo.reset_conductor_limit(token)
+    assert taken == [False] * 104 + [True]
