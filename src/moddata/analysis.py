@@ -41,9 +41,7 @@ class AnalysisBundle(Record):
 
     @property
     def passed(self) -> bool:
-        return all(
-            v.passed for v in self.verdicts.values() if isinstance(v, CheckReport)
-        )
+        return all(v.passed for v in self.verdicts.values())
 
     def to_json(self) -> dict:
         return {

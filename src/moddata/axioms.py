@@ -55,6 +55,16 @@ def _s_symmetric(d: ModularDatum) -> bool:
     return all(key(s[i][j]) == key(s[j][i]) for i in range(m) for j in range(i + 1, m))
 
 
+@derived
+def _s_at_common_conductor(d: ModularDatum) -> tuple:
+    """(C, S lifted to C, whether S is symmetric in value): at C, the
+    common conductor of S's entries, two entries are equal iff their
+    stored forms are.  The lift raises TooLarge where C is over the limit."""
+    c = linalg.common_conductor(d.s_matrix)
+    s = linalg.mat_lift(d.s_matrix, c)
+    return c, s, s == tuple(zip(*s))
+
+
 def _symmetric_product(rows, cols) -> tuple:
     """The product of the matrices with these cyclo.Lifted rows and
     columns, known to be symmetric in representation: each entry on and

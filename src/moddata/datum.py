@@ -80,6 +80,11 @@ def derived(compute):
     return cached
 
 
+def kept(d, cached, *args):
+    """The value the @derived cached keeps on d for args, or None."""
+    return d._memo.get((cached, *args))
+
+
 class DatumStats(Frozen):
     """Cheaply derived quantities; no axiom re-verification."""
 

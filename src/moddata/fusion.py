@@ -12,10 +12,10 @@ from __future__ import annotations
 from itertools import combinations_with_replacement, product
 from math import lcm
 
-from . import cyclo
-from .axioms import _global_dimension_from_square, _s_symmetric
+from . import cyclo, linalg
+from .axioms import _global_dimension_from_square, _s_at_common_conductor, _s_symmetric
 from .cyclo import CycloNum
-from .datum import ModularDatum, basic_stats, derived
+from .datum import ModularDatum, basic_stats, derived, kept
 from .errors import DimensionMismatch, InvalidDatum
 from .report import CheckReport, Frozen
 
@@ -207,8 +207,8 @@ def fusion_coefficients(d: ModularDatum) -> FusionTable:
     )
 
 
-# the d._memo key of d's own table, which rebinding the name does not change
-_KEPT_TABLE = (fusion_coefficients,)
+# the function that keeps d's own table, which rebinding the name does not change
+_OWN_TABLE = fusion_coefficients
 
 
 def multiply(x: FusionElement, y: FusionElement, t: FusionTable) -> FusionElement:
@@ -268,22 +268,16 @@ def _xi_matrix(d: ModularDatum) -> tuple:
 
 def _verlinde_laws_hold(d: ModularDatum, t: FusionTable) -> bool:
     """Whether the multiplicative law holds on t by the Verlinde theorem,
-    with no sum of it over the limit: t is the table fusion_coefficients
-    keeps on d, with no violation, star is an involution, S is symmetric
-    in value at its common conductor, under the limit, and so is each row
-    of xi, within which each law sums.  There N_ij^k = F(i, j, k*), and
-    S^2 = nC gives S C S = nI, so the sum over k of N_ij^k s_kq is
-    s_iq s_jq / s_oq.  Nothing here can raise."""
-    if d._memo.get(_KEPT_TABLE) is not t or t.violations:
-        return False
-    m, s, star = d.size, d.s_matrix, d.star
-    limit = cyclo.get_conductor_limit()
-    return (all(star[star[i]] == i for i in range(m))
-            and lcm(*[x.conductor for row in s for x in row]) <= limit
-            and (_s_symmetric(d) or all(s[i][j] == s[j][i]
-                                        for i in range(m) for j in range(i + 1, m)))
-            and all(lcm(*[x.conductor for x in row]) <= limit
-                    for row in _xi_matrix(d)))
+    raising nothing: t is the table fusion_coefficients keeps on d, with
+    no violation, star is an involution, and S is symmetric in value at a
+    common conductor under the limit, at a divisor of which lie every
+    entry of xi and of the kept idempotents, and every sum of the scan and
+    of absorption.  There N_ij^k = F(i, j, k*), and S^2 = nC gives
+    S C S = nI, so the sum over k of N_ij^k s_kq is s_iq s_jq / s_oq."""
+    return (kept(d, _OWN_TABLE) is t and not t.violations
+            and all(d.star[d.star[i]] == i for i in range(d.size))
+            and linalg.common_conductor(d.s_matrix) <= cyclo.get_conductor_limit()
+            and _s_at_common_conductor(d)[2])
 
 
 def _multiplicative_witness(d: ModularDatum, terms: tuple):
@@ -393,9 +387,9 @@ def verify_idempotent_laws(d: ModularDatum, t: FusionTable) -> CheckReport:
     lifted = [cyclo.Lifted(p.coeffs) for p in ps]
     # unabsorbed[i]: the first k with b_k p_i != xi_i(b_k) p_i, or None
     unabsorbed = [None] * m
-    kept = _verlinde_laws_hold(d, t) and _idempotents(
+    built = _verlinde_laws_hold(d, t) and _idempotents(
         d, t.terms, cyclo.get_conductor_limit())
-    if not (kept and all(p is q for p, q in zip(ps, kept))):
+    if not (built and all(p is q for p, q in zip(ps, built))):
         # by_output[k][l]: the nonzero (j, N_kj^l); coefficient l of b_k x
         # is the sum of N_kj^l x_j
         by_output = [[[] for _ in range(m)] for _ in range(m)]

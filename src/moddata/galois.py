@@ -12,7 +12,7 @@ from __future__ import annotations
 from math import gcd, lcm
 
 from . import cyclo, linalg
-from .axioms import _axioms_1_to_4, _gauss_sum_inverse
+from .axioms import _axioms_1_to_4, _gauss_sum_inverse, _s_at_common_conductor
 from .cyclo import CycloNum
 from .datum import DatumStats, ModularDatum, basic_stats, derived
 from .errors import (
@@ -148,18 +148,13 @@ def _normalized_keys(d: ModularDatum, s) -> tuple:
 
 
 @derived
-def _lifted_s(d: ModularDatum):
-    """(C, S, lookup, symmetric): S lifted to C, the common conductor of
-    its entries, the lookup from the key of each normalized row s_ik / n_i
-    to the indices of the rows that have it, and whether S at C is
-    symmetric.  At C two entries are equal iff their stored forms are, so
-    the image of a symmetric S is symmetric.  Needs an integral datum."""
-    c = linalg.common_conductor(d.s_matrix)
-    s = linalg.mat_lift(d.s_matrix, c)
+def _row_lookup(d: ModularDatum) -> dict:
+    """The lookup from the key of each normalized row s_ik / n_i of S at
+    its common conductor C to the indices of the rows that have it."""
     lookup = {}
-    for i, key in enumerate(_normalized_keys(d, s)):
+    for i, key in enumerate(_normalized_keys(d, _s_at_common_conductor(d)[1])):
         lookup.setdefault(key, []).append(i)
-    return c, s, lookup, s == tuple(zip(*s))
+    return lookup
 
 
 def _s_image(d: ModularDatum, q: int) -> tuple:
@@ -168,7 +163,7 @@ def _s_image(d: ModularDatum, q: int) -> tuple:
     modulo C, the automorphism index_action matches rows by.  Each
     distinct entry of S at C is moved once."""
     n_o = basic_stats(d).N_o
-    c, s, _, _ = _lifted_s(d)
+    c, s, _ = _s_at_common_conductor(d)
     u = unit_lift(q, n_o, lcm(c, n_o)) % c
     if u == 1 % c:
         return s
@@ -181,7 +176,7 @@ def _action_units(d: ModularDatum) -> list:
     """The units modulo N_o, for a walk that makes the image of S under
     each: m^2 phi(C) coefficients, none when C <= 2 and every unit fixes
     S."""
-    c, _, _, _ = _lifted_s(d)
+    c = _s_at_common_conductor(d)[0]
     per_unit = d.size ** 2 * cyclo.euler_phi(c) if c > 2 else 0
     return _bounded_images("S", basic_stats(d).N_o, per_unit)
 
@@ -206,8 +201,7 @@ def _index_action(d: ModularDatum, q: int) -> tuple:
     once, here, and not kept; it is scanned only where the permutation
     moves some label to one of another dimension, or S at C is not
     symmetric."""
-    _, _, lookup, symmetric = _lifted_s(d)
-    image = _s_image(d, q)
+    lookup, image = _row_lookup(d), _s_image(d, q)
     perm = []
     for i, key in enumerate(_normalized_keys(d, image)):
         matches = lookup.get(key, [])
@@ -220,7 +214,7 @@ def _index_action(d: ModularDatum, q: int) -> tuple:
     # n_i and n_p(i); where those are equal, so are the rows, and with S
     # symmetric, its image is too, so image_ij = s_p(j)i = s_i,p(j)
     dims = basic_stats(d).dims_int
-    if symmetric and all(dims[j] == n for j, n in zip(perm, dims)):
+    if _s_at_common_conductor(d)[2] and all(dims[j] == n for j, n in zip(perm, dims)):
         moved = None
     else:
         moved = _first_moved(d, image, perm)
@@ -230,7 +224,7 @@ def _index_action(d: ModularDatum, q: int) -> tuple:
 def _first_moved(d: ModularDatum, image, perm) -> tuple | None:
     """The first (i, j) in row-major order at which an image of S is not
     S with its rows, or its columns, moved by perm, or None."""
-    _, s, _, _ = _lifted_s(d)
+    s = _s_at_common_conductor(d)[1]
     return next(((i, j) for i, row in enumerate(image) for j, x in enumerate(row)
                  if x != s[perm[i]][j] or x != s[i][perm[j]]), None)
 
@@ -247,7 +241,7 @@ def verify_action_laws(d: ModularDatum) -> CheckReport:
     rep = CheckReport("galois-action-laws")
     m = d.size
     o = d.o
-    _, s, _, symmetric = _lifted_s(d)
+    _, s, symmetric = _s_at_common_conductor(d)
     perms = {q: index_action(d, q) for q in units}
 
     # the first pair at which each image of S fails is kept with the

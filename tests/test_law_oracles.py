@@ -122,9 +122,9 @@ def test_fusion_checks_match_their_oracles_on_a_changed_entry(
     for got, expected in _fusion_checks(d, t):
         assert got == expected
         assert not got["passed"]
-    # absorption, read off multiplicativity or summed, as its full route
-    got, full = _idempotent_routes(monkeypatch, d, t)
-    assert got == full
+    # absorption on a changed table is summed, as on its full route
+    got, full, held = _idempotent_routes(monkeypatch, d, t)
+    assert got == full and held is False
 
 
 def test_idempotent_laws_match_the_oracle_on_changed_idempotents(monkeypatch):
@@ -1193,13 +1193,24 @@ def test_action_laws_keep_no_image_of_s():
 
 
 def _idempotent_routes(monkeypatch, d, t):
-    """(route taken, full route) outcome of the idempotent laws of t, each
-    on a copy of d that has nothing derived yet; the full route with the
-    Verlinde gate switched off."""
-    got = _outcome(verify_idempotent_laws, _fresh(d), t)
+    """(route taken, full route, gate) for the idempotent laws of t: the
+    outcome of the route taken on d, on which t may be the table kept,
+    that of the full route on a copy of d that has nothing derived yet,
+    with the Verlinde gate switched off, and whether the gate held on d,
+    or None if the laws raised before reaching it."""
+    held = []
+    gate = fusion._verlinde_laws_hold
+
+    def recorded(*args):
+        held.append(gate(*args))
+        return held[-1]
+
     with monkeypatch.context() as m:
+        m.setattr(fusion, "_verlinde_laws_hold", recorded)
+        got = _outcome(verify_idempotent_laws, d, t)
         m.setattr(fusion, "_verlinde_laws_hold", lambda *args: False)
-        return got, _outcome(verify_idempotent_laws, _fresh(d), t)
+        full = _outcome(verify_idempotent_laws, _fresh(d), t)
+    return got, full, held[0] if held else None
 
 
 def _moved_routes(d):
@@ -1225,9 +1236,9 @@ def _family_routes(d):
 
 @pytest.mark.parametrize("name,d", _BUILT_IN, ids=_IDS)
 def test_routes_from_earlier_work_match_their_full_routes(monkeypatch, name, d):
-    t = fusion_coefficients(_fresh(d))
-    got, full = _idempotent_routes(monkeypatch, d, t)
-    assert got == full and got["passed"]
+    kept = _fresh(d)
+    got, full, held = _idempotent_routes(monkeypatch, kept, fusion_coefficients(kept))
+    assert got == full and got["passed"] and held
     for got, full in _moved_routes(d):
         assert got == full
     got, full = _family_routes(d)
@@ -1240,14 +1251,19 @@ def test_routes_from_earlier_work_match_their_full_routes(monkeypatch, name, d):
 
 @pytest.mark.parametrize("name,d,top", _LIMIT_DATA, ids=[c[0] for c in _LIMIT_DATA])
 def test_routes_from_earlier_work_match_under_every_limit(monkeypatch, name, d, top):
-    table = fusion_coefficients(_fresh(d)) if name[:4] != "ones" else None
-    outcomes = set()
+    # the idempotent laws run, under each limit, on a copy of d that keeps
+    # only its own table, made under the default limit
+    outcomes, gates = set(), set()
     for limit in _limits(d, top):
+        kept = _fresh(d)
+        table = fusion_coefficients(kept) if name[:4] != "ones" else None
         token = cyclo.set_conductor_limit(limit)
         try:
             pairs = [_family_routes(d)] + _moved_routes(d)
             if table is not None:
-                pairs.append(_idempotent_routes(monkeypatch, d, table))
+                got, full, held = _idempotent_routes(monkeypatch, kept, table)
+                pairs.append((got, full))
+                gates.add(held)
         finally:
             cyclo.reset_conductor_limit(token)
         for got, full in pairs:
@@ -1255,6 +1271,10 @@ def test_routes_from_earlier_work_match_under_every_limit(monkeypatch, name, d, 
             outcomes.add(got[0] if isinstance(got, tuple) else "done")
     # the ones data have no global dimension, and no integral ranks
     assert {"TooLarge", "done"} <= outcomes or name[:4] == "ones"
+    # the gate is taken once the limit reaches S's common conductor, which
+    # the four-primes sweep stops short of, and is off or not reached below
+    if table is not None and top is None:
+        assert True in gates and len(gates) > 1
 
 
 def test_absorption_falls_back_on_a_table_that_is_not_reciprocal(monkeypatch):
@@ -1266,8 +1286,9 @@ def test_absorption_falls_back_on_a_table_that_is_not_reciprocal(monkeypatch):
     d = ModularDatum(("0", "1", "2"), "0", (0, 2, 1), ((one,) * 3,) * 3, (one,) * 3)
     t = FusionTable(size=3, coeffs=(((1, 0, 0),) * 3,) * 3)
     assert verify_ring_homomorphisms(d, t)["multiplicative"].passed
-    got, full = _idempotent_routes(monkeypatch, d, t)
+    got, full, held = _idempotent_routes(monkeypatch, d, t)
     assert got == full == _outcome(oracles.oracle_verify_idempotent_laws, d, t)
+    assert held is False
     assert not got["passed"]
     assert {c["name"]: c.get("witness") for c in got["checks"]}["eigenvalue-absorption"] == [0, 0]
 
@@ -1373,6 +1394,9 @@ def test_verlinde_theorem_holds_where_the_scan_finds_it(monkeypatch, name, d):
     d = _fresh(d)
     t = fusion_coefficients(d)
     assert fusion._verlinde_laws_hold(d, t)
+    # each row of xi lies at a divisor of S's common conductor
+    c = linalg.common_conductor(d.s_matrix)
+    assert all(c % x.conductor == 0 for row in fusion._xi_matrix(d) for x in row)
     sums = _counting(monkeypatch, fusion, "_sum_is_product")
     checks = _fusion_checks(d, t)
     assert sums == [] and _routes_agree(checks)
@@ -1436,8 +1460,9 @@ def test_gate_is_off_where_a_condition_of_the_theorem_fails(monkeypatch):
 
 
 def test_gate_is_off_under_a_limit_below_a_row_of_xi():
-    # radford3-lifted: rows of xi at 3, 15 and 21, and S at 105; its table
-    # kept from the default limit, the laws checked under each lower one
+    # radford3-lifted: rows of xi at 3, 15 and 21, and S at 105, of which
+    # each is a divisor; its table kept from the default limit, the laws
+    # checked under each lower one
     d = _fresh(_LIMIT_DATA[0][1])
     t = fusion_coefficients(d)
     xi = fusion._xi_matrix(d)
